@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 from . import closedform, oracle, refdata
 from .errors import ResourceLimitError
-from .gentree import FamilySpec, count_levels, count_sequence, generate_diagrams
+from .gentree import (
+    FamilySpec,
+    count_levels,
+    count_sequence,
+    generate_diagrams,
+    level_distribution,
+)
 from .series import constant_term_sequence, ones_sequence, solve_equation
 
 __all__ = ["main", "run", "VerificationReport", "CheckRecord"]
@@ -79,10 +85,27 @@ class SystemExit2(Exception):
     """Usage error discovered after argparse."""
 
 
+def _int_at_least(minimum):
+    """argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_SIZE = _int_at_least(0)
+_NESTING = _int_at_least(2)
+
+
 def _cmd_count(args):
     spec = _spec_from_args(args)
     if args.all_labels:
-        level = count_levels(spec, args.n, max_labels=args.max_labels)[args.n]
+        level = level_distribution(spec, args.n, max_labels=args.max_labels)
         if args.format == "json":
             print(json.dumps(level.to_json_dict()))
         elif args.format == "csv":
@@ -129,6 +152,8 @@ def _solve_from_args(args):
         if args.k not in (None, 3):
             raise SystemExit2("the permutation equation is only implemented for k=3")
         return solve_equation("F", args.n)
+    if args.k is not None:
+        raise SystemExit2("--k is not accepted for series family baxter")
     return solve_equation("B", args.n)
 
 
@@ -162,7 +187,10 @@ def _cmd_oracle(args):
 
 
 def _cmd_refdata(args):
-    seq = refdata.lookup(args.family, args.k)
+    try:
+        seq = refdata.lookup(args.family, args.k)
+    except KeyError as exc:
+        raise SystemExit2(exc) from None
     print(
         json.dumps(
             {
@@ -297,8 +325,8 @@ def _build_parser():
 
     p = sub.add_parser("count", help="generating-tree counts")
     p.add_argument("--family", required=True, choices=ALL_FAMILIES)
-    p.add_argument("--k", type=int, help="forbidden nesting size")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_NESTING, help="forbidden nesting size")
+    p.add_argument("--n", type=_SIZE, required=True)
     p.add_argument("--all-labels", action="store_true",
                    help="dump the full label distribution at level n")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -311,24 +339,24 @@ def _build_parser():
         required=True,
         choices=("partitions", "partitions-enhanced", "permutations3", "baxter"),
     )
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_NESTING)
+    p.add_argument("--n", type=_SIZE, required=True)
     p.add_argument("--full", action="store_true",
                    help="dump every coefficient, not just the counting terms")
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("generate", help="stream all diagrams of size n")
     p.add_argument("--family", required=True, choices=ALL_FAMILIES)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_NESTING)
+    p.add_argument("--n", type=_SIZE, required=True)
     p.add_argument("--closed-only", action="store_true",
                    help="emit only diagrams without semi-arcs")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("oracle", help="brute-force count")
     p.add_argument("--family", required=True, choices=CONSTRAINED_FAMILIES)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_NESTING, required=True)
+    p.add_argument("--n", type=_SIZE, required=True)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="cross-check harness")
@@ -337,7 +365,7 @@ def _build_parser():
         default="all",
         choices=("paper-tables", "cross-methods", "baxter", "egf", "all"),
     )
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", type=_SIZE, default=12)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_verify)
 
@@ -347,7 +375,7 @@ def _build_parser():
         required=True,
         choices=("partitions", "partitions-enhanced", "permutations", "baxter"),
     )
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_NESTING, required=True)
     p.set_defaults(func=_cmd_refdata)
 
     return parser
@@ -361,9 +389,6 @@ def run(argv=None):
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
@@ -371,3 +396,7 @@ def run(argv=None):
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

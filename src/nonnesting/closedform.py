@@ -1,11 +1,12 @@
 """Classical reference sequences and an experimental explicit formula.
 
-The Bell, Catalan and Baxter numbers, plus the two open-diagram totals,
-serve as independent cross-checks for the generating-tree and series
-counts.  The explicit double-sum formula for 3-nonnesting set partitions
-is implemented as an experimental evaluation: its published form leaves a
-summation index unbound, so every reading is evaluated and reported
-against reference data instead of being asserted.
+The Bell, Catalan and Baxter numbers, the two open-diagram totals and the
+P-recurrences of the 3-nonnesting partition counts serve as independent
+cross-checks for the generating-tree and series counts.  The explicit
+double-sum formula for 3-nonnesting set partitions is implemented as an
+experimental evaluation: its published form leaves a summation index
+unbound, so every reading is evaluated and reported against reference data
+instead of being asserted.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ __all__ = [
     "baxter",
     "open_partition_count",
     "open_permutation_count",
+    "a108304",
+    "a108307",
     "multinomial",
     "FormulaReport",
     "InterpretationResult",
@@ -89,6 +92,43 @@ def open_permutation_count(n):
     if n < 0:
         raise ValueError("n must be >= 0")
     return sum(comb(n, j) ** 2 * factorial(j) for j in range(n + 1))
+
+
+def _p_recurrence(n_max, coefficients):
+    """a(0..n_max) of c0*a(n) + c1*a(n+1) + c2*a(n+2) = 0 with
+    a(0) = a(1) = 1, where coefficients(n) gives (c0, c1, c2)."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    a = [1, 1]
+    for n in range(n_max - 1):
+        c0, c1, c2 = coefficients(n)
+        num = -(c0 * a[n] + c1 * a[n + 1])
+        if num % c2:
+            raise ArithmeticError(f"recurrence not integral at n={n + 2}")
+        a.append(num // c2)
+    return a[: n_max + 1]
+
+
+def a108304(n_max):
+    """a(0..n_max) of 3-nonnesting set partitions, from the P-recurrence
+    9n(n+3)a(n) - 2(5n^2+32n+42)a(n+1) + (n+6)(n+7)a(n+2) = 0.
+
+    Bousquet-Melou & Xin (2006) prove it for 3-noncrossing partitions; the
+    crossing/nesting symmetry of Chen, Deng, Du, Stanley & Yan (2007) carries
+    it over to 3-nonnesting ones.
+    """
+    return _p_recurrence(
+        n_max, lambda n: (9 * n * (n + 3), -2 * (5 * n * n + 32 * n + 42), (n + 6) * (n + 7))
+    )
+
+
+def a108307(n_max):
+    """a(0..n_max) of enhanced 3-nonnesting set partitions, from the
+    P-recurrence 8(n+1)(n+3)a(n) + (7n^2+53n+88)a(n+1) - (n+7)(n+8)a(n+2) = 0
+    (same sources as a108304)."""
+    return _p_recurrence(
+        n_max, lambda n: (8 * (n + 1) * (n + 3), 7 * n * n + 53 * n + 88, -(n + 7) * (n + 8))
+    )
 
 
 def multinomial(n, parts):

@@ -29,6 +29,7 @@ __all__ = [
     "successors_partition",
     "successors_permutation",
     "count_levels",
+    "level_distribution",
     "count_sequence",
     "generate_diagrams",
 ]
@@ -67,14 +68,6 @@ class FamilySpec:
             zeros = (0,) * (self.k - 2)
             return (0, zeros, zeros)
         return 0
-
-    def is_closed_label(self, label):
-        """True for the label of diagrams with no semi-arcs."""
-        if self.family == PERMUTATIONS:
-            return label[0] == 0
-        if self.family in (PARTITIONS, PARTITIONS_ENHANCED):
-            return label[0] == 0
-        return label == 0
 
     def successors(self, label):
         if self.family == PARTITIONS:
@@ -242,12 +235,18 @@ def _successors_open_permutation(m):
     return children
 
 
-def count_levels(spec, n_max, max_labels=None):
-    """Label distributions for levels 0..n_max.
+def _semi_arcs(label):
+    return label if isinstance(label, int) else label[0]
 
-    Deterministic: labels are merged in lexicographic order.  `max_labels`
-    bounds the number of distinct labels per level; exceeding it raises
-    ResourceLimitError carrying the level reached.
+
+def _level_stream(spec, n_max, max_labels, prune):
+    """Yield the label distributions of levels 0..n_max, holding one at a time.
+
+    With `prune`, each level drops the labels with more semi-arcs than there
+    are levels left before n_max: a step closes at most one semi-arc, so
+    those labels can no longer return to the root label.  `max_labels`
+    bounds the number of labels kept per level; exceeding it raises
+    ResourceLimitError carrying the last level completed.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -255,17 +254,44 @@ def count_levels(spec, n_max, max_labels=None):
         push = _PermutationPusher().push
     else:
         push = _GenericPusher(spec).push
-    levels = [LevelDistribution(0, {spec.root_label(): 1})]
-    current = levels[0].entries
+    current = {spec.root_label(): 1}
+    yield current
     for n in range(1, n_max + 1):
-        nxt = push(current)
-        if max_labels is not None and len(nxt) > max_labels:
+        current = push(current)
+        if prune:
+            horizon = n_max - n
+            current = {
+                label: count
+                for label, count in current.items()
+                if _semi_arcs(label) <= horizon
+            }
+        if max_labels is not None and len(current) > max_labels:
             raise ResourceLimitError(
-                f"label budget {max_labels} exceeded at level {n}", reached=n - 1
+                f"label budget {max_labels} exceeded at level {n} "
+                f"({len(current)} labels)",
+                reached=n - 1,
             )
-        levels.append(LevelDistribution(n, nxt))
-        current = nxt
-    return levels
+        yield current
+
+
+def count_levels(spec, n_max, max_labels=None):
+    """Full label distributions for levels 0..n_max.
+
+    Deterministic whatever the order labels are merged in, since the counts
+    are exact integer sums.  `max_labels` bounds the number of distinct
+    labels per level; exceeding it raises ResourceLimitError carrying the
+    last level completed.
+    """
+    stream = _level_stream(spec, n_max, max_labels, prune=False)
+    return [LevelDistribution(n, entries) for n, entries in enumerate(stream)]
+
+
+def level_distribution(spec, n, max_labels=None):
+    """The full label distribution at level n, without keeping the levels
+    before it; `max_labels` as in count_levels."""
+    for entries in _level_stream(spec, n, max_labels, prune=False):
+        pass
+    return LevelDistribution(n, entries)
 
 
 class _GenericPusher:
@@ -277,8 +303,7 @@ class _GenericPusher:
 
     def push(self, current):
         nxt = {}
-        for label in sorted(current, key=_flatten):
-            count = current[label]
+        for label, count in current.items():
             children = self.cache.get(label)
             if children is None:
                 children = list(self.spec.successors(label).items())
@@ -312,8 +337,7 @@ class _PermutationPusher:
     def push(self, current):
         nxt = {}
         half_closed = {}
-        for label in sorted(current, key=_flatten):
-            count = current[label]
+        for label, count in current.items():
             h, r, s = label
             if r:
                 fp = (h, (h,) + r[1:], s)
@@ -337,10 +361,15 @@ class _PermutationPusher:
 
 
 def count_sequence(spec, n_max, max_labels=None):
-    """a(1..n_max): closed objects (all-zero label) per level."""
-    levels = count_levels(spec, n_max, max_labels=max_labels)
+    """a(1..n_max): closed objects (root label) per level.
+
+    Labels that can no longer return to the root by level n_max are pruned
+    as the levels are pushed, so `max_labels` bounds the pruned label set.
+    """
     root = spec.root_label()
-    return [levels[n].count_of(root) for n in range(1, n_max + 1)]
+    levels = _level_stream(spec, n_max, max_labels, prune=True)
+    next(levels)
+    return [entries.get(root, 0) for entries in levels]
 
 
 def _walk_family(spec):

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .closedform import bell
-from .diagrams import max_nesting, perm_to_diagram
+from .diagrams import max_nesting
 from .errors import ResourceLimitError
 
 __all__ = [

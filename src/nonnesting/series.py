@@ -21,7 +21,6 @@ from .errors import DivisibilityError
 __all__ = [
     "TruncatedSeries",
     "substitute",
-    "divided_difference",
     "solve_equation",
     "constant_term_sequence",
     "ones_sequence",
@@ -191,15 +190,6 @@ def divide_by_one_minus(f, var):
                 f"nonzero remainder dividing by (1 - {var}) at {key}"
             )
     return TruncatedSeries(f.variables, f.cap, terms)
-
-
-def divided_difference(f, g, var, denominator="one-minus"):
-    """(f - g) / (1 - var)  or, with denominator="var",  (f - g) / var."""
-    if denominator == "one-minus":
-        return divide_by_one_minus(f - g, var)
-    if denominator == "var":
-        return divide_by_var(f - g, var)
-    raise ValueError(f"unsupported denominator {denominator!r}")
 
 
 def _iterate(variables, n_max, phi):

@@ -12,6 +12,8 @@ import pytest
 from nonnesting import diagrams as dg
 from nonnesting import refdata
 from nonnesting.closedform import (
+    a108304,
+    a108307,
     baxter,
     catalan,
     formula_3nn_partitions,
@@ -184,3 +186,10 @@ def test_11_exhaustive_generation(capsys):
         for d in perms
     )
     verdict(capsys, "criterion 11: exhaustive generation emits exactly the k-nonnesting objects, verified independently", ok)
+
+
+def test_12_p_recurrences(capsys):
+    n = 60
+    ok = [1] + count_sequence(FamilySpec("partitions", 3), n) == a108304(n)
+    ok = ok and [1] + count_sequence(FamilySpec("partitions-enhanced", 3), n) == a108307(n)
+    verdict(capsys, "criterion 12: k=3 partition counts satisfy the A108304/A108307 P-recurrences for n <= 60", ok)

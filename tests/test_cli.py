@@ -1,15 +1,33 @@
 """Command-line interface: output formats and exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonnesting.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def output(capsys):
     captured = capsys.readouterr()
     return captured.out, captured.err
+
+
+def exit_code(argv):
+    """run()'s return value, or the code argparse exits with."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestCount:
@@ -56,6 +74,17 @@ class TestCount:
         rc = run(["count", "--family", "partitions", "--k", "4", "--n", "12",
                   "--max-labels", "5"])
         assert rc == 3
+
+    def test_label_budget_bounds_pruned_set(self, capsys):
+        # level 7 has 50 labels in full but 43 that can still close by n=12
+        argv = ["count", "--family", "partitions", "--k", "4", "--n", "12",
+                "--max-labels", "43"]
+        assert run(argv) == 0
+        out, _ = output(capsys)
+        assert out.strip() == "1,2,5,15,52,203,877,4139,21119,115495,671969,4132936"
+        assert run(argv + ["--all-labels"]) == 3
+        _, err = output(capsys)
+        assert "label budget 43 exceeded at level 7 (50 labels)" in err
 
 
 class TestSeries:
@@ -137,3 +166,78 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "count --family partitions --k 3 --n -1",
+    "count --family partitions --k 1 --n 4",
+    "oracle --family partitions --k 3 --n -2",
+    "series --family baxter --k 5 --n 4",
+])
+def test_usage_errors_exit_2(argv, capsys):
+    assert exit_code(argv.split()) == 2
+    out, err = output(capsys)
+    assert out == ""
+    assert "error: " in err
+
+
+_SMALL_INT = st.integers(-3, 5).map(str)
+_VALUES = {
+    "--family": st.sampled_from([
+        "partitions", "partitions-enhanced", "permutations", "permutations3",
+        "baxter", "open-partitions", "open-permutations", "widgets",
+    ]),
+    "--k": _SMALL_INT | st.just("x"),
+    "--n": _SMALL_INT,
+    "--max-labels": _SMALL_INT,
+    "--max-n": _SMALL_INT,
+    "--format": st.sampled_from(["text", "json", "csv"]),
+    "--suite": st.sampled_from(["all", "egf", "baxter"]),
+}
+# each command's own options (switches take no value)
+_FLAGS = {
+    "count": ("--family", "--k", "--n", "--max-labels", "--format", "--all-labels"),
+    "series": ("--family", "--k", "--n", "--full"),
+    "generate": ("--family", "--k", "--n", "--closed-only"),
+    "oracle": ("--family", "--k", "--n"),
+    "verify": ("--suite", "--max-n", "--format"),
+    "refdata": ("--family", "--k"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_argv_keeps_exit_codes(data):
+    command = data.draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag in _FLAGS[command]:
+        if flag not in _VALUES:
+            if data.draw(st.booleans()):
+                argv.append(flag)
+            continue
+        # verify's default --max-n of 12 takes seconds, so it is always set
+        values = _VALUES[flag]
+        value = data.draw(values if flag == "--max-n" else st.none() | values)
+        if value is not None:
+            argv += [flag, value]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = exit_code(argv)
+    assert rc in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("module", ["nonnesting", "nonnesting.cli"])
+def test_module_entry_points(module):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    ok = cli("count", "--family", "partitions", "--k", "3", "--n", "8")
+    assert (ok.returncode, ok.stdout) == (0, "1,2,5,15,52,202,859,3930\n")
+    bad = cli("count", "--family", "partitions", "--k", "3", "--n", "-1")
+    assert bad.returncode == 2
+    assert "error: " in bad.stderr and "Traceback" not in bad.stderr

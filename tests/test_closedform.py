@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from nonnesting import refdata
 from nonnesting.closedform import (
+    a108304,
+    a108307,
     baxter,
     bell,
     catalan,
@@ -34,11 +37,23 @@ class TestSequences:
     def test_open_permutation_count(self):
         assert [open_permutation_count(n) for n in range(4)] == [1, 2, 7, 34]
 
+    def test_three_nonnesting_recurrences(self):
+        for family, recurrence in (
+            ("partitions", a108304),
+            ("partitions-enhanced", a108307),
+        ):
+            terms = refdata.lookup(family, 3).as_ints()
+            assert recurrence(len(terms)) == [1] + terms
+        assert a108304(0) == [1]
+        assert a108307(1) == [1, 1]
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             bell(-1)
         with pytest.raises(ValueError):
             baxter(0)
+        with pytest.raises(ValueError):
+            a108304(-1)
 
 
 class TestMultinomial:

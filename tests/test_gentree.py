@@ -10,6 +10,7 @@ from nonnesting.gentree import (
     count_levels,
     count_sequence,
     generate_diagrams,
+    level_distribution,
     successors_partition,
     successors_permutation,
 )
@@ -79,6 +80,25 @@ class TestCountSequence:
             count_sequence(FamilySpec("partitions", 4), 12, max_labels=5)
         assert exc.value.reached is not None
 
+    def test_label_budget_message(self):
+        with pytest.raises(ResourceLimitError) as exc:
+            count_sequence(FamilySpec("partitions", 4), 12, max_labels=5)
+        assert str(exc.value) == "label budget 5 exceeded at level 3 (6 labels)"
+        assert exc.value.reached == 2
+
+    def test_label_budget_bounds_pruned_levels(self):
+        # the widest unpruned level before 12 has 50 labels (level 7), the
+        # widest pruned one 43
+        spec = FamilySpec("partitions", 4)
+        expected = refdata.lookup("partitions", 4).as_ints()[:12]
+        assert count_sequence(spec, 12, max_labels=43) == expected
+        with pytest.raises(ResourceLimitError) as exc:
+            count_sequence(spec, 12, max_labels=42)
+        assert exc.value.reached == 6
+        with pytest.raises(ResourceLimitError) as exc:
+            count_levels(spec, 12, max_labels=43)
+        assert exc.value.reached == 6
+
     def test_level_distribution_json(self):
         level = count_levels(FamilySpec("partitions", 3), 4)[4]
         j = level.to_json_dict()
@@ -93,6 +113,27 @@ class TestCountSequence:
     def test_unconstrained_rejects_k(self):
         with pytest.raises(ValueError):
             FamilySpec("open-partitions", 3)
+
+
+def _differential_cases():
+    for family in ("partitions", "partitions-enhanced", "permutations"):
+        for k in range(2, 6):
+            yield family, k, 11 if (family, k) == ("permutations", 5) else 12
+    yield "open-partitions", None, 10
+    yield "open-permutations", None, 10
+
+
+@pytest.mark.parametrize("family,k,n_max", list(_differential_cases()))
+def test_pruned_sequence_equals_unpruned_levels(family, k, n_max):
+    """count_sequence prunes labels that cannot close by n_max; the root
+    counts of the full distributions are the plain path it replaces."""
+    spec = FamilySpec(family, k)
+    root = spec.root_label()
+    levels = count_levels(spec, n_max)
+    unpruned = [level.count_of(root) for level in levels[1:]]
+    for n in range(n_max + 1):
+        assert count_sequence(spec, n) == unpruned[:n]
+    assert level_distribution(spec, n_max) == levels[n_max]
 
 
 class TestGenerateDiagrams:
