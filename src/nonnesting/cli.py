@@ -100,6 +100,7 @@ def _int_at_least(minimum):
 
 _SIZE = _int_at_least(0)
 _NESTING = _int_at_least(2)
+_BUDGET = _int_at_least(1)
 
 
 def _cmd_count(args):
@@ -330,7 +331,7 @@ def _build_parser():
     p.add_argument("--all-labels", action="store_true",
                    help="dump the full label distribution at level n")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--max-labels", type=int, help="distinct-label budget")
+    p.add_argument("--max-labels", type=_BUDGET, help="distinct-label budget")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("series", help="functional-equation solutions")

@@ -387,6 +387,8 @@ def generate_diagrams(spec, n, closed_only=False):
     `legal_steps`.  With closed_only, only diagrams without semi-arcs (true
     set partitions / permutations) are emitted.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     root, family, k = _walk_family(spec)
 
     def walk(d, depth):
@@ -397,7 +399,7 @@ def generate_diagrams(spec, n, closed_only=False):
         for step in diagrams.legal_steps(d, k, family):
             yield from walk(diagrams.apply_step(d, step), depth + 1)
 
-    yield from walk(root, 0)
+    return walk(root, 0)
 
 
 def _is_closed(d):

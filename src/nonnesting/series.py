@@ -3,15 +3,17 @@
 Series have exact integer coefficients and are truncated past a fixed
 z-order.  The variable z marks size; the remaining catalytic variables mark
 label entries.  Only z is truncated: catalytic exponents stay bounded on
-their own (every solver iteration multiplies by z), and truncating them
-would corrupt the zero-remainder checks in the exact divisions below.
+their own (each z-order is one application of Phi, which raises them by a
+bounded amount), and truncating them would corrupt the zero-remainder checks in the exact divisions below.
 
 Each functional equation has the shape  G = 1 + z * Phi(G)  where Phi is
 built from three substitution shapes (set a variable to 0, to 1, or fold it
-into a neighbour) and exact divisions by a variable or by (1 - variable).
-Every division is checked for a zero remainder at runtime; a nonzero
-remainder raises DivisibilityError.  Fixed-point iteration from G = 1
-determines one more z-order per step.
+into a neighbour), shifts in catalytic variables and exact divisions by a
+variable or by (1 - variable).  None of these touches z, so Phi is linear
+and keeps the z-order: [z^n]G = Phi([z^(n-1)]G).  The solver therefore
+builds G one z-order at a time from [z^0]G = 1, and checks at runtime that
+Phi kept every term at the z-order it was given.  Every division is checked
+for a zero remainder as well; a nonzero remainder raises DivisibilityError.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ class TruncatedSeries:
         return (
             isinstance(other, TruncatedSeries)
             and self.variables == other.variables
+            and self.cap == other.cap
             and self.terms == other.terms
         )
 
@@ -193,15 +196,24 @@ def divide_by_one_minus(f, var):
 
 
 def _iterate(variables, n_max, phi):
-    """Solve G = 1 + z * phi(G) to z-order n_max by fixed-point iteration."""
-    one = TruncatedSeries.one(variables, n_max)
-    g = one
-    for _ in range(n_max + 1):
-        nxt = one + phi(g).shift("z")
-        if nxt == g:
-            break
-        g = nxt
-    return g
+    """Solve G = 1 + z * phi(G) to z-order n_max, one z-order at a time.
+
+    phi must be linear and keep the z-order: applied to the z^(n-1) slice
+    of G it returns terms of z-order n-1 only, and shifting them by z gives
+    the z^n slice.  A term at any other z-order raises ValueError.
+    """
+    layer = TruncatedSeries.one(variables, n_max)
+    terms = dict(layer.terms)
+    for n in range(1, n_max + 1):
+        image = phi(layer)
+        for expo in image.terms:
+            if expo[0] != n - 1:
+                raise ValueError(
+                    f"phi moved a term of z-order {n - 1} to z-order {expo[0]}"
+                )
+        layer = image.shift("z")
+        terms.update(layer.terms)
+    return TruncatedSeries(variables, n_max, terms)
 
 
 def solve_partition_equation(k, n_max):

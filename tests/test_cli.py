@@ -173,6 +173,8 @@ class TestVerify:
     "count --family partitions --k 1 --n 4",
     "oracle --family partitions --k 3 --n -2",
     "series --family baxter --k 5 --n 4",
+    "count --family partitions --k 3 --n 4 --max-labels 0",
+    "count --family partitions --k 3 --n 4 --max-labels -3",
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert exit_code(argv.split()) == 2

@@ -153,3 +153,7 @@ class TestGenerateDiagrams:
         assert len(out) == 24
         total = count_levels(spec, 4)[4].total()
         assert sum(1 for _ in generate_diagrams(spec, 4)) == total
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            generate_diagrams(FamilySpec("partitions", 3), -1)

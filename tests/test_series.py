@@ -2,6 +2,7 @@
 
 import pytest
 
+from nonnesting import series
 from nonnesting.errors import DivisibilityError
 from nonnesting.gentree import FamilySpec, count_sequence
 from nonnesting.series import (
@@ -65,6 +66,11 @@ class TestArithmetic:
         with pytest.raises(DivisibilityError):
             divide_by_one_minus(S({(0, 0, 1): 1}), "v")
 
+    def test_equality_includes_cap(self):
+        terms = {(1, 0, 0): 2}
+        assert S(terms, cap=6) == S(terms, cap=6)
+        assert S(terms, cap=6) != S(terms, cap=5)
+
     def test_dump_lines_sorted(self):
         a = S({(1, 0, 0): 2, (0, 1, 0): 3})
         assert a.dump_lines() == ["0 1 0: 3", "1 0 0: 2"]
@@ -127,3 +133,42 @@ class TestSolvers:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             solve_equation("B", -1)
+
+
+def _fixed_point_iterate(variables, n_max, phi):
+    """The fixed-point loop the order-by-order solver replaced: pass t
+    recomputes every z-order up to t from G = 1."""
+    one = TruncatedSeries.one(variables, n_max)
+    g = one
+    for _ in range(n_max + 1):
+        nxt = one + phi(g).shift("z")
+        if nxt == g:
+            break
+        g = nxt
+    return g
+
+
+def _differential_cases():
+    for n in range(10):
+        for equation in ("A", "F", "B"):
+            yield equation, None, n
+        for k in range(2, 7):
+            yield "Q", k, n
+            yield "P", k, n
+    yield "B", None, 25
+    yield "F", None, 12
+
+
+@pytest.mark.parametrize("equation,k,n_max", list(_differential_cases()))
+def test_order_by_order_equals_fixed_point(equation, k, n_max, monkeypatch):
+    fast = solve_equation(equation, n_max, k=k)
+    monkeypatch.setattr(series, "_iterate", _fixed_point_iterate)
+    plain = solve_equation(equation, n_max, k=k)
+    assert (fast.variables, fast.cap, fast.terms) == (
+        plain.variables, plain.cap, plain.terms
+    )
+
+
+def test_phi_that_moves_the_z_order_raises():
+    with pytest.raises(ValueError, match="z-order"):
+        series._iterate(("z", "u"), 4, lambda g: g.shift("z"))
