@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from . import closedform, oracle, refdata
 from .errors import ResourceLimitError
 from .gentree import (
+    CONSTRAINED_FAMILIES,
+    FAMILIES,
     FamilySpec,
     count_levels,
     count_sequence,
@@ -30,10 +32,6 @@ from .gentree import (
 from .series import constant_term_sequence, ones_sequence, solve_equation
 
 __all__ = ["main", "run", "VerificationReport", "CheckRecord"]
-
-CONSTRAINED_FAMILIES = ("partitions", "partitions-enhanced", "permutations")
-ALL_FAMILIES = CONSTRAINED_FAMILIES + ("open-partitions", "open-permutations")
-
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -71,14 +69,10 @@ class VerificationReport:
 
 
 def _spec_from_args(args):
-    family = args.family
-    if family.startswith("open-"):
-        if getattr(args, "k", None) is not None:
-            raise SystemExit2(f"--k is not accepted for family {family}")
-        return FamilySpec(family, None)
-    if getattr(args, "k", None) is None:
-        raise SystemExit2(f"--k is required for family {family}")
-    return FamilySpec(family, args.k)
+    try:
+        return FamilySpec(args.family, args.k)
+    except ValueError as exc:
+        raise SystemExit2(exc) from None
 
 
 class SystemExit2(Exception):
@@ -181,8 +175,6 @@ def _cmd_generate(args):
 
 
 def _cmd_oracle(args):
-    if args.family not in CONSTRAINED_FAMILIES:
-        raise SystemExit2("oracle supports the constrained families only")
     print(oracle.oracle_count(args.family, args.k, args.n))
     return 0
 
@@ -325,7 +317,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="generating-tree counts")
-    p.add_argument("--family", required=True, choices=ALL_FAMILIES)
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--k", type=_NESTING, help="forbidden nesting size")
     p.add_argument("--n", type=_SIZE, required=True)
     p.add_argument("--all-labels", action="store_true",
@@ -347,7 +339,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("generate", help="stream all diagrams of size n")
-    p.add_argument("--family", required=True, choices=ALL_FAMILIES)
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--k", type=_NESTING)
     p.add_argument("--n", type=_SIZE, required=True)
     p.add_argument("--closed-only", action="store_true",

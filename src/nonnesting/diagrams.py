@@ -28,6 +28,7 @@ __all__ = [
     "permutation_label",
     "legal_steps",
     "apply_step",
+    "permutation_arcs",
     "perm_to_diagram",
 ]
 
@@ -141,6 +142,10 @@ class OpenPartitionDiagram:
             used.add(right)
         return tuple(v for v in range(1, self.n + 1) if v not in used)
 
+    def is_closed(self):
+        """True when there are no semi-arcs: a plain set partition."""
+        return not self.open_arcs
+
     def to_json_dict(self):
         return {
             "n": self.n,
@@ -202,6 +207,10 @@ class OpenPermutationDiagram:
             raise ValueError("duplicate upper semi-arc origin")
         if len(set(self.lower_open)) != len(self.lower_open):
             raise ValueError("duplicate lower semi-arc origin")
+
+    def is_closed(self):
+        """True when there are no semi-arcs: a plain permutation."""
+        return not self.upper_open
 
     def to_json_dict(self):
         return {
@@ -286,13 +295,6 @@ def permutation_label(diagram, k):
     return (len(diagram.upper_open), r, s)
 
 
-PARTITION = "partition"
-PARTITION_ENHANCED = "partition-enhanced"
-PERMUTATION = "permutation"
-
-_PARTITION_FAMILIES = (PARTITION, PARTITION_ENHANCED)
-
-
 def _closable(index_of, origins, k):
     """Positions whose semi-arc may be closed without forcing a k-nesting.
 
@@ -307,16 +309,16 @@ def _closable(index_of, origins, k):
     return positions
 
 
-def legal_steps(diagram, k, family):
+def legal_steps(diagram, k, enhanced=False):
     """All vertex additions that keep the diagram k-nonnesting.
 
-    `k` is the forbidden nesting size (k=None for the unconstrained tree).
-    Order is deterministic: fixed point, semi-opener, semi-transitories by
+    `k` is the forbidden nesting size (k=None for the unconstrained tree);
+    `enhanced` counts fixed points as arcs (partition diagrams only).  Order
+    is deterministic: fixed point, semi-opener, semi-transitories by
     ascending index, closers by ascending index (permutation closers by
     lexicographic (upper, lower) index).
     """
-    if family in _PARTITION_FAMILIES:
-        enhanced = family == PARTITION_ENHANCED
+    if isinstance(diagram, OpenPartitionDiagram):
         steps = []
         # a fixed point bumps enhanced indices 0 -> 1, forbidden for k=2
         # unless there are no semi-arcs
@@ -329,7 +331,9 @@ def legal_steps(diagram, k, family):
         steps.extend(BuildStep(SEMI_TRANSITORY, close_index=p) for p in closable)
         steps.extend(BuildStep(CLOSER, close_index=p) for p in closable)
         return steps
-    if family == PERMUTATION:
+    if isinstance(diagram, OpenPermutationDiagram):
+        if enhanced:
+            raise ValueError("enhanced applies to partition diagrams only")
         steps = []
         if not (k == 2 and diagram.upper_open):
             steps.append(BuildStep(FIXED_POINT))
@@ -348,7 +352,7 @@ def legal_steps(diagram, k, family):
             for pl in lo
         )
         return steps
-    raise ValueError(f"unknown family {family!r}")
+    raise TypeError(f"not a diagram: {diagram!r}")
 
 
 def apply_step(diagram, step):
@@ -410,16 +414,10 @@ def _apply_permutation_step(d, step):
     raise ValueError(f"bad step kind {step.kind!r} for a permutation diagram")
 
 
-def perm_to_diagram(sigma):
-    """Arc diagram of a permutation given in one-line notation.
-
-    The arc (i, sigma(i)) is upper when i <= sigma(i) (fixed points become
-    degenerate upper arcs) and lower when i > sigma(i).
-    """
-    sigma = tuple(sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise ValueError(f"{sigma} is not a permutation of 1..{n}")
+def permutation_arcs(sigma):
+    """(upper, lower) arc lists of a permutation in one-line notation: the
+    arc (i, sigma(i)) is upper when i <= sigma(i) (fixed points become
+    degenerate upper arcs) and lower, as (sigma(i), i), otherwise."""
     upper = []
     lower = []
     for i, image in enumerate(sigma, start=1):
@@ -427,4 +425,13 @@ def perm_to_diagram(sigma):
             upper.append((i, image))
         else:
             lower.append((image, i))
-    return OpenPermutationDiagram(n, tuple(upper), tuple(lower))
+    return upper, lower
+
+
+def perm_to_diagram(sigma):
+    """Arc diagram of a permutation given in one-line notation."""
+    sigma = tuple(sigma)
+    n = len(sigma)
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError(f"{sigma} is not a permutation of 1..{n}")
+    return OpenPermutationDiagram(n, *permutation_arcs(sigma))

@@ -17,13 +17,17 @@ Label conventions (k below is always the *forbidden* nesting size):
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import diagrams
 from .diagrams import OpenPartitionDiagram, OpenPermutationDiagram
 from .errors import ResourceLimitError
 
 __all__ = [
+    "FAMILIES",
+    "CONSTRAINED_FAMILIES",
     "FamilySpec",
     "LevelDistribution",
     "successors_partition",
@@ -34,51 +38,38 @@ __all__ = [
     "generate_diagrams",
 ]
 
-PARTITIONS = "partitions"
-PARTITIONS_ENHANCED = "partitions-enhanced"
-PERMUTATIONS = "permutations"
-OPEN_PARTITIONS = "open-partitions"
-OPEN_PERMUTATIONS = "open-permutations"
-
-CONSTRAINED_FAMILIES = (PARTITIONS, PARTITIONS_ENHANCED, PERMUTATIONS)
-UNCONSTRAINED_FAMILIES = (OPEN_PARTITIONS, OPEN_PERMUTATIONS)
-FAMILIES = CONSTRAINED_FAMILIES + UNCONSTRAINED_FAMILIES
-
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Selects a succession rule: a family plus the forbidden nesting size."""
+    """A family plus the forbidden nesting size; everything else about the
+    family comes from its row in `_FAMILY_TABLE`."""
 
     family: str
     k: int | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        entry = _FAMILY_TABLE.get(self.family)
+        if entry is None:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family in CONSTRAINED_FAMILIES:
-            if self.k is None or self.k < 2:
-                raise ValueError("constrained families need k >= 2")
-        elif self.k is not None:
-            raise ValueError("unconstrained families take no k")
+        if not entry.takes_k:
+            if self.k is not None:
+                raise ValueError(f"--k is not accepted for family {self.family}")
+        elif self.k is None:
+            raise ValueError(f"--k is required for family {self.family}")
+        elif self.k < 2:
+            raise ValueError(f"family {self.family} needs k >= 2, got {self.k}")
+        object.__setattr__(self, "_entry", entry)
 
     def root_label(self):
-        if self.family == PARTITIONS or self.family == PARTITIONS_ENHANCED:
-            return (0,) * (self.k - 1)
-        if self.family == PERMUTATIONS:
-            zeros = (0,) * (self.k - 2)
-            return (0, zeros, zeros)
-        return 0
+        return self._entry.root_label(self.k)
 
     def successors(self, label):
-        if self.family == PARTITIONS:
-            return successors_partition(label)
-        if self.family == PARTITIONS_ENHANCED:
-            return successors_partition(label, enhanced=True)
-        if self.family == PERMUTATIONS:
-            return successors_permutation(label)
-        if self.family == OPEN_PARTITIONS:
-            return _successors_open_partition(label)
-        return _successors_open_permutation(label)
+        return self._entry.successors(label)
+
+    def walk_start(self):
+        """The family's empty diagram and its `legal_steps` enhanced flag."""
+        entry = self._entry
+        return entry.diagram(0), entry.enhanced
 
 
 @dataclass
@@ -99,7 +90,7 @@ class LevelDistribution:
             "n": self.level,
             "labels": [
                 {"label": _label_to_json(label), "count": str(count)}
-                for label, count in sorted(self.entries.items(), key=_label_sort_key)
+                for label, count in sorted(self.entries.items())
             ],
         }
 
@@ -111,19 +102,6 @@ def _label_to_json(label):
         h, r, s = label
         return [h, list(r), list(s)]
     return list(label)
-
-
-def _label_sort_key(item):
-    return _flatten(item[0])
-
-
-def _flatten(label):
-    if isinstance(label, int):
-        return (label,)
-    if len(label) == 3 and isinstance(label[1], tuple):
-        h, r, s = label
-        return (h,) + r + s
-    return tuple(label)
 
 
 def successors_partition(label, enhanced=False):
@@ -250,10 +228,8 @@ def _level_stream(spec, n_max, max_labels, prune):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if spec.family == PERMUTATIONS:
-        push = _PermutationPusher().push
-    else:
-        push = _GenericPusher(spec).push
+    entry = spec._entry
+    push = entry.pusher(entry.successors).push
     current = {spec.root_label(): 1}
     yield current
     for n in range(1, n_max + 1):
@@ -297,8 +273,8 @@ def level_distribution(spec, n, max_labels=None):
 class _GenericPusher:
     """One-level push for families whose rule is applied label by label."""
 
-    def __init__(self, spec):
-        self.spec = spec
+    def __init__(self, successors):
+        self.successors = successors
         self.cache = {}
 
     def push(self, current):
@@ -306,7 +282,7 @@ class _GenericPusher:
         for label, count in current.items():
             children = self.cache.get(label)
             if children is None:
-                children = list(self.spec.successors(label).items())
+                children = list(self.successors(label).items())
                 self.cache[label] = children
             for child, mult in children:
                 nxt[child] = nxt.get(child, 0) + count * mult
@@ -323,7 +299,7 @@ class _PermutationPusher:
     makes the deeper permutation tables tractable.
     """
 
-    def __init__(self):
+    def __init__(self, _successors):  # the push is the rule's split form
         self.options = {}
 
     def _closings(self, h, vec):
@@ -360,6 +336,55 @@ class _PermutationPusher:
         return nxt
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One family: its k rule, succession rule and geometric counterpart."""
+
+    takes_k: bool
+    root_label: Callable  # k -> the label of the empty diagram
+    successors: Callable  # label -> Counter of child labels
+    diagram: type  # the geometric counterpart, walked from size 0
+    enhanced: bool = False  # the `enhanced` flag of diagrams.legal_steps
+    pusher: type = _GenericPusher  # built from `successors`; pushes a level
+
+
+def _partition_root(k):
+    return (0,) * (k - 1)
+
+
+def _permutation_root(k):
+    zeros = (0,) * (k - 2)
+    return (0, zeros, zeros)
+
+
+def _open_root(k):
+    return 0
+
+
+_FAMILY_TABLE = {
+    "partitions": _Family(
+        True, _partition_root, successors_partition, OpenPartitionDiagram
+    ),
+    "partitions-enhanced": _Family(
+        True, _partition_root, partial(successors_partition, enhanced=True),
+        OpenPartitionDiagram, enhanced=True,
+    ),
+    "permutations": _Family(
+        True, _permutation_root, successors_permutation,
+        OpenPermutationDiagram, pusher=_PermutationPusher,
+    ),
+    "open-partitions": _Family(
+        False, _open_root, _successors_open_partition, OpenPartitionDiagram
+    ),
+    "open-permutations": _Family(
+        False, _open_root, _successors_open_permutation, OpenPermutationDiagram
+    ),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)
+CONSTRAINED_FAMILIES = tuple(f for f in FAMILIES if _FAMILY_TABLE[f].takes_k)
+
+
 def count_sequence(spec, n_max, max_labels=None):
     """a(1..n_max): closed objects (root label) per level.
 
@@ -372,14 +397,6 @@ def count_sequence(spec, n_max, max_labels=None):
     return [entries.get(root, 0) for entries in levels]
 
 
-def _walk_family(spec):
-    if spec.family in (PARTITIONS, OPEN_PARTITIONS):
-        return OpenPartitionDiagram(0), diagrams.PARTITION, spec.k
-    if spec.family == PARTITIONS_ENHANCED:
-        return OpenPartitionDiagram(0), diagrams.PARTITION_ENHANCED, spec.k
-    return OpenPermutationDiagram(0), diagrams.PERMUTATION, spec.k
-
-
 def generate_diagrams(spec, n, closed_only=False):
     """Depth-first stream of every k-nonnesting open diagram of size n.
 
@@ -389,20 +406,14 @@ def generate_diagrams(spec, n, closed_only=False):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    root, family, k = _walk_family(spec)
+    root, enhanced = spec.walk_start()
 
     def walk(d, depth):
         if depth == n:
-            if not closed_only or _is_closed(d):
+            if not closed_only or d.is_closed():
                 yield d
             return
-        for step in diagrams.legal_steps(d, k, family):
+        for step in diagrams.legal_steps(d, spec.k, enhanced):
             yield from walk(diagrams.apply_step(d, step), depth + 1)
 
     return walk(root, 0)
-
-
-def _is_closed(d):
-    if isinstance(d, OpenPermutationDiagram):
-        return not d.upper_open and not d.lower_open
-    return not d.open_arcs

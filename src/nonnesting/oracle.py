@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .closedform import bell
-from .diagrams import max_nesting
+from .diagrams import max_nesting, permutation_arcs
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -69,21 +69,8 @@ def partition_to_arcs(blocks):
     return sorted(arcs)
 
 
-def _permutation_arcs(sigma):
-    """(upper, lower) arc lists of a permutation diagram; fixed points
-    appear as degenerate upper arcs."""
-    upper = []
-    lower = []
-    for i, v in enumerate(sigma, start=1):
-        if i <= v:
-            upper.append((i, v))
-        else:
-            lower.append((v, i))
-    return upper, lower
-
-
 def _permutation_is_knonnesting(sigma, k):
-    upper, lower = _permutation_arcs(sigma)
+    upper, lower = permutation_arcs(sigma)
     return max_nesting(upper, enhanced=True) < k and max_nesting(lower) < k
 
 
@@ -152,7 +139,7 @@ def contains_knesting(sigma, k, all_witnesses=False):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    upper, lower = _permutation_arcs(sigma)
+    upper, lower = permutation_arcs(sigma)
     witnesses = []
     for arcs, enhanced in ((upper, True), (lower, False)):
         for subset in combinations(sorted(arcs), k):

@@ -113,16 +113,16 @@ def test_08_catalan(capsys):
     verdict(capsys, "criterion 8: 2-nonnesting permutation counts are Catalan for n <= 8", ok)
 
 
-def _labels_agree(spec, label_of, family_const, n_max):
+def _labels_agree(spec, label_of, n_max):
     """Walk every diagram in the tree and compare the child-label multiset
     produced geometrically with the succession-rule prediction."""
-    root, _, _ = _root_for(spec)
+    root, enhanced = spec.walk_start()
     stack = [(root, 0)]
     while stack:
         d, depth = stack.pop()
         label = label_of(d)
         children = [
-            dg.apply_step(d, step) for step in dg.legal_steps(d, spec.k, family_const)
+            dg.apply_step(d, step) for step in dg.legal_steps(d, spec.k, enhanced)
         ]
         got = Counter(label_of(c) for c in children)
         if got != spec.successors(label):
@@ -132,23 +132,27 @@ def _labels_agree(spec, label_of, family_const, n_max):
     return True
 
 
-def _root_for(spec):
-    if spec.family == "permutations":
-        return dg.OpenPermutationDiagram(0), dg.PERMUTATION, spec.k
-    return dg.OpenPartitionDiagram(0), dg.PARTITION, spec.k
-
-
 def test_09_rule_geometry_agreement(capsys):
     ok = True
     for k in (2, 3):
         spec = FamilySpec("partitions", k)
         ok = ok and _labels_agree(
-            spec, lambda d: dg.partition_label(d, k - 1), dg.PARTITION, 8
+            spec, lambda d: dg.partition_label(d, k - 1), 8
+        )
+        spec = FamilySpec("partitions-enhanced", k)
+        ok = ok and _labels_agree(
+            spec, lambda d: dg.partition_label(d, k - 1, enhanced=True), 7
         )
         spec = FamilySpec("permutations", k)
         ok = ok and _labels_agree(
-            spec, lambda d: dg.permutation_label(d, k - 1), dg.PERMUTATION, 6
+            spec, lambda d: dg.permutation_label(d, k - 1), 6
         )
+    ok = ok and _labels_agree(
+        FamilySpec("open-partitions"), lambda d: len(d.open_arcs), 7
+    )
+    ok = ok and _labels_agree(
+        FamilySpec("open-permutations"), lambda d: len(d.upper_open), 5
+    )
     from nonnesting.gentree import successors_permutation
 
     ok = ok and sum(successors_permutation((2, (0,), (0,))).values()) == 10

@@ -127,6 +127,18 @@ class TestGenerate:
         assert len(lines) == len(set(lines)) == 34
 
 
+    @pytest.mark.parametrize("argv,family", [
+        ("generate --family partitions --n 3", "partitions"),
+        ("generate --family open-permutations --k 3 --n 3", "open-permutations"),
+    ])
+    def test_k_rule_usage_errors(self, argv, family, capsys):
+        assert run(argv.split()) == 2
+        out, err = output(capsys)
+        assert out == ""
+        assert err.startswith("error: ")
+        assert family in err
+
+
 class TestOracleCommand:
     def test_count(self, capsys):
         assert run(["oracle", "--family", "permutations", "--k", "3", "--n", "5"]) == 0

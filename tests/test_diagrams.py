@@ -92,7 +92,7 @@ class TestLegalSteps:
 
     def test_protected_semi_arc_not_closable(self):
         assert dg.partition_label(self.EXAMPLE_11, 2) == (4, 2)
-        steps = dg.legal_steps(self.EXAMPLE_11, 3, dg.PARTITION)
+        steps = dg.legal_steps(self.EXAMPLE_11, 3)
         closed = {
             self.EXAMPLE_11.open_arcs[s.close_index]
             for s in steps
@@ -105,7 +105,7 @@ class TestLegalSteps:
 
     def test_unconstrained_child_count(self):
         d = dg.OpenPartitionDiagram(9, ((1, 3), (4, 6), (8, 9)), (3, 5, 7))
-        steps = dg.legal_steps(d, None, dg.PARTITION)
+        steps = dg.legal_steps(d, None)
         assert len(steps) == 8  # 2m + 2 with m = 3 semi-arcs
 
     def test_children_labels_match_succession_rule(self):
@@ -113,13 +113,13 @@ class TestLegalSteps:
         from collections import Counter
 
         got = Counter()
-        for step in dg.legal_steps(self.EXAMPLE_11, 3, dg.PARTITION):
+        for step in dg.legal_steps(self.EXAMPLE_11, 3):
             child = dg.apply_step(self.EXAMPLE_11, step)
             got[dg.partition_label(child, 2)] += 1
         assert got == successors_partition((4, 2))
 
     def test_apply_step_grows_by_one(self):
-        for step in dg.legal_steps(self.EXAMPLE_11, 3, dg.PARTITION):
+        for step in dg.legal_steps(self.EXAMPLE_11, 3):
             child = dg.apply_step(self.EXAMPLE_11, step)
             assert child.n == self.EXAMPLE_11.n + 1
 
@@ -157,9 +157,17 @@ class TestPermutationDiagrams:
         assert not d.upper_open and not d.lower_open
 
     def test_permutation_steps_deterministic(self):
-        steps = dg.legal_steps(self.EXAMPLE_13, 4, dg.PERMUTATION)
-        assert steps == dg.legal_steps(self.EXAMPLE_13, 4, dg.PERMUTATION)
+        steps = dg.legal_steps(self.EXAMPLE_13, 4)
+        assert steps == dg.legal_steps(self.EXAMPLE_13, 4)
         for step in steps:
             child = dg.apply_step(self.EXAMPLE_13, step)
             assert child.n == 14
             dg.permutation_label(child, 3)  # must stay constraint-free
+
+    def test_permutation_steps_reject_enhanced(self):
+        # the upper layer is always enhanced; the flag is for partitions
+        with pytest.raises(ValueError):
+            dg.legal_steps(self.EXAMPLE_13, 4, enhanced=True)
+
+    def test_permutation_arcs(self):
+        assert dg.permutation_arcs((3, 2, 1)) == ([(1, 3), (2, 2)], [(1, 3)])

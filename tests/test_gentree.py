@@ -6,6 +6,8 @@ import pytest
 
 from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import (
+    CONSTRAINED_FAMILIES,
+    FAMILIES,
     FamilySpec,
     count_levels,
     count_sequence,
@@ -106,6 +108,21 @@ class TestCountSequence:
         counts = {tuple(e["label"]): e["count"] for e in j["labels"]}
         assert counts[(0, 0)] == "15"
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_json_labels_sorted_as_flattened(self, family):
+        # labels of one level share one shape, so tuple order is the order
+        # of the flattened labels
+        def flatten(label):
+            return tuple(
+                y for x in label for y in (x if isinstance(x, list) else [x])
+            )
+
+        k = 4 if family in CONSTRAINED_FAMILIES else None
+        labels = level_distribution(FamilySpec(family, k), 7).to_json_dict()["labels"]
+        keys = [flatten(e["label"]) for e in labels]
+        assert len(keys) > 5
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
     def test_invalid_family(self):
         with pytest.raises(ValueError):
             FamilySpec("widgets", 3)
@@ -113,6 +130,15 @@ class TestCountSequence:
     def test_unconstrained_rejects_k(self):
         with pytest.raises(ValueError):
             FamilySpec("open-partitions", 3)
+
+    @pytest.mark.parametrize("family,k,message", [
+        ("partitions", None, "--k is required for family partitions"),
+        ("open-permutations", 3, "--k is not accepted for family open-permutations"),
+        ("permutations", 1, "family permutations needs k >= 2, got 1"),
+    ])
+    def test_k_rule_messages(self, family, k, message):
+        with pytest.raises(ValueError, match=message):
+            FamilySpec(family, k)
 
 
 def _differential_cases():
