@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -103,13 +104,17 @@ def _cmd_count(args):
         level = level_distribution(spec, args.n, max_labels=args.max_labels)
         if args.format == "json":
             print(json.dumps(level.to_json_dict()))
-        elif args.format == "csv":
+            return 0
+        # the labels of a level share one shape, so this is numeric order,
+        # the order of the JSON
+        entries = sorted(level.entries.items())
+        if args.format == "csv":
             _print_csv(
                 ["label", "count"],
-                [[json.dumps(l), str(c)] for l, c in sorted(level.entries.items(), key=repr)],
+                [[json.dumps(l), str(c)] for l, c in entries],
             )
         else:
-            for label, count in sorted(level.entries.items(), key=repr):
+            for label, count in entries:
                 print(f"{label}: {count}")
         return 0
     seq = count_sequence(spec, args.n, max_labels=args.max_labels)
@@ -388,7 +393,15 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`): stop quietly, and point
+        # stdout at devnull so the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

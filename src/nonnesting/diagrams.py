@@ -22,6 +22,7 @@ __all__ = [
     "OpenPartitionDiagram",
     "OpenPermutationDiagram",
     "BuildStep",
+    "SEMI_ARC_CHANGE",
     "max_nesting",
     "nesting_index",
     "partition_label",
@@ -40,6 +41,17 @@ CLOSER = "closer"
 # additional kinds for permutation diagrams
 UPPER_SEMI_TRANSITORY = "upper_semi_transitory"
 LOWER_SEMI_TRANSITORY = "lower_semi_transitory"
+
+# How each step kind changes a diagram's `semi_arcs()`: an opener adds one,
+# a closer closes one, every other step keeps the count.
+SEMI_ARC_CHANGE = {
+    FIXED_POINT: 0,
+    SEMI_OPENER: 1,
+    SEMI_TRANSITORY: 0,
+    UPPER_SEMI_TRANSITORY: 0,
+    LOWER_SEMI_TRANSITORY: 0,
+    CLOSER: -1,
+}
 
 
 @dataclass(frozen=True)
@@ -142,6 +154,10 @@ class OpenPartitionDiagram:
             used.add(right)
         return tuple(v for v in range(1, self.n + 1) if v not in used)
 
+    def semi_arcs(self):
+        """Number of semi-arcs."""
+        return len(self.open_arcs)
+
     def is_closed(self):
         """True when there are no semi-arcs: a plain set partition."""
         return not self.open_arcs
@@ -207,6 +223,10 @@ class OpenPermutationDiagram:
             raise ValueError("duplicate upper semi-arc origin")
         if len(set(self.lower_open)) != len(self.lower_open):
             raise ValueError("duplicate lower semi-arc origin")
+
+    def semi_arcs(self):
+        """Number of upper semi-arcs (equal to the number of lower ones)."""
+        return len(self.upper_open)
 
     def is_closed(self):
         """True when there are no semi-arcs: a plain permutation."""

@@ -402,18 +402,34 @@ def generate_diagrams(spec, n, closed_only=False):
 
     Each diagram is emitted exactly once, in the deterministic step order of
     `legal_steps`.  With closed_only, only diagrams without semi-arcs (true
-    set partitions / permutations) are emitted.
+    set partitions / permutations) are emitted, and only prefixes that can
+    still close are walked: a step that would leave more semi-arcs than
+    vertices remain before n is skipped before its child is built, since
+    each step closes at most one semi-arc.  The cost then follows the
+    closed diagrams, not all open ones.  The walk keeps an explicit stack,
+    so n is not bounded by the recursion limit.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     root, enhanced = spec.walk_start()
+    change = diagrams.SEMI_ARC_CHANGE
 
-    def walk(d, depth):
-        if depth == n:
-            if not closed_only or d.is_closed():
-                yield d
-            return
-        for step in diagrams.legal_steps(d, spec.k, enhanced):
-            yield from walk(diagrams.apply_step(d, step), depth + 1)
+    def children(d):
+        steps = diagrams.legal_steps(d, spec.k, enhanced)
+        if closed_only:
+            room = n - d.n - 1 - d.semi_arcs()
+            steps = [s for s in steps if change[s.kind] <= room]
+        return (diagrams.apply_step(d, s) for s in steps)
 
-    return walk(root, 0)
+    def walk():
+        stack = [iter((root,))]
+        while stack:
+            d = next(stack[-1], None)
+            if d is None:
+                stack.pop()
+            elif d.n == n:
+                yield d  # closed if closed_only: the steps were filtered
+            else:
+                stack.append(children(d))
+
+    return walk()

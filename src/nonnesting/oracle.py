@@ -19,6 +19,7 @@ __all__ = [
     "restricted_growth_strings",
     "partition_to_arcs",
     "rgs_to_blocks",
+    "rgs_arcs",
     "oracle_count",
     "contains_knesting",
 ]
@@ -69,6 +70,29 @@ def partition_to_arcs(blocks):
     return sorted(arcs)
 
 
+def rgs_arcs(rgs, enhanced=False):
+    """Arcs of the partition that an RGS encodes, built in one pass.
+
+    Each element gets the arc from the previous element of its block, which
+    gives the arcs of `partition_to_arcs(rgs_to_blocks(rgs))`, unsorted.
+    With `enhanced`, each singleton block adds the degenerate arc (p, p),
+    which can only be the innermost arc of a chain.
+    """
+    first = []
+    last = []
+    arcs = []
+    for pos, letter in enumerate(rgs, start=1):
+        if letter == len(last):
+            first.append(pos)
+            last.append(pos)
+        else:
+            arcs.append((last[letter], pos))
+            last[letter] = pos
+    if enhanced:
+        arcs.extend((p, p) for p, q in zip(first, last) if p == q)
+    return arcs
+
+
 def _permutation_is_knonnesting(sigma, k):
     upper, lower = permutation_arcs(sigma)
     return max_nesting(upper, enhanced=True) < k and max_nesting(lower) < k
@@ -91,16 +115,11 @@ def oracle_count(family, k, n):
                 f"refusing to enumerate {size} partitions", reached=size
             )
         enhanced = family == "partitions-enhanced"
-        count = 0
-        for rgs in restricted_growth_strings(n):
-            blocks = rgs_to_blocks(rgs)
-            arcs = partition_to_arcs(blocks)
-            if enhanced:
-                # a singleton block acts as a degenerate innermost arc
-                arcs = arcs + [(b[0], b[0]) for b in blocks if len(b) == 1]
-            if max_nesting(arcs, enhanced=enhanced) < k:
-                count += 1
-        return count
+        return sum(
+            1
+            for rgs in restricted_growth_strings(n)
+            if max_nesting(rgs_arcs(rgs, enhanced), enhanced=enhanced) < k
+        )
     if family == "permutations":
         size = factorial(n)
         if size > ENUMERATION_LIMIT:

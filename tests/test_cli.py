@@ -1,6 +1,8 @@
 """Command-line interface: output formats and exit codes."""
 
+import ast
 import contextlib
+import csv
 import io
 import json
 import os
@@ -85,6 +87,25 @@ class TestCount:
         assert run(argv + ["--all-labels"]) == 3
         _, err = output(capsys)
         assert "label budget 43 exceeded at level 7 (50 labels)" in err
+
+    def test_all_labels_same_order_in_every_format(self, capsys):
+        # two-digit entries must sort numerically: (2, 0) before (10, 0)
+        argv = ["count", "--family", "partitions", "--k", "3", "--n", "12",
+                "--all-labels", "--format"]
+        run(argv + ["json"])
+        out, _ = output(capsys)
+        from_json = [tuple(e["label"]) for e in json.loads(out)["labels"]]
+        run(argv + ["csv"])
+        out, _ = output(capsys)
+        rows = out.splitlines()[1:]
+        from_csv = [tuple(json.loads(next(csv.reader([r]))[0])) for r in rows]
+        run(argv + ["text"])
+        out, _ = output(capsys)
+        from_text = [ast.literal_eval(line.split(": ")[0]) for line in out.splitlines()]
+        assert from_json == sorted(from_json)
+        assert (2, 0) in from_json and (10, 0) in from_json
+        assert from_csv == from_json
+        assert from_text == from_json
 
 
 class TestSeries:
@@ -255,3 +276,25 @@ def test_module_entry_points(module):
     bad = cli("count", "--family", "partitions", "--k", "3", "--n", "-1")
     assert bad.returncode == 2
     assert "error: " in bad.stderr and "Traceback" not in bad.stderr
+
+
+@pytest.mark.parametrize("argv,lines_read", [
+    # an endless stream: the reader takes one line and closes the pipe
+    ("generate --family open-partitions --n 12", 1),
+    # one buffered write: the pipe is closed before it is flushed
+    ("count --family partitions --k 3 --n 12 --all-labels", 0),
+])
+def test_closed_pipe_exits_quietly(argv, lines_read):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nonnesting", *argv.split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, b"")

@@ -123,6 +123,13 @@ class TestLegalSteps:
             child = dg.apply_step(self.EXAMPLE_11, step)
             assert child.n == self.EXAMPLE_11.n + 1
 
+    def test_semi_arc_change_per_step(self):
+        d = self.EXAMPLE_11
+        assert d.semi_arcs() == 4
+        for step in dg.legal_steps(d, 3):
+            child = dg.apply_step(d, step)
+            assert child.semi_arcs() == d.semi_arcs() + dg.SEMI_ARC_CHANGE[step.kind]
+
 
 class TestPermutationDiagrams:
     EXAMPLE_13 = dg.OpenPermutationDiagram(
@@ -163,6 +170,16 @@ class TestPermutationDiagrams:
             child = dg.apply_step(self.EXAMPLE_13, step)
             assert child.n == 14
             dg.permutation_label(child, 3)  # must stay constraint-free
+
+    def test_semi_arc_change_per_step(self):
+        d = self.EXAMPLE_13
+        assert d.semi_arcs() == 3
+        kinds = set()
+        for step in dg.legal_steps(d, None):
+            child = dg.apply_step(d, step)
+            assert child.semi_arcs() == d.semi_arcs() + dg.SEMI_ARC_CHANGE[step.kind]
+            kinds.add(step.kind)
+        assert kinds == set(dg.SEMI_ARC_CHANGE) - {dg.SEMI_TRANSITORY}
 
     def test_permutation_steps_reject_enhanced(self):
         # the upper layer is always enhanced; the flag is for partitions

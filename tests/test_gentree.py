@@ -183,3 +183,28 @@ class TestGenerateDiagrams:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="n must be >= 0"):
             generate_diagrams(FamilySpec("partitions", 3), -1)
+
+    def test_deep_walk_needs_no_recursion(self):
+        spec = FamilySpec("partitions", 3)
+        assert next(generate_diagrams(spec, 1500, closed_only=True)).n == 1500
+        assert next(generate_diagrams(spec, 1500)).n == 1500
+
+
+def _walk_cases():
+    for family in CONSTRAINED_FAMILIES:
+        for k in (2, 3, 4):
+            yield family, k, 6 if family == "permutations" else 7
+    yield "open-partitions", None, 7
+    yield "open-permutations", None, 6
+
+
+@pytest.mark.parametrize("family,k,n_max", list(_walk_cases()))
+def test_closed_only_walk_equals_filtered_walk(family, k, n_max):
+    """The closed-only walk skips prefixes that cannot close; filtering the
+    full walk is the plain path it replaces."""
+    spec = FamilySpec(family, k)
+    for n in range(n_max + 1):
+        pruned = list(generate_diagrams(spec, n, closed_only=True))
+        full = [d for d in generate_diagrams(spec, n) if d.is_closed()]
+        assert pruned == full
+    assert len(pruned) > 100

@@ -10,6 +10,7 @@ from nonnesting.oracle import (
     oracle_count,
     partition_to_arcs,
     restricted_growth_strings,
+    rgs_arcs,
     rgs_to_blocks,
 )
 
@@ -37,6 +38,17 @@ class TestPartitionArcs:
 
     def test_singletons_give_no_arcs(self):
         assert partition_to_arcs([[1], [2], [3]]) == []
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_one_pass_arcs_equal_block_arcs(self, n):
+        # rgs_arcs replaces building blocks, sorting them and joining
+        # consecutive elements; that path is the reference
+        for rgs in restricted_growth_strings(n):
+            blocks = rgs_to_blocks(rgs)
+            plain = partition_to_arcs(blocks)
+            singletons = [(b[0], b[0]) for b in blocks if len(b) == 1]
+            assert sorted(rgs_arcs(rgs)) == plain
+            assert sorted(rgs_arcs(rgs, enhanced=True)) == sorted(plain + singletons)
 
     def test_arc_count_identity(self):
         for rgs in restricted_growth_strings(6):
