@@ -1,21 +1,18 @@
-"""Classical reference sequences and an experimental explicit formula.
+"""Classical reference sequences and an explicit formula.
 
 The Bell, Catalan and Baxter numbers, the two open-diagram totals and the
 P-recurrences of the 3-nonnesting partition counts serve as independent
 cross-checks for the generating-tree and series counts.  The explicit
-double-sum formula for 3-nonnesting set partitions is implemented as an
-experimental evaluation: its published form leaves a summation index
-unbound, so every reading is evaluated and reported against reference data
-instead of being asserted.
+double-sum formula for 3-nonnesting set partitions is evaluated in the one
+reading of its published form that gives the counts.  It consumes the label
+coefficients of the functional-equation series, which its caller passes in,
+so it is not independent of `series`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-
-from .series import solve_partition_equation
 
 __all__ = [
     "bell",
@@ -26,8 +23,6 @@ __all__ = [
     "a108304",
     "a108307",
     "multinomial",
-    "FormulaReport",
-    "InterpretationResult",
     "formula_3nn_partitions",
 ]
 
@@ -155,152 +150,51 @@ def _first_sum(n):
     return total
 
 
-def _egf_first_sum(n):
-    """Coefficient of z^n in e^{2z}/(1-z), scaled by n!."""
-    return sum(factorial(n) * 2**m // factorial(m) for m in range(n + 1))
-
-
-def _second_sum_bound_p(n, coeff):
-    """Reading where the inner indices satisfy p + q + r = n - k.
+def _second_sum(n, coeff):
+    """The label-coefficient part, with the inner indices bound by
+    p + q + r = n - k.
 
     The inner weight is (r-1)/(q+i+1) - 1; the second multinomial's entries
-    then automatically sum to n - k - 1.
+    then automatically sum to n - k - 1.  The inner sum does not depend on
+    j, so the coefficients A_{i,j}(k) enter summed over j <= i.
     """
     total = Fraction(0)
     for k in range(n):
         m = n - k
         for i in range(k + 1):
-            for j in range(i + 1):
-                a = coeff(k, i, j)
-                if not a:
-                    continue
-                inner = Fraction(0)
-                for p in range(m + 1):
-                    for q in range(m - p + 1):
-                        r = m - p - q
-                        b = multinomial(m, (p, q, r)) * multinomial(
-                            m - 1, (p - i, q + i, r - 1)
-                        )
-                        if b:
-                            inner += b * (Fraction(r - 1, q + i + 1) - 1)
-                total += a * inner
+            a = sum(coeff(k, i, j) for j in range(i + 1))
+            if not a:
+                continue
+            inner = Fraction(0)
+            for p in range(m + 1):
+                for q in range(m - p + 1):
+                    r = m - p - q
+                    b = multinomial(m, (p, q, r)) * multinomial(
+                        m - 1, (p - i, q + i, r - 1)
+                    )
+                    if b:
+                        inner += b * (Fraction(r - 1, q + i + 1) - 1)
+            total += a * inner
     return total
 
 
-def _second_sum_difference(n, coeff):
-    """Reading from the preliminary display: two signed inner sums over q
-    and r with p := n - k - q - r, and second multinomials (p-i, i+1-q, r-2)
-    and (p-i, q-1, r+i)."""
-    total = 0
-    for k in range(n):
-        m = n - k
-        for i in range(k + 1):
-            for j in range(i + 1):
-                a = coeff(k, i, j)
-                if not a:
-                    continue
-                inner = 0
-                for q in range(m + 1):
-                    for r in range(m - q + 1):
-                        p = m - q - r
-                        base = multinomial(m, (p, q, r))
-                        if not base:
-                            continue
-                        inner += base * multinomial(m - 1, (p - i, i + 1 - q, r - 2))
-                        inner -= base * multinomial(m - 1, (p - i, q - 1, r + i))
-                total += a * inner
-    return total
+def formula_3nn_partitions(n, coeff):
+    """Number of 3-nonnesting set partitions of an n-element set, from the
+    explicit double-sum formula.
 
-
-@dataclass(frozen=True)
-class InterpretationResult:
-    """Outcome of one reading of the explicit formula at one size."""
-
-    interpretation: str
-    n: int
-    value: Fraction
-    is_integer: bool
-    reference: int
-    matches: bool
-
-
-@dataclass(frozen=True)
-class FormulaReport:
-    """Structured comparison of the explicit-formula readings against the
-    reference 3-nonnesting partition counts, plus the side claim that the
-    trinomial part alone has exponential generating function e^{2z}/(1-z)."""
-
-    n_max: int
-    results: tuple
-    first_sum_egf_agreement: tuple
-
-    def all_match(self, interpretation):
-        return all(
-            r.matches for r in self.results if r.interpretation == interpretation
-        )
-
-    def to_json_dict(self):
-        return {
-            "n_max": self.n_max,
-            "results": [
-                {
-                    "interpretation": r.interpretation,
-                    "n": r.n,
-                    "value": str(r.value),
-                    "is_integer": r.is_integer,
-                    "reference": str(r.reference),
-                    "matches": r.matches,
-                }
-                for r in self.results
-            ],
-            "first_sum_egf_agreement": [
-                {"n": n, "first_sum": str(v), "egf": str(e), "agrees": v == e}
-                for n, v, e in self.first_sum_egf_agreement
-            ],
-        }
-
-
-def formula_3nn_partitions(n_max, reference=None):
-    """Evaluate every documented reading of the explicit formula for the
-    number of 3-nonnesting set partitions, for n = 0..n_max.
-
-    The label-coefficient inputs A_{i,j}(k) come from the functional
-    equation solver; `reference` may override the comparison sequence
-    (defaults to the same solver's constant terms, which agree with the
-    tabulated reference data).  Returns a FormulaReport; nothing is
-    asserted.
+    coeff(k, i, j) gives the label coefficient A_{i,j}(k) for k < n: the
+    coefficient of z^k v0^i v1^j in the solution of the k=3 partition
+    functional equation, `series.solve_partition_equation(3, n - 1)`.  The
+    formula therefore depends on the `series` coefficients and is no
+    independent check of them.  Its published form leaves a summation index
+    unbound; this is the reading in which the inner indices satisfy
+    p + q + r = n - k, the one that gives the counts (the acceptance gate
+    checks it against them for n <= 21).  Returns an exact int; raises
+    ArithmeticError when the value is not an integer.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    series = solve_partition_equation(3, max(n_max - 1, 0))
-
-    def coeff(k, i, j):
-        return series.coefficient((k, i, j))
-
-    if reference is None:
-        full = solve_partition_equation(3, n_max)
-        reference = [full.coefficient((n, 0, 0)) for n in range(n_max + 1)]
-
-    results = []
-    for n in range(n_max + 1):
-        first = _first_sum(n)
-        for name, value in (
-            ("bound-p", first + _second_sum_bound_p(n, coeff)),
-            ("signed-difference", first + _second_sum_difference(n, coeff)),
-        ):
-            value = Fraction(value)
-            results.append(
-                InterpretationResult(
-                    interpretation=name,
-                    n=n,
-                    value=value,
-                    is_integer=value.denominator == 1,
-                    reference=reference[n],
-                    matches=value == reference[n],
-                )
-            )
-
-    egf = tuple(
-        (n, _first_sum(n), Fraction(_egf_first_sum(n))) for n in range(n_max + 1)
-    )
-    return FormulaReport(n_max=n_max, results=tuple(results), first_sum_egf_agreement=egf)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    value = _first_sum(n) + _second_sum(n, coeff)
+    if value.denominator != 1:
+        raise ArithmeticError(f"explicit formula not integral at n={n}: {value}")
+    return value.numerator

@@ -8,6 +8,8 @@ against, so it shares no succession-rule code with them.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
@@ -20,6 +22,7 @@ __all__ = [
     "partition_to_arcs",
     "rgs_to_blocks",
     "rgs_arcs",
+    "nesting_histogram",
     "oracle_count",
     "contains_knesting",
 ]
@@ -93,45 +96,49 @@ def rgs_arcs(rgs, enhanced=False):
     return arcs
 
 
-def _permutation_is_knonnesting(sigma, k):
+def _permutation_nesting(sigma):
     upper, lower = permutation_arcs(sigma)
-    return max_nesting(upper, enhanced=True) < k and max_nesting(lower) < k
+    return max(max_nesting(upper, enhanced=True), max_nesting(lower))
+
+
+@lru_cache(maxsize=None)
+def nesting_histogram(family, n):
+    """Entry m counts the size-n objects whose maximum nesting is m, from
+    one enumeration of all of them.
+
+    family is "partitions", "partitions-enhanced" or "permutations"; a
+    permutation's nesting is the larger of its upper (enhanced) and lower
+    ones.  Raises ResourceLimitError when the enumeration would exceed the
+    guard.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if family in ("partitions", "partitions-enhanced"):
+        size, noun = bell(n), "partitions"
+        enhanced = family == "partitions-enhanced"
+        depths = (
+            max_nesting(rgs_arcs(rgs, enhanced), enhanced=enhanced)
+            for rgs in restricted_growth_strings(n)
+        )
+    elif family == "permutations":
+        size, noun = factorial(n), "permutations"
+        depths = map(_permutation_nesting, permutations(range(1, n + 1)))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    if size > ENUMERATION_LIMIT:
+        raise ResourceLimitError(f"refusing to enumerate {size} {noun}", reached=size)
+    counts = Counter(depths)
+    return tuple(counts[m] for m in range(max(counts) + 1))
 
 
 def oracle_count(family, k, n):
-    """Count size-n objects with no (enhanced) k-nesting, by brute force.
-
-    family is "partitions", "partitions-enhanced" or "permutations".
-    Raises ResourceLimitError when the enumeration would exceed the guard.
-    """
+    """Count size-n objects with no (enhanced) k-nesting, by brute force:
+    the entries of `nesting_histogram(family, n)` below k."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if family in ("partitions", "partitions-enhanced"):
-        size = bell(n)
-        if size > ENUMERATION_LIMIT:
-            raise ResourceLimitError(
-                f"refusing to enumerate {size} partitions", reached=size
-            )
-        enhanced = family == "partitions-enhanced"
-        return sum(
-            1
-            for rgs in restricted_growth_strings(n)
-            if max_nesting(rgs_arcs(rgs, enhanced), enhanced=enhanced) < k
-        )
-    if family == "permutations":
-        size = factorial(n)
-        if size > ENUMERATION_LIMIT:
-            raise ResourceLimitError(
-                f"refusing to enumerate {size} permutations", reached=size
-            )
-        return sum(
-            1
-            for sigma in permutations(range(1, n + 1))
-            if _permutation_is_knonnesting(sigma, k)
-        )
-    raise ValueError(f"unknown family {family!r}")
+    return sum(nesting_histogram(family, n)[:k])
 
 
 def _is_nesting(arcs, enhanced):

@@ -6,32 +6,15 @@ in any run's output.
 """
 
 from collections import Counter
-
-import pytest
+from fnmatch import fnmatch
 
 from nonnesting import diagrams as dg
 from nonnesting import refdata
-from nonnesting.closedform import (
-    a108304,
-    a108307,
-    baxter,
-    catalan,
-    formula_3nn_partitions,
-    open_partition_count,
-    open_permutation_count,
-)
-from nonnesting.gentree import (
-    FamilySpec,
-    count_levels,
-    count_sequence,
-    generate_diagrams,
-)
+from nonnesting.cli import CHECKS, run_checks
+from nonnesting.closedform import a108304, a108307, catalan, formula_3nn_partitions
+from nonnesting.gentree import FamilySpec, count_sequence, generate_diagrams
 from nonnesting.oracle import oracle_count
-from nonnesting.series import (
-    constant_term_sequence,
-    ones_sequence,
-    solve_equation,
-)
+from nonnesting.series import solve_partition_equation
 
 
 def verdict(capsys, criterion, ok):
@@ -40,70 +23,72 @@ def verdict(capsys, criterion, ok):
     assert ok, criterion
 
 
+# The table checks each of criteria 1-7 runs, as (id pattern, size); size
+# None is the check's largest size, all of its reference terms.  Every
+# check in cli.CHECKS is run here at no less than the largest size `verify`
+# runs it at, so the release gate and `verify` share one definition.
+RELEASE = {
+    1: [("tables/partitions/*", 21)],
+    2: [("tables/partitions-enhanced/*", 21)],
+    3: [("tables/permutations/*", None)],
+    4: [("cross/*/series", 15)],
+    5: [("cross/partitions*/oracle", 10), ("cross/permutations/*/oracle", 8)],
+    6: [("baxter/series-vs-formula/*", 25), ("baxter/series-vs-embedded", None)],
+    7: [("egf/open-partitions/*", 12), ("egf/open-permutations/*", 10)],
+}
+
+
+def release_checks(criterion):
+    """(check, size) for every table check the criterion runs."""
+    return [
+        (check, check.max_n if n is None else n)
+        for pattern, n in RELEASE[criterion]
+        for check in CHECKS
+        if fnmatch(check.check_id, pattern)
+    ]
+
+
+def release_ok(criterion):
+    sized = release_checks(criterion)
+    assert sized, f"criterion {criterion} matches no check"
+    return all(record.status == "pass" for record in run_checks(sized))
+
+
 def test_01_partition_table(capsys):
-    ok = all(
-        count_sequence(FamilySpec("partitions", k), 21)
-        == refdata.lookup("partitions", k).as_ints()
-        for k in range(3, 8)
-    )
-    verdict(capsys, "criterion 1: partition counts match all 21 reference terms, k=3..7", ok)
+    verdict(capsys, "criterion 1: partition counts match all 21 reference terms, k=3..7", release_ok(1))
 
 
 def test_02_enhanced_partition_table(capsys):
-    ok = all(
-        count_sequence(FamilySpec("partitions-enhanced", k), 21)
-        == refdata.lookup("partitions-enhanced", k).as_ints()
-        for k in range(3, 8)
-    )
-    verdict(capsys, "criterion 2: enhanced partition counts match all 21 reference terms, k=3..7", ok)
+    verdict(capsys, "criterion 2: enhanced partition counts match all 21 reference terms, k=3..7", release_ok(2))
 
 
 def test_03_permutation_table(capsys):
-    ok = True
-    for k in range(3, 7):
-        terms = refdata.lookup("permutations", k).as_ints()
-        ok = ok and count_sequence(FamilySpec("permutations", k), len(terms)) == terms
-    verdict(capsys, "criterion 3: permutation counts match all reference terms, k=3..6", ok)
+    verdict(capsys, "criterion 3: permutation counts match all reference terms, k=3..6", release_ok(3))
 
 
 def test_04_series_dp_equivalence(capsys):
-    n = 15
-    ok = True
-    for eq, family, k in (
-        ("Q", "partitions", 3),
-        ("Q", "partitions", 4),
-        ("P", "partitions-enhanced", 3),
-        ("P", "partitions-enhanced", 4),
-    ):
-        dp = [1] + count_sequence(FamilySpec(family, k), n)
-        ok = ok and constant_term_sequence(solve_equation(eq, n, k=k)) == dp
-    dp = [1] + count_sequence(FamilySpec("permutations", 3), n)
-    ok = ok and constant_term_sequence(solve_equation("F", n)) == dp
-    verdict(capsys, "criterion 4: functional-equation series equal DP counts for n <= 15", ok)
+    verdict(capsys, "criterion 4: functional-equation series equal DP counts for n <= 15", release_ok(4))
 
 
 def test_05_oracle_equivalence(capsys):
-    ok = True
-    for k in (2, 3, 4):
-        dp = count_sequence(FamilySpec("partitions", k), 10)
-        ok = ok and dp == [oracle_count("partitions", k, n) for n in range(1, 11)]
-        dp = count_sequence(FamilySpec("permutations", k), 8)
-        ok = ok and dp == [oracle_count("permutations", k, n) for n in range(1, 9)]
-    verdict(capsys, "criterion 5: brute-force counts equal DP counts (partitions n<=10, permutations n<=8, k=2..4)", ok)
+    verdict(capsys, "criterion 5: brute-force counts equal DP counts (partitions and enhanced partitions n<=10, permutations n<=8, k=2..4)", release_ok(5))
 
 
 def test_06_baxter_coefficients(capsys):
-    coeffs = ones_sequence(solve_equation("B", 25))
-    ok = coeffs == [baxter(n + 1) for n in range(26)]
-    verdict(capsys, "criterion 6: B(1,1) coefficients equal Baxter numbers for n <= 25", ok)
+    verdict(capsys, "criterion 6: B(1,1) coefficients equal Baxter numbers for n <= 25 and the embedded series", release_ok(6))
 
 
 def test_07_unconstrained_totals(capsys):
-    part = [lv.total() for lv in count_levels(FamilySpec("open-partitions"), 12)]
-    perm = [lv.total() for lv in count_levels(FamilySpec("open-permutations"), 10)]
-    ok = part == [open_partition_count(n) for n in range(13)]
-    ok = ok and perm == [open_permutation_count(n) for n in range(11)]
-    verdict(capsys, "criterion 7: unconstrained level totals match the closed-form diagram counts", ok)
+    verdict(capsys, "criterion 7: unconstrained level totals match the closed-form diagram counts", release_ok(7))
+
+
+def test_release_sizes_cover_every_check():
+    covered = {}
+    for criterion in RELEASE:
+        for check, n in release_checks(criterion):
+            covered[check.check_id] = max(covered.get(check.check_id, 0), n)
+    for check in CHECKS:
+        assert covered.get(check.check_id, -1) >= check.max_n, check.check_id
 
 
 def test_08_catalan(capsys):
@@ -161,21 +146,15 @@ def test_09_rule_geometry_agreement(capsys):
 
 
 def test_10_explicit_formula_report(capsys):
-    reference = [1] + refdata.lookup("partitions", 3).as_ints()
-    report = formula_3nn_partitions(12, reference=reference)
-    names = {r.interpretation for r in report.results}
-    ok = names == {"bound-p", "signed-difference"}
-    ok = ok and len(report.results) == 2 * 13
-    ok = ok and all(r.matches == (r.value == r.reference) for r in report.results)
-    ok = ok and len(report.first_sum_egf_agreement) == 13
-    j = report.to_json_dict()
-    ok = ok and len(j["results"]) == len(report.results)
-    verdict(capsys, "criterion 10: explicit-formula report produced and internally consistent for n <= 12", ok)
-    with capsys.disabled():
-        for name in sorted(names):
-            rows = [r for r in report.results if r.interpretation == name]
-            status = "matches" if all(r.matches for r in rows) else "does not match"
-            print(f"      reading {name!r} {status} the reference sequence")
+    n_max = 21
+    q = solve_partition_equation(3, n_max - 1)
+
+    def coeff(k, i, j):
+        return q.coefficient((k, i, j))
+
+    values = [formula_3nn_partitions(n, coeff) for n in range(n_max + 1)]
+    ok = values == [1] + refdata.lookup("partitions", 3).as_ints()
+    verdict(capsys, "criterion 10: the explicit formula equals the 3-nonnesting partition counts for n <= 21", ok)
 
 
 def test_11_exhaustive_generation(capsys):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonnesting import cli
 from nonnesting.cli import run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -199,6 +200,44 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+    def test_failed_check(self, monkeypatch, capsys):
+        bad = cli.Check("egf", "egf/bad/n<={n}", 3, lambda n: ([n], [n + 1]))
+        monkeypatch.setattr(cli, "CHECKS", (bad,))
+        assert run(["verify", "--suite", "egf", "--max-n", "5"]) == 1
+        out, _ = output(capsys)
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL  egf/bad/n<=3  [")
+        assert lines[1:] == [
+            "      expected: [3]",
+            "      actual:   [4]",
+            "overall: fail",
+        ]
+        assert run(["verify", "--format", "json"]) == 1
+        data = json.loads(output(capsys)[0])
+        assert data["overall"] == "fail"
+        assert [(c["check_id"], c["status"], c["expected"], c["actual"])
+                for c in data["checks"]] == [("egf/bad/n<=3", "fail", "[3]", "[4]")]
+
+    def test_check_ids_and_order(self):
+        # verify's ids and their order are part of its stdout
+        report = cli.run_suite("all", 6)
+        assert [c.check_id for c in report.checks] == [
+            *(f"tables/partitions/k={k}/n<=6" for k in range(3, 8)),
+            *(f"tables/partitions-enhanced/k={k}/n<=6" for k in range(3, 8)),
+            *(f"tables/permutations/k={k}/n<=6" for k in range(3, 7)),
+            *(f"cross/{family}/k={k}/{method}"
+              for family in ("partitions", "partitions-enhanced")
+              for k in (2, 3, 4)
+              for method in ("series", "oracle")),
+            "cross/permutations/k=3/series",
+            *(f"cross/permutations/k={k}/oracle" for k in (2, 3, 4)),
+            "baxter/series-vs-formula/n<=6",
+            "baxter/series-vs-embedded",
+            "egf/open-partitions/n<=6",
+            "egf/open-permutations/n<=6",
+        ]
+        assert report.overall == "pass"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,4 @@
-"""Reference sequences and the experimental explicit formula."""
+"""Reference sequences and the explicit formula."""
 
 from fractions import Fraction
 
@@ -16,6 +16,7 @@ from nonnesting.closedform import (
     open_partition_count,
     open_permutation_count,
 )
+from nonnesting.series import solve_partition_equation
 
 
 class TestSequences:
@@ -54,6 +55,8 @@ class TestSequences:
             baxter(0)
         with pytest.raises(ValueError):
             a108304(-1)
+        with pytest.raises(ValueError):
+            formula_3nn_partitions(-1, lambda k, i, j: 0)
 
 
 class TestMultinomial:
@@ -67,34 +70,18 @@ class TestMultinomial:
 
 
 class TestFormulaReport:
-    def test_report_structure(self):
-        rep = formula_3nn_partitions(6)
-        names = {r.interpretation for r in rep.results}
-        assert names == {"bound-p", "signed-difference"}
-        for r in rep.results:
-            assert r.matches == (r.value == r.reference)
-            assert r.is_integer == (Fraction(r.value).denominator == 1)
-        assert len(rep.results) == 2 * 7
-
     def test_bound_p_reading_agrees_with_counts(self):
-        rep = formula_3nn_partitions(8)
-        assert rep.all_match("bound-p")
+        # the reading with p + q + r = n - k gives the 3-nonnesting counts
+        n_max = 8
+        q = solve_partition_equation(3, n_max - 1)
 
-    def test_signed_difference_reading_diverges(self):
-        rep = formula_3nn_partitions(5)
-        assert not rep.all_match("signed-difference")
+        def coeff(k, i, j):
+            return q.coefficient((k, i, j))
 
-    def test_first_sum_egf_claim_fails(self):
-        # the claimed exponential generating function e^{2z}/(1-z) does not
-        # reproduce the trinomial sum; the report records the disagreement
-        rep = formula_3nn_partitions(5)
-        flags = [v == e for _, v, e in rep.first_sum_egf_agreement]
-        assert flags[0] is True
-        assert not any(flags[1:])
+        values = [formula_3nn_partitions(n, coeff) for n in range(n_max + 1)]
+        assert values == [1] + refdata.lookup("partitions", 3).as_ints()[:n_max]
 
-    def test_json_dict(self):
-        rep = formula_3nn_partitions(3)
-        j = rep.to_json_dict()
-        assert j["n_max"] == 3
-        assert all(isinstance(r["value"], str) for r in j["results"])
-        assert all("agrees" in e for e in j["first_sum_egf_agreement"])
+    def test_non_integer_value_raises(self):
+        # label coefficients of 1/2 give 3/2 at n=1
+        with pytest.raises(ArithmeticError):
+            formula_3nn_partitions(1, lambda k, i, j: Fraction(1, 2))

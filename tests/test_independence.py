@@ -1,7 +1,11 @@
 """gentree, series and oracle are the three independent counters: none of
-them may import another, or their agreement stops being evidence."""
+them may import another, directly or through another module of the
+package, or their agreement stops being evidence."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,20 @@ def test_every_import_form_is_seen(source):
 def test_other_imports_are_ignored():
     source = "from collections import Counter\nimport series\nfrom . import diagrams\n"
     assert _imported_counters(source) == set()
+
+
+@pytest.mark.parametrize("module", COUNTERS)
+def test_counters_do_not_load_each_other(module):
+    # imports through other modules count too: a counter that loads another
+    # one via a helper module could reuse its code without importing it
+    code = (
+        f"import sys, nonnesting.{module}; "
+        f"print(sorted(m for m in sys.modules if m.startswith('nonnesting.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = {name.split(".", 1)[1] for name in ast.literal_eval(out)}
+    assert loaded.isdisjoint(set(COUNTERS) - {module}), f"{module} loads {loaded}"

@@ -1,12 +1,17 @@
 """Brute-force enumeration and the definitional nesting check."""
 
+from itertools import permutations
+from math import factorial
+
 import pytest
 
 from nonnesting.closedform import bell, catalan
+from nonnesting.diagrams import max_nesting, permutation_arcs
 from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import FamilySpec, count_sequence
 from nonnesting.oracle import (
     contains_knesting,
+    nesting_histogram,
     oracle_count,
     partition_to_arcs,
     restricted_growth_strings,
@@ -88,6 +93,53 @@ class TestOracleCounts:
             oracle_count("partitions", 3, 40)
         with pytest.raises(ResourceLimitError):
             oracle_count("permutations", 3, 15)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            oracle_count("partitions", 1, 4)
+        with pytest.raises(ValueError):
+            oracle_count("partitions", 3, -1)
+        with pytest.raises(ValueError):
+            oracle_count("trees", 3, 4)
+
+
+def _reference_count(family, k, n):
+    """The per-k enumeration that one histogram per size replaced: it
+    enumerates every object again for each k."""
+    if family in ("partitions", "partitions-enhanced"):
+        enhanced = family == "partitions-enhanced"
+        return sum(
+            1
+            for rgs in restricted_growth_strings(n)
+            if max_nesting(rgs_arcs(rgs, enhanced), enhanced=enhanced) < k
+        )
+
+    def free(sigma):
+        upper, lower = permutation_arcs(sigma)
+        return max_nesting(upper, enhanced=True) < k and max_nesting(lower) < k
+
+    return sum(1 for sigma in permutations(range(1, n + 1)) if free(sigma))
+
+
+class TestNestingHistogram:
+    @pytest.mark.parametrize("family,n_max", [
+        ("partitions", 8), ("partitions-enhanced", 8), ("permutations", 7),
+    ])
+    def test_counts_equal_per_k_enumeration(self, family, n_max):
+        for n in range(n_max + 1):
+            for k in range(2, 6):
+                assert oracle_count(family, k, n) == _reference_count(family, k, n)
+
+    @pytest.mark.parametrize(
+        "family", ["partitions", "partitions-enhanced", "permutations"]
+    )
+    def test_one_entry_per_object(self, family):
+        size = factorial if family == "permutations" else bell
+        for n in range(7):
+            hist = nesting_histogram(family, n)
+            assert isinstance(hist, tuple)
+            assert sum(hist) == size(n)
+            assert hist[-1] > 0
 
 
 class TestContainsKNesting:
