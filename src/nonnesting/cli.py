@@ -32,7 +32,8 @@ from .gentree import (
     generate_diagrams,
     level_distribution,
 )
-from .series import constant_term_sequence, ones_sequence, solve_equation
+from .series import (SERIES_FAMILIES, constant_term_sequence, ones_sequence,
+                     solve_equation)
 
 __all__ = [
     "main", "run", "run_suite", "run_checks", "CHECKS", "Check",
@@ -144,22 +145,16 @@ def _print_csv(header, rows):
 
 
 def _solve_from_args(args):
-    family = args.family
-    if family == "partitions":
-        if args.k is None:
-            raise SystemExit2("--k is required for series family partitions")
-        return solve_equation("Q", args.n, k=args.k)
-    if family == "partitions-enhanced":
-        if args.k is None:
-            raise SystemExit2("--k is required for series family partitions-enhanced")
-        return solve_equation("P", args.n, k=args.k)
+    family, k = args.family, args.k
     if family == "permutations3":
-        if args.k not in (None, 3):
-            raise SystemExit2("the permutation equation is only implemented for k=3")
-        return solve_equation("F", args.n)
-    if args.k is not None:
-        raise SystemExit2("--k is not accepted for series family baxter")
-    return solve_equation("B", args.n)
+        # the k=3 spelling of permutations, pinned by the series-solve workload
+        if k not in (None, 3):
+            raise SystemExit2("series family permutations3 is k=3 only")
+        family, k = "permutations", 3
+    try:
+        return solve_equation(family, args.n, k=k)
+    except ValueError as exc:
+        raise SystemExit2(exc) from None
 
 
 def _cmd_series(args):
@@ -227,8 +222,8 @@ def _table(family, k, n):
     return expected, count_sequence(FamilySpec(family, k), n)
 
 
-def _series(family, equation, k, n):
-    expected = constant_term_sequence(solve_equation(equation, n, k=k))
+def _series(family, k, n):
+    expected = constant_term_sequence(solve_equation(family, n, k=k))
     return expected, [1] + count_sequence(FamilySpec(family, k), n)
 
 
@@ -239,12 +234,12 @@ def _oracle(family, k, n):
 
 def _baxter_formula(n):
     expected = [closedform.baxter(m + 1) for m in range(n + 1)]
-    return expected, ones_sequence(solve_equation("B", n))
+    return expected, ones_sequence(solve_equation("baxter", n))
 
 
 def _baxter_embedded(n):
     expected = refdata.lookup("baxter", 3).as_ints()[: n + 1]
-    return expected, ones_sequence(solve_equation("B", n))
+    return expected, ones_sequence(solve_equation("baxter", n))
 
 
 def _open_totals(family, total, n):
@@ -259,16 +254,16 @@ def _build_checks():
         for (family, k), seq in sorted(refdata.all_sequences().items())
         if family != "baxter"
     ]
-    for family, equation in (("partitions", "Q"), ("partitions-enhanced", "P")):
+    for family in ("partitions", "partitions-enhanced"):
         for k in (2, 3, 4):
             checks += [
                 Check("cross-methods", f"cross/{family}/k={k}/series", 12,
-                      partial(_series, family, equation, k)),
+                      partial(_series, family, k)),
                 Check("cross-methods", f"cross/{family}/k={k}/oracle", 9,
                       partial(_oracle, family, k)),
             ]
     checks.append(Check("cross-methods", "cross/permutations/k=3/series", 12,
-                        partial(_series, "permutations", "F", 3)))
+                        partial(_series, "permutations", 3)))
     checks += [
         Check("cross-methods", f"cross/permutations/k={k}/oracle", 7,
               partial(_oracle, "permutations", k))
@@ -347,11 +342,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("series", help="functional-equation solutions")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=("partitions", "partitions-enhanced", "permutations3", "baxter"),
-    )
+    p.add_argument("--family", required=True,
+                   choices=(*SERIES_FAMILIES, "permutations3"))
     p.add_argument("--k", type=_NESTING)
     p.add_argument("--n", type=_SIZE, required=True)
     p.add_argument("--full", action="store_true",

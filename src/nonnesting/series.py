@@ -6,10 +6,16 @@ label entries.  Only z is truncated: catalytic exponents stay bounded on
 their own (each z-order is one application of Phi, which raises them by a
 bounded amount), and truncating them would corrupt the zero-remainder checks in the exact divisions below.
 
+`solve_equation` solves the equation of one of four families:
+`partitions` (Q), `partitions-enhanced` (P) and `permutations` (F) for any
+forbidden nesting size k >= 2, and `baxter` (P at k = 3, as B(u, v)).
+
 Each functional equation has the shape  G = 1 + z * Phi(G)  where Phi is
 built from three substitution shapes (set a variable to 0, to 1, or fold it
 into a neighbour), shifts in catalytic variables and exact divisions by a
-variable or by (1 - variable).  None of these touches z, so Phi is linear
+variable or by (1 - variable).  The closings of a semi-arc are written once,
+as the operator `_close`; the three Phis add the other vertex types around
+it, and F applies it once per side.  None of these touches z, so Phi is linear
 and keeps the z-order: [z^n]G = Phi([z^(n-1)]G).  The solver therefore
 builds G one z-order at a time from [z^0]G = 1, and checks at runtime that
 Phi kept every term at the z-order it was given.  Every division is checked
@@ -23,6 +29,7 @@ from .errors import DivisibilityError
 __all__ = [
     "TruncatedSeries",
     "substitute",
+    "SERIES_FAMILIES",
     "solve_equation",
     "constant_term_sequence",
     "ones_sequence",
@@ -216,6 +223,29 @@ def _iterate(variables, n_max, phi):
     return TruncatedSeries(variables, n_max, terms)
 
 
+def _close(g, xs, first=1):
+    """The closing operator over catalytic variables xs: the sum of the
+    ways to close one semi-arc of a label marked by xs.
+
+    The "top" piece closes the outermost semi-arc of a future nesting, which
+    lowers every entry: (g - g|xs[-1]=0) / xs[1..].  The ranged piece j
+    (for first <= j < len(xs)) closes a semi-arc of index j-1 and bumps the
+    same-index semi-arcs outside it:
+    (g - g|xs[j-1]->xs[j-1]*xs[j], xs[j]->1) / (1 - xs[j]) / xs[1..j-1].
+    Entry 0 is never divided; the callers divide by it or keep it.
+    """
+    total = g - substitute(g, {xs[-1]: 0})
+    for x in xs[1:]:
+        total = divide_by_var(total, x)
+    for j in range(first, len(xs)):
+        collapsed = substitute(g, {xs[j - 1]: (xs[j - 1], xs[j]), xs[j]: 1})
+        part = divide_by_one_minus(g - collapsed, xs[j])
+        for x in xs[1:j]:
+            part = divide_by_var(part, x)
+        total = total + part
+    return total
+
+
 def solve_partition_equation(k, n_max):
     """Generating function Q for k-nonnesting open partition diagrams.
 
@@ -224,26 +254,13 @@ def solve_partition_equation(k, n_max):
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    m = k - 1
-    variables = ("z",) + tuple(f"v{i}" for i in range(m))
+    variables = ("z",) + tuple(f"v{i}" for i in range(k - 1))
     vs = variables[1:]
 
     def phi(g):
-        total = g
-        # closing the top semi-arc of a future (k-1)-nesting
-        part = g - substitute(g, {vs[-1]: 0})
-        for v in vs:
-            part = divide_by_var(part, v)
-        total = total + part
-        # ranged semi-transitory / closer rules
-        for j in range(1, m):
-            collapsed = substitute(g, {vs[j - 1]: (vs[j - 1], vs[j]), vs[j]: 1})
-            part = divide_by_one_minus(g - collapsed, vs[j])
-            for v in vs[:j]:
-                part = divide_by_var(part, v)
-            total = total + part
-        # the common factor (1 + v0) pairs each closing with the
-        # semi-transitory that reopens a fresh semi-arc
+        # every closing lowers s_0; the common factor (1 + v0) pairs each
+        # closing with the semi-transitory that reopens a fresh semi-arc
+        total = g + divide_by_var(_close(g, vs), vs[0])
         return total + total.shift(vs[0])
 
     return _iterate(variables, n_max, phi)
@@ -259,20 +276,10 @@ def solve_enhanced_equation(k, n_max):
     vs = variables[1:]
 
     def phi(g):
-        # semi-opener
-        total = g.shift(vs[0])
-        # top-of-future-nesting closings, with the (1 + v0) pairing
-        part = g - substitute(g, {vs[-1]: 0})
-        for v in vs:
-            part = divide_by_var(part, v)
-        total = total + part + part.shift(vs[0])
-        # ranged closings for index classes j >= 2
-        for j in range(2, m):
-            collapsed = substitute(g, {vs[j - 1]: (vs[j - 1], vs[j]), vs[j]: 1})
-            part = divide_by_one_minus(g - collapsed, vs[j])
-            for v in vs[:j]:
-                part = divide_by_var(part, v)
-            total = total + part + part.shift(vs[0])
+        # semi-opener, then the closings other than index class j = 1, with
+        # the (1 + v0) pairing
+        part = divide_by_var(_close(g, vs, first=2), vs[0])
+        total = g.shift(vs[0]) + part + part.shift(vs[0])
         if m >= 2:
             # index class j = 1, merged with the fixed point: a fixed point
             # lifts every index-0 semi-arc to index 1
@@ -282,16 +289,7 @@ def solve_enhanced_equation(k, n_max):
             total = total + part
         else:
             # k = 2: a fixed point is only allowed on the empty label
-            const = TruncatedSeries(
-                variables,
-                n_max,
-                {
-                    expo: c
-                    for expo, c in g.terms.items()
-                    if all(e == 0 for e in expo[1:])
-                },
-            )
-            total = total + const
+            total = total + substitute(g, {vs[0]: 0})
         return total
 
     return _iterate(variables, n_max, phi)
@@ -304,69 +302,64 @@ def solve_baxter_equation(n_max):
     return TruncatedSeries(("z", "u", "v"), n_max, f.terms)
 
 
-def solve_permutation_equation(n_max):
-    """Generating function F(u, v, w; z) for 3-nonnesting open permutation
-    diagrams: u marks h, v the upper future-2-nesting count r, w the lower
-    one s.  The constant term counts 3-nonnesting permutations.
+def solve_permutation_equation(k, n_max):
+    """Generating function F for k-nonnesting open permutation diagrams.
 
-    Implements the contribution-by-vertex-type form; the closer terms use
-    the cross term F(uv,1,w) obtained from expanding the double geometric
-    sum over the upper and lower closing positions.
+    u marks h, the number of semi-arcs; v1..v(k-2) mark the upper label
+    entries r and w1..w(k-2) the lower ones s (for k = 3 they are named v
+    and w).  The constant term counts k-nonnesting permutations.  Phi sums
+    the vertex types: semi-opener, fixed point (which sets r_1 to h), upper
+    and lower semi-transitory (one closing on that side) and closer (one
+    closing on each side, and h -> h-1).
     """
-    variables = ("z", "u", "v", "w")
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    m = k - 2
+    if m == 1:
+        ups, lows = ("v",), ("w",)
+    else:
+        ups = tuple(f"v{i}" for i in range(1, m + 1))
+        lows = tuple(f"w{i}" for i in range(1, m + 1))
+    variables = ("z", "u") + ups + lows
+    upper = ("u",) + ups
+    lower = ("u",) + lows
+    # a fixed point sets r_1 to h; at k = 2 it is only allowed when h = 0
+    fixed = {"u": ("u", ups[0]), ups[0]: 1} if m else {"u": 0}
 
     def phi(g):
-        g_uv1 = substitute(g, {"u": ("u", "v"), "v": 1})  # v-exponent := h
-        g_uw1 = substitute(g, {"u": ("u", "w"), "w": 1})  # w-exponent := h
-        g_v0 = substitute(g, {"v": 0})
-        g_w0 = substitute(g, {"w": 0})
-        g_uvw = substitute(g, {"u": ("u", "v", "w"), "v": 1, "w": 1})
-        g_uw_v0 = substitute(g_uw1, {"v": 0})
-        g_uv_w0 = substitute(g_uv1, {"w": 0})
-        g_00 = substitute(g, {"v": 0, "w": 0})
-
-        # semi-opener
-        total = g.shift("u")
-        # fixed point + upper semi-transitory
-        total = total + divide_by_one_minus(g - g_uv1.shift("v"), "v")
-        total = total + divide_by_var(g - g_v0, "v")
-        # lower semi-transitory
-        total = total + divide_by_one_minus(g - g_uw1, "w")
-        total = total + divide_by_var(g - g_w0, "w")
-        # closer, split by whether the closed semi-arcs sat in future
-        # 2-nestings; every piece carries the 1/u from h -> h-1
-        c1 = divide_by_one_minus(
-            divide_by_one_minus(g - g_uv1 - g_uw1 + g_uvw, "v"), "w"
-        )
-        c2 = divide_by_one_minus(divide_by_var(g - g_v0 - g_uw1 + g_uw_v0, "v"), "w")
-        c3 = divide_by_one_minus(divide_by_var(g - g_w0 - g_uv1 + g_uv_w0, "w"), "v")
-        c4 = divide_by_var(divide_by_var(g - g_v0 - g_w0 + g_00, "v"), "w")
-        total = total + divide_by_var(c1 + c2 + c3 + c4, "u")
-        return total
+        low = _close(g, lower)
+        closer = divide_by_var(_close(low, upper), "u")
+        return g.shift("u") + substitute(g, fixed) + _close(g, upper) + low + closer
 
     return _iterate(variables, n_max, phi)
 
 
-def solve_equation(equation, n_max, k=None):
-    """Dispatch: equation in {"A", "Q", "P", "F", "B"}.
+# family -> (solver, whether it takes k); the names are the CLI's
+_SOLVERS = {
+    "partitions": (solve_partition_equation, True),
+    "partitions-enhanced": (solve_enhanced_equation, True),
+    "permutations": (solve_permutation_equation, True),
+    "baxter": (solve_baxter_equation, False),
+}
+SERIES_FAMILIES = tuple(_SOLVERS)
 
-    "A" is the 3-nonnesting partition equation (the k=3 case of "Q");
-    "Q"/"P" need k = forbidden nesting size; "F" is the 3-nonnesting
-    permutation equation and "B" the Baxter series.
-    """
+
+def solve_equation(family, n_max, k=None):
+    """Solve the functional equation of `family` (one of SERIES_FAMILIES)
+    to z-order n_max; k is the forbidden nesting size, required by every
+    family but baxter, which rejects it."""
+    if family not in _SOLVERS:
+        raise ValueError(f"unknown series family {family!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if equation == "A":
-        return solve_partition_equation(3, n_max)
-    if equation == "Q":
-        return solve_partition_equation(k, n_max)
-    if equation == "P":
-        return solve_enhanced_equation(k, n_max)
-    if equation == "F":
-        return solve_permutation_equation(n_max)
-    if equation == "B":
-        return solve_baxter_equation(n_max)
-    raise ValueError(f"unknown equation {equation!r}")
+    solver, takes_k = _SOLVERS[family]
+    if not takes_k:
+        if k is not None:
+            raise ValueError(f"k is not accepted for series family {family}")
+        return solver(n_max)
+    if k is None:
+        raise ValueError(f"k is required for series family {family}")
+    return solver(k, n_max)
 
 
 def constant_term_sequence(f):

@@ -14,7 +14,11 @@ from nonnesting.cli import CHECKS, run_checks
 from nonnesting.closedform import a108304, a108307, catalan, formula_3nn_partitions
 from nonnesting.gentree import FamilySpec, count_sequence, generate_diagrams
 from nonnesting.oracle import oracle_count
-from nonnesting.series import solve_partition_equation
+from nonnesting.series import (
+    constant_term_sequence,
+    solve_equation,
+    solve_partition_equation,
+)
 
 
 def verdict(capsys, criterion, ok):
@@ -176,3 +180,19 @@ def test_12_p_recurrences(capsys):
     ok = [1] + count_sequence(FamilySpec("partitions", 3), n) == a108304(n)
     ok = ok and [1] + count_sequence(FamilySpec("partitions-enhanced", 3), n) == a108307(n)
     verdict(capsys, "criterion 12: k=3 partition counts satisfy the A108304/A108307 P-recurrences for n <= 60", ok)
+
+
+def test_13_permutation_series(capsys):
+    # the general-k permutation equation has no `verify` check beyond k=3,
+    # so the gate runs it against the tables here
+    def counts(k, n):
+        return constant_term_sequence(solve_equation("permutations", n, k=k))
+
+    ok = all(
+        counts(k, n) == [1] + refdata.lookup("permutations", k).as_ints()[:n]
+        for k, n in ((3, 15), (4, 12), (5, 11), (6, 10))
+    )
+    n = 12
+    dp = [1] + count_sequence(FamilySpec("permutations", 2), n)
+    ok = ok and counts(2, n) == dp == [catalan(m) for m in range(n + 1)]
+    verdict(capsys, "criterion 13: permutation series equal the reference tables for k=3..6 and the DP (Catalan) at k=2", ok)

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -132,6 +133,25 @@ class TestSeries:
         assert lines[0] == "# variables: z u v"
         assert "2 0 0: 2" in lines  # constant term of the z^2 slice
 
+    def test_permutations_any_k(self, capsys):
+        assert run(["series", "--family", "permutations", "--k", "4", "--n", "8"]) == 0
+        series_out, _ = output(capsys)
+        run(["count", "--family", "permutations", "--k", "4", "--n", "8"])
+        count_out, _ = output(capsys)
+        assert series_out == "1," + count_out
+
+    def test_permutations3_is_permutations_at_k3(self, capsys):
+        # digest of the permutations3 dump printed before the general-k
+        # equation replaced the k=3 one
+        pinned = "cc7f916afebf0bbdb21c371bb89d49530396030c4044291eb4d568f1ee15a28f"
+        run(["series", "--family", "permutations3", "--n", "6", "--full"])
+        alias, _ = output(capsys)
+        assert hashlib.sha256(alias.encode()).hexdigest() == pinned
+        assert alias.startswith("# variables: z u v w\n")
+        run(["series", "--family", "permutations", "--k", "3", "--n", "6", "--full"])
+        general, _ = output(capsys)
+        assert general == alias
+
 
 class TestGenerate:
     def test_closed_only_partition_count(self, capsys):
@@ -245,6 +265,9 @@ class TestVerify:
     "count --family partitions --k 1 --n 4",
     "oracle --family partitions --k 3 --n -2",
     "series --family baxter --k 5 --n 4",
+    "series --family permutations --n 4",
+    "series --family partitions-enhanced --n 4",
+    "series --family permutations3 --k 4 --n 4",
     "count --family partitions --k 3 --n 4 --max-labels 0",
     "count --family partitions --k 3 --n 4 --max-labels -3",
 ])
