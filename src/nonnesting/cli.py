@@ -104,10 +104,17 @@ _NESTING = _int_at_least(2)
 _BUDGET = _int_at_least(1)
 
 
+def _print_stats(record):
+    print(json.dumps(record), file=sys.stderr)
+
+
 def _cmd_count(args):
     spec = _spec_from_args(args)
+    stats = _print_stats if args.stats else None
     if args.all_labels:
-        level = level_distribution(spec, args.n, max_labels=args.max_labels)
+        level = level_distribution(
+            spec, args.n, max_labels=args.max_labels, stats=stats
+        )
         if args.format == "json":
             print(json.dumps(level.to_json_dict()))
             return 0
@@ -123,7 +130,7 @@ def _cmd_count(args):
             for label, count in entries:
                 print(f"{label}: {count}")
         return 0
-    seq = count_sequence(spec, args.n, max_labels=args.max_labels)
+    seq = count_sequence(spec, args.n, max_labels=args.max_labels, stats=stats)
     if args.format == "json":
         out = {"family": spec.family, "n": args.n, "counts": [str(c) for c in seq]}
         if spec.k is not None:
@@ -339,6 +346,9 @@ def _build_parser():
                    help="dump the full label distribution at level n")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--max-labels", type=_BUDGET, help="distinct-label budget")
+    p.add_argument("--stats", action="store_true",
+                   help="write one JSON line per level to stderr: labels "
+                   "pushed and kept, push seconds, widest count in bits")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("series", help="functional-equation solutions")

@@ -2,8 +2,9 @@
 
 The generating tree is never materialised: counting pushes a distribution of
 labels (label -> arbitrary-precision count) through the succession rule one
-level at a time, so memory is proportional to the number of distinct labels
-per level.
+level at a time, holding one level.  The permutation pusher also caches the
+closing options of each (h, vector) it meets, and that cache keeps entries
+from every level pushed so far.
 
 Label conventions (k below is always the *forbidden* nesting size):
   * partitions / enhanced partitions: tuple (s_0, ..., s_{k-2}) with
@@ -20,6 +21,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
+from time import perf_counter
 
 from . import diagrams
 from .diagrams import OpenPartitionDiagram, OpenPermutationDiagram
@@ -217,23 +219,31 @@ def _semi_arcs(label):
     return label if isinstance(label, int) else label[0]
 
 
-def _level_stream(spec, n_max, max_labels, prune):
+def _level_stream(spec, n_max, max_labels, prune, stats=None):
     """Yield the label distributions of levels 0..n_max, holding one at a time.
 
     With `prune`, each level drops the labels with more semi-arcs than there
     are levels left before n_max: a step closes at most one semi-arc, so
     those labels can no longer return to the root label.  `max_labels`
     bounds the number of labels kept per level; exceeding it raises
-    ResourceLimitError carrying the last level completed.
+    ResourceLimitError carrying the last level completed.  `stats` is as
+    in count_sequence; it is called before the label budget is checked, so
+    the level that trips the budget is reported too.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     entry = spec._entry
-    push = entry.pusher(entry.successors).push
+    push = entry.pusher(entry).push
     current = {spec.root_label(): 1}
     yield current
     for n in range(1, n_max + 1):
-        current = push(current)
+        if stats is None:
+            current = push(current)
+        else:
+            started = perf_counter()
+            current = push(current)
+            push_s = perf_counter() - started
+            pushed = len(current)
         if prune:
             horizon = n_max - n
             current = {
@@ -241,6 +251,16 @@ def _level_stream(spec, n_max, max_labels, prune):
                 for label, count in current.items()
                 if _semi_arcs(label) <= horizon
             }
+        if stats is not None:
+            stats({
+                "level": n,
+                "labels_pushed": pushed,
+                "labels_kept": len(current),
+                "push_s": round(push_s, 6),
+                "max_count_bits": max(
+                    (c.bit_length() for c in current.values()), default=0
+                ),
+            })
         if max_labels is not None and len(current) > max_labels:
             raise ResourceLimitError(
                 f"label budget {max_labels} exceeded at level {n} "
@@ -262,10 +282,11 @@ def count_levels(spec, n_max, max_labels=None):
     return [LevelDistribution(n, entries) for n, entries in enumerate(stream)]
 
 
-def level_distribution(spec, n, max_labels=None):
+def level_distribution(spec, n, max_labels=None, stats=None):
     """The full label distribution at level n, without keeping the levels
-    before it; `max_labels` as in count_levels."""
-    for entries in _level_stream(spec, n, max_labels, prune=False):
+    before it; `max_labels` as in count_levels, `stats` as in
+    count_sequence (nothing is pruned, so each level keeps every label)."""
+    for entries in _level_stream(spec, n, max_labels, False, stats):
         pass
     return LevelDistribution(n, entries)
 
@@ -273,19 +294,79 @@ def level_distribution(spec, n, max_labels=None):
 class _GenericPusher:
     """One-level push for families whose rule is applied label by label."""
 
-    def __init__(self, successors):
-        self.successors = successors
-        self.cache = {}
+    def __init__(self, family):
+        self.successors = family.successors
 
     def push(self, current):
         nxt = {}
         for label, count in current.items():
-            children = self.cache.get(label)
-            if children is None:
-                children = list(self.successors(label).items())
-                self.cache[label] = children
-            for child, mult in children:
+            for child, mult in self.successors(label).items():
                 nxt[child] = nxt.get(child, 0) + count * mult
+        return nxt
+
+
+class _RangeSumPusher:
+    """One-level push for partition labels that sums each ranged rule once.
+
+    Rule j of (3)/(4) gives a label the children [s_0, prefix, i, rest] and
+    [s_0 - 1, prefix, i, rest] for s_j <= i < s_{j-1}, where prefix
+    (s_1..s_{j-1}, each less one) and rest (s_{j+1}..) are fixed.  The first
+    pass adds the label's count once, at s_j, to the line keyed by s_0,
+    prefix and rest (they fix the end s_{j-1} too); the second walks each
+    line from its smallest start to its end with a running sum.  A push
+    then costs the distinct children plus one entry per label and rule,
+    not the sum of the range lengths.
+    """
+
+    def __init__(self, family):
+        self.enhanced = family.enhanced
+
+    def push(self, current):
+        nxt = {}
+        lines = {}
+        enhanced = self.enhanced
+        for label, count in current.items():
+            s0 = label[0]
+            # (1) fixed point
+            if not enhanced:
+                fp = label
+            elif len(label) >= 2:
+                fp = (s0, s0) + label[2:]
+            else:
+                fp = label if s0 == 0 else None
+            if fp is not None:
+                nxt[fp] = nxt.get(fp, 0) + count
+            # (2) semi-opener
+            op = (s0 + 1,) + label[1:]
+            nxt[op] = nxt.get(op, 0) + count
+            # (3) semi-transitory and (4) closer, one line entry per rule
+            dec = tuple([x - 1 for x in label[1:]])
+            for j in range(1, len(label)):
+                start = label[j]
+                if start < label[j - 1]:
+                    key = (s0, dec[: j - 1], label[j + 1 :])
+                    starts = lines.get(key)
+                    if starts is None:
+                        lines[key] = {start: count}
+                    else:
+                        starts[start] = starts.get(start, 0) + count
+            # (5) closing the top semi-arc of a future k-nesting
+            if label[-1] > 0:
+                child = (s0,) + dec
+                nxt[child] = nxt.get(child, 0) + count
+                child = (s0 - 1,) + dec
+                nxt[child] = nxt.get(child, 0) + count
+        for (s0, prefix, rest), starts in lines.items():
+            end = prefix[-1] + 1 if prefix else s0
+            high, low = (s0,) + prefix, (s0 - 1,) + prefix
+            total = 0
+            for i in range(min(starts), end):
+                total += starts.get(i, 0)
+                tail = (i,) + rest
+                child = high + tail
+                nxt[child] = nxt.get(child, 0) + total
+                child = low + tail
+                nxt[child] = nxt.get(child, 0) + total
         return nxt
 
 
@@ -297,9 +378,15 @@ class _PermutationPusher:
     into close-the-upper-semi-arc followed by close-the-lower-semi-arc
     makes each level linear in |upper| + |lower| per label, which is what
     makes the deeper permutation tables tractable.
+
+    The closings stay one child per option, not summed along lines as in
+    `_RangeSumPusher`.  A ranged form of this push gave equal levels but
+    took 1.5 to 2 times as long on k = 3, 4 and 5 (n = 14, 13 and 11):
+    the ranges are short (2.3 steps on average at k = 5, n = 11, and 40 %
+    are one step), so building the line keys costs more than it saves.
     """
 
-    def __init__(self, _successors):  # the push is the rule's split form
+    def __init__(self):
         self.options = {}
 
     def _closings(self, h, vec):
@@ -345,7 +432,7 @@ class _Family:
     successors: Callable  # label -> Counter of child labels
     diagram: type  # the geometric counterpart, walked from size 0
     enhanced: bool = False  # the `enhanced` flag of diagrams.legal_steps
-    pusher: type = _GenericPusher  # built from `successors`; pushes a level
+    pusher: Callable = _GenericPusher  # the row -> a fresh one-level pusher
 
 
 def _partition_root(k):
@@ -363,15 +450,16 @@ def _open_root(k):
 
 _FAMILY_TABLE = {
     "partitions": _Family(
-        True, _partition_root, successors_partition, OpenPartitionDiagram
+        True, _partition_root, successors_partition, OpenPartitionDiagram,
+        pusher=_RangeSumPusher,
     ),
     "partitions-enhanced": _Family(
         True, _partition_root, partial(successors_partition, enhanced=True),
-        OpenPartitionDiagram, enhanced=True,
+        OpenPartitionDiagram, enhanced=True, pusher=_RangeSumPusher,
     ),
     "permutations": _Family(
         True, _permutation_root, successors_permutation,
-        OpenPermutationDiagram, pusher=_PermutationPusher,
+        OpenPermutationDiagram, pusher=lambda _family: _PermutationPusher(),
     ),
     "open-partitions": _Family(
         False, _open_root, _successors_open_partition, OpenPartitionDiagram
@@ -385,14 +473,19 @@ FAMILIES = tuple(_FAMILY_TABLE)
 CONSTRAINED_FAMILIES = tuple(f for f in FAMILIES if _FAMILY_TABLE[f].takes_k)
 
 
-def count_sequence(spec, n_max, max_labels=None):
+def count_sequence(spec, n_max, max_labels=None, stats=None):
     """a(1..n_max): closed objects (root label) per level.
 
     Labels that can no longer return to the root by level n_max are pruned
     as the levels are pushed, so `max_labels` bounds the pruned label set.
+    `stats`, if given, is called with one dict per level 1..n_max: its
+    `level`, the labels the push produced (`labels_pushed`) and kept after
+    pruning (`labels_kept`), the push's seconds (`push_s`) and the bit
+    length of the largest kept count (`max_count_bits`).  Without it no
+    timing call is made.
     """
     root = spec.root_label()
-    levels = _level_stream(spec, n_max, max_labels, prune=True)
+    levels = _level_stream(spec, n_max, max_labels, True, stats)
     next(levels)
     return [entries.get(root, 0) for entries in levels]
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from nonnesting import cli
 from nonnesting.cli import run
+from nonnesting.gentree import FamilySpec, count_levels
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -89,6 +90,39 @@ class TestCount:
         assert run(argv + ["--all-labels"]) == 3
         _, err = output(capsys)
         assert "label budget 43 exceeded at level 7 (50 labels)" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--all-labels", "--format", "json"]])
+    def test_stats(self, capsys, extra):
+        argv = ["count", "--family", "partitions-enhanced", "--k", "3",
+                "--n", "10"] + extra
+        assert run(argv) == 0
+        plain, err = output(capsys)
+        assert err == ""
+        assert run(argv + ["--stats"]) == 0
+        out, err = output(capsys)
+        assert out == plain
+        records = [json.loads(line) for line in err.splitlines()]
+        assert [r["level"] for r in records] == list(range(1, 11))
+        assert all(set(r) == {"level", "labels_pushed", "labels_kept", "push_s",
+                              "max_count_bits"} for r in records)
+        levels = count_levels(FamilySpec("partitions-enhanced", 3), 10)
+        sizes = [len(level.entries) for level in levels[1:]]
+        if extra:
+            assert [r["labels_kept"] for r in records] == sizes
+        else:
+            # the counting sequence keeps only labels that can still close
+            kept = [r["labels_kept"] for r in records]
+            assert all(a <= b for a, b in zip(kept, sizes))
+            assert kept[-1] == 1 < sizes[-1]
+
+    def test_stats_report_the_level_over_budget(self, capsys):
+        argv = ["count", "--family", "partitions", "--k", "4", "--n", "12",
+                "--max-labels", "43", "--all-labels", "--stats"]
+        assert run(argv) == 3
+        _, err = output(capsys)
+        *lines, message = err.splitlines()
+        assert json.loads(lines[-1])["labels_kept"] == 50
+        assert message == "resource limit: label budget 43 exceeded at level 7 (50 labels)"
 
     def test_all_labels_same_order_in_every_format(self, capsys):
         # two-digit entries must sort numerically: (2, 0) before (10, 0)

@@ -3,9 +3,12 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import (
+    _FAMILY_TABLE,
     CONSTRAINED_FAMILIES,
     FAMILIES,
     FamilySpec,
@@ -160,6 +163,115 @@ def test_pruned_sequence_equals_unpruned_levels(family, k, n_max):
     for n in range(n_max + 1):
         assert count_sequence(spec, n) == unpruned[:n]
     assert level_distribution(spec, n_max) == levels[n_max]
+
+
+def _rule_push(spec, level):
+    """One level pushed through the succession rule label by label: the
+    sum of count * spec.successors(label)."""
+    nxt = Counter()
+    for label, count in level.items():
+        for child, mult in spec.successors(label).items():
+            nxt[child] += count * mult
+    return dict(nxt)
+
+
+def _family_push(spec):
+    """A fresh pusher of the family's table row, as the DP builds one."""
+    entry = _FAMILY_TABLE[spec.family]
+    return entry.pusher(entry).push
+
+
+def _pusher_cases():
+    for family in CONSTRAINED_FAMILIES:
+        for k in range(2, 7):
+            yield family, k, 9 if family == "permutations" else 14
+    yield "open-partitions", None, 12
+    yield "open-permutations", None, 12
+
+
+@pytest.mark.parametrize("family,k,n_max", list(_pusher_cases()))
+def test_pusher_equals_rule_on_full_levels(family, k, n_max):
+    """Each family's pusher (range sums for partitions, the split closer
+    for permutations) against its own succession rule, one level at a
+    time on full unpruned levels, with one pusher kept across levels as
+    the DP keeps it."""
+    spec = FamilySpec(family, k)
+    push = _family_push(spec)
+    level = {spec.root_label(): 1}
+    for _ in range(n_max):
+        expected = _rule_push(spec, level)
+        assert push(level) == expected
+        level = expected
+    assert len(level) > n_max
+
+
+def _non_increasing(top, length):
+    return st.lists(st.integers(0, top), min_size=length, max_size=length).map(
+        lambda xs: tuple(sorted(xs, reverse=True))
+    )
+
+
+def _labels(family, k):
+    """Valid labels of the family: s_0 >= s_1 >= ... >= 0 for partitions,
+    h >= r_1 >= ... and h >= s_1 >= ... for permutations."""
+    if family in ("partitions", "partitions-enhanced"):
+        return _non_increasing(15, k - 1)
+    if family == "permutations":
+        return st.integers(0, 15).flatmap(
+            lambda h: st.tuples(
+                st.just(h), _non_increasing(h, k - 2), _non_increasing(h, k - 2)
+            )
+        )
+    return st.integers(0, 40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pusher_equals_rule_on_random_labels(data):
+    family = data.draw(st.sampled_from(FAMILIES))
+    k = data.draw(st.integers(2, 6)) if family in CONSTRAINED_FAMILIES else None
+    spec = FamilySpec(family, k)
+    labels = data.draw(st.lists(_labels(family, k), min_size=1, max_size=8,
+                                unique=True))
+    counts = data.draw(st.lists(st.integers(1, 2**300), min_size=len(labels),
+                                max_size=len(labels)))
+    level = dict(zip(labels, counts))
+    push = _family_push(spec)
+    expected = _rule_push(spec, level)
+    assert push(level) == expected
+    assert push(level) == expected  # a cache filled by the first push
+
+
+class TestLevelStats:
+    @pytest.mark.parametrize("family,k", [
+        ("partitions", 4), ("partitions-enhanced", 3), ("permutations", 3),
+        ("open-permutations", None),
+    ])
+    def test_records_match_levels(self, family, k):
+        spec = FamilySpec(family, k)
+        n = 9
+        levels = count_levels(spec, n)
+        records = []
+        assert level_distribution(spec, n, stats=records.append) == levels[n]
+        assert [r["level"] for r in records] == list(range(1, n + 1))
+        sizes = [len(level.entries) for level in levels[1:]]
+        assert [r["labels_pushed"] for r in records] == sizes
+        assert [r["labels_kept"] for r in records] == sizes
+        assert [r["max_count_bits"] for r in records] == [
+            max(level.entries.values()).bit_length() for level in levels[1:]
+        ]
+        assert all(r["push_s"] >= 0 for r in records)
+
+        records.clear()
+        assert count_sequence(spec, n, stats=records.append) == count_sequence(spec, n)
+        kept = [
+            sum(1 for label in level.entries
+                if (label if isinstance(label, int) else label[0]) <= n - m)
+            for m, level in enumerate(levels[1:], 1)
+        ]
+        assert records[0]["labels_pushed"] == sizes[0]
+        assert [r["labels_kept"] for r in records] == kept
+        assert kept[-1] == 1 < max(kept)
 
 
 class TestGenerateDiagrams:
