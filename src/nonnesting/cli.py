@@ -159,7 +159,10 @@ def _solve_from_args(args):
             raise SystemExit2("series family permutations3 is k=3 only")
         family, k = "permutations", 3
     try:
-        return solve_equation(family, args.n, k=k)
+        return solve_equation(
+            family, args.n, k=k, full=args.full,
+            stats=_print_stats if args.stats else None,
+        )
     except ValueError as exc:
         raise SystemExit2(exc) from None
 
@@ -195,7 +198,8 @@ def _cmd_refdata(args):
     try:
         seq = refdata.lookup(args.family, args.k)
     except KeyError as exc:
-        raise SystemExit2(exc) from None
+        # str() of a KeyError is the repr of its message
+        raise SystemExit2(exc.args[0]) from None
     print(
         json.dumps(
             {
@@ -230,7 +234,7 @@ def _table(family, k, n):
 
 
 def _series(family, k, n):
-    expected = constant_term_sequence(solve_equation(family, n, k=k))
+    expected = constant_term_sequence(solve_equation(family, n, k=k, full=False))
     return expected, [1] + count_sequence(FamilySpec(family, k), n)
 
 
@@ -358,6 +362,9 @@ def _build_parser():
     p.add_argument("--n", type=_SIZE, required=True)
     p.add_argument("--full", action="store_true",
                    help="dump every coefficient, not just the counting terms")
+    p.add_argument("--stats", action="store_true",
+                   help="write one JSON line per z-order to stderr: terms "
+                   "built and kept, seconds in Phi")
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("generate", help="stream all diagrams of size n")

@@ -6,6 +6,16 @@ label entries.  Only z is truncated: catalytic exponents stay bounded on
 their own (each z-order is one application of Phi, which raises them by a
 bounded amount), and truncating them would corrupt the zero-remainder checks in the exact divisions below.
 
+One drop of catalytic terms is safe, and `solve_equation(..., full=False)`
+makes it when only the counting sequence is wanted: after z-order n it drops
+every term with more semi-arcs (the exponent of v0, or of u for
+permutations) than the n_max - n z-orders left, because each vertex closes
+at most one semi-arc, so such a term never reaches the constant term.  The
+drop keeps the division checks valid because Phi is linear and keeps the
+z-order: each division in Phi(g) is exact on every monomial of g by itself,
+so it stays exact on any subset of g's monomials.  Every term that is kept
+has its full coefficient, since its parents had at most one semi-arc more.
+
 `solve_equation` solves the equation of one of four families:
 `partitions` (Q), `partitions-enhanced` (P) and `permutations` (F) for any
 forbidden nesting size k >= 2, and `baxter` (P at k = 3, as B(u, v)).
@@ -23,6 +33,8 @@ for a zero remainder as well; a nonzero remainder raises DivisibilityError.
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 from .errors import DivisibilityError
 
@@ -202,24 +214,43 @@ def divide_by_one_minus(f, var):
     return TruncatedSeries(f.variables, f.cap, terms)
 
 
-def _iterate(variables, n_max, phi):
+def _iterate(variables, n_max, phi, *, semi_arc=None, stats=None):
     """Solve G = 1 + z * phi(G) to z-order n_max, one z-order at a time.
 
     phi must be linear and keep the z-order: applied to the z^(n-1) slice
     of G it returns terms of z-order n-1 only, and shifting them by z gives
     the z^n slice.  A term at any other z-order raises ValueError.
+
+    With semi_arc (a variable name), the z^n slice keeps only the terms whose
+    exponent in it is at most n_max - n (see the module docstring).  stats,
+    if given, is called after each z-order n with a dict: order, terms_built
+    (phi's image), terms_kept and phi_s (seconds in phi).
     """
+    index = None if semi_arc is None else variables.index(semi_arc)
     layer = TruncatedSeries.one(variables, n_max)
     terms = dict(layer.terms)
     for n in range(1, n_max + 1):
+        if stats is not None:
+            started = perf_counter()
         image = phi(layer)
+        if stats is not None:
+            phi_s = perf_counter() - started
         for expo in image.terms:
             if expo[0] != n - 1:
                 raise ValueError(
                     f"phi moved a term of z-order {n - 1} to z-order {expo[0]}"
                 )
         layer = image.shift("z")
+        if index is not None:
+            horizon = n_max - n
+            layer = TruncatedSeries(variables, n_max, {
+                expo: coeff for expo, coeff in layer.terms.items()
+                if expo[index] <= horizon
+            })
         terms.update(layer.terms)
+        if stats is not None:
+            stats({"order": n, "terms_built": len(image.terms),
+                   "terms_kept": len(layer.terms), "phi_s": phi_s})
     return TruncatedSeries(variables, n_max, terms)
 
 
@@ -246,7 +277,7 @@ def _close(g, xs, first=1):
     return total
 
 
-def solve_partition_equation(k, n_max):
+def solve_partition_equation(k, n_max, **options):
     """Generating function Q for k-nonnesting open partition diagrams.
 
     Variables v0..v(k-2) mark the label entries s_0..s_{k-2}; the constant
@@ -263,10 +294,10 @@ def solve_partition_equation(k, n_max):
         total = g + divide_by_var(_close(g, vs), vs[0])
         return total + total.shift(vs[0])
 
-    return _iterate(variables, n_max, phi)
+    return _iterate(variables, n_max, phi, **options)
 
 
-def solve_enhanced_equation(k, n_max):
+def solve_enhanced_equation(k, n_max, **options):
     """Generating function P for open partition diagrams avoiding regular
     and future enhanced k-nestings (for k=3 this is the Baxter series)."""
     if k < 2:
@@ -292,17 +323,17 @@ def solve_enhanced_equation(k, n_max):
             total = total + substitute(g, {vs[0]: 0})
         return total
 
-    return _iterate(variables, n_max, phi)
+    return _iterate(variables, n_max, phi, **options)
 
 
-def solve_baxter_equation(n_max):
+def solve_baxter_equation(n_max, **options):
     """The two-variable series B(u, v; z) of enhanced-3-nonnesting open
     partition diagrams, written with the u = v0, v = v1 naming."""
-    f = solve_enhanced_equation(3, n_max)
+    f = solve_enhanced_equation(3, n_max, **options)
     return TruncatedSeries(("z", "u", "v"), n_max, f.terms)
 
 
-def solve_permutation_equation(k, n_max):
+def solve_permutation_equation(k, n_max, **options):
     """Generating function F for k-nonnesting open permutation diagrams.
 
     u marks h, the number of semi-arcs; v1..v(k-2) mark the upper label
@@ -331,35 +362,47 @@ def solve_permutation_equation(k, n_max):
         closer = divide_by_var(_close(low, upper), "u")
         return g.shift("u") + substitute(g, fixed) + _close(g, upper) + low + closer
 
-    return _iterate(variables, n_max, phi)
+    return _iterate(variables, n_max, phi, **options)
 
 
-# family -> (solver, whether it takes k); the names are the CLI's
+# family -> (solver, whether it takes k, the variable whose exponent counts
+# semi-arcs); the names are the CLI's.  Baxter's counts read every term, so
+# it names no variable and is never pruned.
 _SOLVERS = {
-    "partitions": (solve_partition_equation, True),
-    "partitions-enhanced": (solve_enhanced_equation, True),
-    "permutations": (solve_permutation_equation, True),
-    "baxter": (solve_baxter_equation, False),
+    "partitions": (solve_partition_equation, True, "v0"),
+    "partitions-enhanced": (solve_enhanced_equation, True, "v0"),
+    "permutations": (solve_permutation_equation, True, "u"),
+    "baxter": (solve_baxter_equation, False, None),
 }
 SERIES_FAMILIES = tuple(_SOLVERS)
 
 
-def solve_equation(family, n_max, k=None):
+def solve_equation(family, n_max, k=None, *, full=True, stats=None):
     """Solve the functional equation of `family` (one of SERIES_FAMILIES)
     to z-order n_max; k is the forbidden nesting size, required by every
-    family but baxter, which rejects it."""
+    family but baxter, which rejects it.
+
+    full=False keeps only the terms that can still reach the constant term
+    by z-order n_max (the module docstring says why that is exact), which is
+    all `constant_term_sequence` reads; baxter keeps every term either way.
+    stats is `_iterate`'s per-z-order callback.  The solvers pass their
+    keyword options on to `_iterate` and get only those that are set, so
+    the default solve calls `_iterate(variables, n_max, phi)`."""
     if family not in _SOLVERS:
         raise ValueError(f"unknown series family {family!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    solver, takes_k = _SOLVERS[family]
+    solver, takes_k, semi_arc = _SOLVERS[family]
+    options = {} if stats is None else {"stats": stats}
+    if not full and semi_arc is not None:
+        options["semi_arc"] = semi_arc
     if not takes_k:
         if k is not None:
             raise ValueError(f"k is not accepted for series family {family}")
-        return solver(n_max)
+        return solver(n_max, **options)
     if k is None:
         raise ValueError(f"k is required for series family {family}")
-    return solver(k, n_max)
+    return solver(k, n_max, **options)
 
 
 def constant_term_sequence(f):

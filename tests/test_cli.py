@@ -174,6 +174,40 @@ class TestSeries:
         count_out, _ = output(capsys)
         assert series_out == "1," + count_out
 
+    @pytest.mark.parametrize("argv,pinned", [
+        # digests of the dumps printed before the counting sequence was pruned
+        ("partitions --k 3 --n 7",
+         "7d14de385e1c0709f2a15903b9555dfa08d08b97563db493998ae2bd4cf38317"),
+        ("partitions-enhanced --k 4 --n 6",
+         "d643169317e81d23faa1c1366a64d48f58cfd03426e47415c183e25fc4886dd1"),
+        ("permutations --k 4 --n 6",
+         "86d230921f959a948a2ba8d2c8559d6b174332f8841ff17c5aa591bd59c41fa2"),
+        ("baxter --n 8",
+         "4ae666cddd1fbc335ddac9c3a4096afdef05fa5c91755469cf2f6757814a9616"),
+    ])
+    def test_full_dump_unchanged(self, capsys, argv, pinned):
+        assert run(["series", "--family", *argv.split(), "--full"]) == 0
+        out, _ = output(capsys)
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned
+
+    @pytest.mark.parametrize("argv", [
+        "permutations --k 4 --n 9",
+        "partitions-enhanced --k 3 --n 9 --full",
+        "baxter --n 9",
+    ])
+    def test_stats(self, capsys, argv):
+        argv = ["series", "--family", *argv.split()]
+        assert run(argv) == 0
+        plain, err = output(capsys)
+        assert err == ""
+        assert run(argv + ["--stats"]) == 0
+        out, err = output(capsys)
+        assert out == plain
+        records = [json.loads(line) for line in err.splitlines()]
+        assert [r["order"] for r in records] == list(range(1, 10))
+        assert all(set(r) == {"order", "terms_built", "terms_kept", "phi_s"}
+                   for r in records)
+
     def test_permutations3_is_permutations_at_k3(self, capsys):
         # digest of the permutations3 dump printed before the general-k
         # equation replaced the k=3 one
@@ -235,6 +269,12 @@ class TestRefdataCommand:
 
     def test_not_found(self, capsys):
         assert run(["refdata", "--family", "partitions", "--k", "2"]) == 2
+
+    def test_not_found_message_is_unquoted(self, capsys):
+        assert run(["refdata", "--family", "baxter", "--k", "5"]) == 2
+        out, err = output(capsys)
+        assert out == ""
+        assert err == "error: no embedded reference data for ('baxter', k=5)\n"
 
 
 class TestVerify:
@@ -328,7 +368,7 @@ _VALUES = {
 # each command's own options (switches take no value)
 _FLAGS = {
     "count": ("--family", "--k", "--n", "--max-labels", "--format", "--all-labels"),
-    "series": ("--family", "--k", "--n", "--full"),
+    "series": ("--family", "--k", "--n", "--full", "--stats"),
     "generate": ("--family", "--k", "--n", "--closed-only"),
     "oracle": ("--family", "--k", "--n"),
     "verify": ("--suite", "--max-n", "--format"),

@@ -258,3 +258,67 @@ def test_order_by_order_equals_fixed_point(family, k, n_max, monkeypatch):
 def test_phi_that_moves_the_z_order_raises():
     with pytest.raises(ValueError, match="z-order"):
         series._iterate(("z", "u"), 4, lambda g: g.shift("z"))
+
+
+# the variable whose exponent counts semi-arcs, stated here independently
+# of the solver table
+SEMI_ARC = {"partitions": "v0", "partitions-enhanced": "v0", "permutations": "u"}
+
+
+def _pruned_cases():
+    for family, ks in (
+        ("partitions", range(2, 7)),
+        ("partitions-enhanced", range(2, 7)),
+        ("permutations", range(2, 6)),
+    ):
+        for k in ks:
+            yield pytest.param(family, k, id=f"{PAPER_NAME[family]}-{k}")
+    yield pytest.param("baxter", None, id="B")
+
+
+@pytest.mark.parametrize("family,k", list(_pruned_cases()))
+def test_pruned_solve_equals_full_solve(family, k):
+    for n_max in range(11):
+        full = solve_equation(family, n_max, k=k)
+        pruned = solve_equation(family, n_max, k=k, full=False)
+        if family == "baxter":
+            # B(1, 1) reads every term, so nothing is dropped
+            assert pruned == full
+            assert ones_sequence(pruned) == ones_sequence(full)
+            continue
+        assert constant_term_sequence(pruned) == constant_term_sequence(full)
+        assert pruned.terms.keys() <= full.terms.keys()
+        # exactly the terms that can still close by n_max, each with its
+        # full coefficient
+        i = full.variables.index(SEMI_ARC[family])
+        assert pruned.terms == {
+            expo: coeff for expo, coeff in full.terms.items()
+            if expo[i] <= n_max - expo[0]
+        }
+
+
+@pytest.mark.parametrize("family,k,n_max", [
+    ("permutations", 3, 30),
+    ("partitions", 3, 60),
+    ("partitions-enhanced", 3, 60),
+])
+def test_pruned_series_equals_dp_beyond_tables(family, k, n_max):
+    f = solve_equation(family, n_max, k=k, full=False)
+    assert constant_term_sequence(f) == [1] + count_sequence(FamilySpec(family, k), n_max)
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_stats_records_each_order(full):
+    records = []
+    f = solve_equation("permutations", 8, k=4, full=full, stats=records.append)
+    assert f == solve_equation("permutations", 8, k=4, full=full)
+    assert [r["order"] for r in records] == list(range(1, 9))
+    assert all(set(r) == {"order", "terms_built", "terms_kept", "phi_s"} for r in records)
+    # the z^0 slice is the one term 1
+    assert 1 + sum(r["terms_kept"] for r in records) == len(f.terms)
+    sizes = [(r["terms_built"], r["terms_kept"]) for r in records]
+    if full:
+        assert all(built == kept for built, kept in sizes)
+    else:
+        assert all(built >= kept for built, kept in sizes)
+        assert records[-1]["terms_kept"] == 1  # only the constant term is left
