@@ -116,18 +116,14 @@ def _cmd_count(args):
             spec, args.n, max_labels=args.max_labels, stats=stats
         )
         if args.format == "json":
-            print(json.dumps(level.to_json_dict()))
-            return 0
-        # the labels of a level share one shape, so this is numeric order,
-        # the order of the JSON
-        entries = sorted(level.entries.items())
-        if args.format == "csv":
+            print(level.to_json())
+        elif args.format == "csv":
             _print_csv(
                 ["label", "count"],
-                [[json.dumps(l), str(c)] for l, c in entries],
+                [[json.dumps(l), str(c)] for l, c in level.entries.items()],
             )
         else:
-            for label, count in entries:
+            for label, count in level.entries.items():
                 print(f"{label}: {count}")
         return 0
     seq = count_sequence(spec, args.n, max_labels=args.max_labels, stats=stats)

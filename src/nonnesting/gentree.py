@@ -2,9 +2,7 @@
 
 The generating tree is never materialised: counting pushes a distribution of
 labels (label -> arbitrary-precision count) through the succession rule one
-level at a time, holding one level.  The permutation pusher also caches the
-closing options of each (h, vector) it meets, and that cache keeps entries
-from every level pushed so far.
+level at a time, holding one level.
 
 Label conventions (k below is always the *forbidden* nesting size):
   * partitions / enhanced partitions: tuple (s_0, ..., s_{k-2}) with
@@ -13,6 +11,18 @@ Label conventions (k below is always the *forbidden* nesting size):
     h >= r_1 >= ... >= 0, h >= s_1 >= ... >= 0.
   * unconstrained open diagrams: the plain integer number of (upper)
     semi-arcs.
+
+Between levels the DP keys each label by one non-negative int, its code:
+the label's digits s_0, ..., s_{k-2} (partitions) or h, r_1, ..., r_{k-2},
+s_1, ..., s_{k-2} (permutations), most significant first, at a fixed width
+in base n_max + 1.  No digit of a label at a level <= n_max exceeds n_max,
+so codes are distinct, code order is label order, and the semi-arc count
+is the leading digit.  The open families' labels are already ints and are
+their own codes.  Only the pushers know the codes: each is built for one
+n_max and owns its encode and decode.  `count_sequence` looks up the root's
+code, and `count_levels` and `level_distribution` decode each level they
+return once, in code order, so `LevelDistribution.entries` holds the tuple
+labels above in label order.
 """
 
 from __future__ import annotations
@@ -76,7 +86,8 @@ class FamilySpec:
 
 @dataclass
 class LevelDistribution:
-    """Exact multiset of labels at one level of a generating tree."""
+    """Exact multiset of labels at one level of a generating tree; the DP
+    builds `entries` in label order."""
 
     level: int
     entries: dict = field(default_factory=dict)
@@ -87,23 +98,23 @@ class LevelDistribution:
     def count_of(self, label):
         return self.entries.get(label, 0)
 
-    def to_json_dict(self):
-        return {
-            "n": self.level,
-            "labels": [
-                {"label": _label_to_json(label), "count": str(count)}
-                for label, count in sorted(self.entries.items())
-            ],
-        }
-
-
-def _label_to_json(label):
-    if isinstance(label, int):
-        return [label]
-    if len(label) == 3 and isinstance(label[1], tuple):
-        h, r, s = label
-        return [h, list(r), list(s)]
-    return list(label)
+    def to_json(self):
+        """The level as one line of JSON, as `json.dumps` writes it:
+        {"n": level, "labels": [{"label": [...], "count": "..."}, ...]},
+        each label a list (a permutation's r and s nested lists), in the
+        order of `entries`.  A list of ints prints as its JSON."""
+        rows = []
+        row = '{"label": %s, "count": "%d"}'
+        for label, count in self.entries.items():
+            if isinstance(label, int):
+                text = f"[{label}]"
+            elif isinstance(label[-1], tuple):
+                h, r, s = label
+                text = str([h, list(r), list(s)])
+            else:
+                text = str(list(label))
+            rows.append(row % (text, count))
+        return '{"n": %d, "labels": [%s]}' % (self.level, ", ".join(rows))
 
 
 def successors_partition(label, enhanced=False):
@@ -215,26 +226,30 @@ def _successors_open_permutation(m):
     return children
 
 
-def _semi_arcs(label):
-    return label if isinstance(label, int) else label[0]
-
-
-def _level_stream(spec, n_max, max_labels, prune, stats=None):
-    """Yield the label distributions of levels 0..n_max, holding one at a time.
-
-    With `prune`, each level drops the labels with more semi-arcs than there
-    are levels left before n_max: a step closes at most one semi-arc, so
-    those labels can no longer return to the root label.  `max_labels`
-    bounds the number of labels kept per level; exceeding it raises
-    ResourceLimitError carrying the last level completed.  `stats` is as
-    in count_sequence; it is called before the label budget is checked, so
-    the level that trips the budget is reported too.
-    """
+def _pusher(spec, n_max):
+    """A fresh one-level pusher for spec whose codes hold every label of
+    levels 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     entry = spec._entry
-    push = entry.pusher(entry).push
-    current = {spec.root_label(): 1}
+    return entry.pusher(entry, spec.k, n_max)
+
+
+def _level_stream(pusher, root, n_max, max_labels, prune, stats=None):
+    """Yield the coded label distributions of levels 0..n_max, holding one
+    at a time; level 0 is the root code alone.
+
+    With `prune`, each level drops the labels with more semi-arcs than there
+    are levels left before n_max: a step closes at most one semi-arc, so
+    those labels can no longer return to the root label.  The semi-arc
+    count is the leading digit of a code, so that is one comparison.
+    `max_labels` bounds the number of labels kept per level; exceeding it
+    raises ResourceLimitError carrying the last level completed.  `stats`
+    is as in count_sequence; it is called before the label budget is
+    checked, so the level that trips the budget is reported too.
+    """
+    push = pusher.push
+    current = {root: 1}
     yield current
     for n in range(1, n_max + 1):
         if stats is None:
@@ -245,11 +260,9 @@ def _level_stream(spec, n_max, max_labels, prune, stats=None):
             push_s = perf_counter() - started
             pushed = len(current)
         if prune:
-            horizon = n_max - n
+            bound = (n_max - n + 1) * pusher.weight
             current = {
-                label: count
-                for label, count in current.items()
-                if _semi_arcs(label) <= horizon
+                code: count for code, count in current.items() if code < bound
             }
         if stats is not None:
             stats({
@@ -270,6 +283,12 @@ def _level_stream(spec, n_max, max_labels, prune, stats=None):
         yield current
 
 
+def _decoded(pusher, n, codes):
+    """Level n with its codes decoded, in code order, which is label order."""
+    decode = pusher.decode
+    return LevelDistribution(n, {decode(c): codes[c] for c in sorted(codes)})
+
+
 def count_levels(spec, n_max, max_labels=None):
     """Full label distributions for levels 0..n_max.
 
@@ -278,24 +297,40 @@ def count_levels(spec, n_max, max_labels=None):
     labels per level; exceeding it raises ResourceLimitError carrying the
     last level completed.
     """
-    stream = _level_stream(spec, n_max, max_labels, prune=False)
-    return [LevelDistribution(n, entries) for n, entries in enumerate(stream)]
+    pusher = _pusher(spec, n_max)
+    root = pusher.encode(spec.root_label())
+    stream = _level_stream(pusher, root, n_max, max_labels, prune=False)
+    return [_decoded(pusher, n, codes) for n, codes in enumerate(stream)]
 
 
 def level_distribution(spec, n, max_labels=None, stats=None):
     """The full label distribution at level n, without keeping the levels
     before it; `max_labels` as in count_levels, `stats` as in
     count_sequence (nothing is pruned, so each level keeps every label)."""
-    for entries in _level_stream(spec, n, max_labels, False, stats):
+    pusher = _pusher(spec, n)
+    root = pusher.encode(spec.root_label())
+    for codes in _level_stream(pusher, root, n, max_labels, False, stats):
         pass
-    return LevelDistribution(n, entries)
+    return _decoded(pusher, n, codes)
 
 
 class _GenericPusher:
-    """One-level push for families whose rule is applied label by label."""
+    """One-level push for families whose rule is applied label by label.
 
-    def __init__(self, family):
+    Their labels are already ints (the open families' semi-arc count), so
+    the codec is the identity and the semi-arc digit has weight 1.
+    """
+
+    weight = 1
+
+    def __init__(self, family, k, n_max):
         self.successors = family.successors
+
+    @staticmethod
+    def encode(label):
+        return label
+
+    decode = encode
 
     def push(self, current):
         nxt = {}
@@ -305,73 +340,133 @@ class _GenericPusher:
         return nxt
 
 
-class _RangeSumPusher:
-    """One-level push for partition labels that sums each ranged rule once.
+class _DigitCodec:
+    """Fixed-width codes of `width` digits in base n_max + 1, most
+    significant first.  Each digit of a label at a level <= n_max is at
+    most n_max, so every such label has its own code, and code order is
+    the order of the digit tuples.  `weights[j]` is the value of a unit in
+    digit j; `weight`, that of the leading (semi-arc) digit."""
 
-    Rule j of (3)/(4) gives a label the children [s_0, prefix, i, rest] and
-    [s_0 - 1, prefix, i, rest] for s_j <= i < s_{j-1}, where prefix
-    (s_1..s_{j-1}, each less one) and rest (s_{j+1}..) are fixed.  The first
-    pass adds the label's count once, at s_j, to the line keyed by s_0,
-    prefix and rest (they fix the end s_{j-1} too); the second walks each
-    line from its smallest start to its end with a running sum.  A push
-    then costs the distinct children plus one entry per label and rule,
-    not the sum of the range lengths.
+    def __init__(self, width, n_max):
+        self.base = n_max + 1
+        self.weights = [self.base ** (width - 1 - j) for j in range(width)]
+        self.weight = self.weights[0]
+
+    def encode_digits(self, digits):
+        code = 0
+        for d in digits:
+            if not 0 <= d < self.base:
+                raise ValueError(f"label digit {d} is outside base {self.base}")
+            code = code * self.base + d
+        return code
+
+    def decode_digits(self, code):
+        digits = []
+        for w in self.weights:
+            d, code = divmod(code, w)
+            digits.append(d)
+        return digits
+
+
+class _RangeSumPusher(_DigitCodec):
+    """One-level push for partition labels (s_0, ..., s_{k-2}), coded with
+    digit j = s_j, that sums each ranged rule once.
+
+    The fixed point adds 0 (enhanced: (s_0 - s_1) * w_1, which sets s_1 to
+    s_0), the opener w_0, and rule (5) subtracts w_1 + ... + w_{k-2}, then
+    w_0 more for its closer.  Rule j of (3)/(4) gives a label the children
+    line + i * w_j and line + i * w_j - w_0 for s_j <= i < s_{j-1}, where
+    `line` is the label's code less s_j * w_j and w_1 + ... + w_{j-1} (digit
+    j zeroed, digits 1..j-1 decremented).  The first pass adds the label's
+    count once, at s_j, to line j's starts; the second walks each line from
+    its smallest start to its end (digit j - 1 of the line, plus one unless
+    j = 1) with a running sum.  A push then costs the distinct children
+    plus one entry per label and rule, not the sum of the range lengths.
     """
 
-    def __init__(self, family):
+    def __init__(self, family, k, n_max):
+        super().__init__(k - 1, n_max)
         self.enhanced = family.enhanced
+        self.w1 = self.weights[1] if k > 2 else 0
+        # rule j's step and what its line subtracts besides s_j * w_j
+        self.rules = []
+        below = 0
+        for w in self.weights[1:]:
+            self.rules.append((w, below))
+            below += w
+        self.dec = below  # rule (5): every digit but s_0 less one
+
+    def encode(self, label):
+        return self.encode_digits(label)
+
+    def decode(self, code):
+        return tuple(self.decode_digits(code))
 
     def push(self, current):
         nxt = {}
-        lines = {}
-        enhanced = self.enhanced
-        for label, count in current.items():
-            s0 = label[0]
-            # (1) fixed point
+        w0 = self.weight
+        rules = self.rules
+        lines = [{} for _ in rules]
+        enhanced, w1, dec = self.enhanced, self.w1, self.dec
+        for code, count in current.items():
+            s0, rest = divmod(code, w0)
+            # (1) fixed point, s_1 set to s_0 if enhanced
             if not enhanced:
-                fp = label
-            elif len(label) >= 2:
-                fp = (s0, s0) + label[2:]
+                fp = code
+            elif w1:
+                fp = code + (s0 - rest // w1) * w1
             else:
-                fp = label if s0 == 0 else None
+                fp = code if s0 == 0 else None
             if fp is not None:
                 nxt[fp] = nxt.get(fp, 0) + count
             # (2) semi-opener
-            op = (s0 + 1,) + label[1:]
-            nxt[op] = nxt.get(op, 0) + count
+            nxt[code + w0] = nxt.get(code + w0, 0) + count
             # (3) semi-transitory and (4) closer, one line entry per rule
-            dec = tuple([x - 1 for x in label[1:]])
-            for j in range(1, len(label)):
-                start = label[j]
-                if start < label[j - 1]:
-                    key = (s0, dec[: j - 1], label[j + 1 :])
-                    starts = lines.get(key)
+            prev = s0
+            for line_starts, (w, below) in zip(lines, rules):
+                d, rest = divmod(rest, w)
+                if d < prev:
+                    line = code - d * w - below
+                    starts = line_starts.get(line)
                     if starts is None:
-                        lines[key] = {start: count}
+                        line_starts[line] = {d: count}
                     else:
-                        starts[start] = starts.get(start, 0) + count
+                        starts[d] = starts.get(d, 0) + count
+                prev = d
             # (5) closing the top semi-arc of a future k-nesting
-            if label[-1] > 0:
-                child = (s0,) + dec
+            if prev > 0:
+                child = code - dec
                 nxt[child] = nxt.get(child, 0) + count
-                child = (s0 - 1,) + dec
+                child -= w0
                 nxt[child] = nxt.get(child, 0) + count
-        for (s0, prefix, rest), starts in lines.items():
-            end = prefix[-1] + 1 if prefix else s0
-            high, low = (s0,) + prefix, (s0 - 1,) + prefix
-            total = 0
-            for i in range(min(starts), end):
-                total += starts.get(i, 0)
-                tail = (i,) + rest
-                child = high + tail
-                nxt[child] = nxt.get(child, 0) + total
-                child = low + tail
-                nxt[child] = nxt.get(child, 0) + total
+        base, weights = self.base, self.weights
+        for j, (line_starts, (w, _)) in enumerate(zip(lines, rules), 1):
+            end_weight, past_top = weights[j - 1], j > 1
+            for line, starts in line_starts.items():
+                end = line // end_weight % base + past_top
+                total = 0
+                start = min(starts)
+                child = line + start * w
+                for i in range(start, end):
+                    total += starts.get(i, 0)
+                    nxt[child] = nxt.get(child, 0) + total
+                    low = child - w0
+                    nxt[low] = nxt.get(low, 0) + total
+                    child += w
         return nxt
 
 
-class _PermutationPusher:
-    """One-level push for permutation labels.
+class _PermutationPusher(_DigitCodec):
+    """One-level push for permutation labels (h, r, s), coded with the
+    digits h, r_1, ..., r_{k-2}, s_1, ..., s_{k-2}.
+
+    With m = k - 2 and B the base, a code is (h * B^m + r) * B^m + s,
+    where r and s are the vector codes.  The fixed point adds
+    (h - r_1) * w_{r_1} (for k = 2, where there is no r_1, it is allowed
+    only at h = 0 and adds 0), the opener w_h.  The closings of a vector
+    come from `_closing_options`, cached per (h, vector) code h * B^m + v
+    as their deltas to v: a lower closing adds the delta, an upper one
+    the delta times B^m, and a closer adds both and subtracts w_h.
 
     Closers are the Cartesian product of upper and lower closings, so a
     direct push costs |upper| * |lower| per label.  Splitting the closer
@@ -384,41 +479,79 @@ class _PermutationPusher:
     took 1.5 to 2 times as long on k = 3, 4 and 5 (n = 14, 13 and 11):
     the ranges are short (2.3 steps on average at k = 5, n = 11, and 40 %
     are one step), so building the line keys costs more than it saves.
+    The option cache keeps entries from every level pushed so far.
     """
 
-    def __init__(self):
+    def __init__(self, family, k, n_max):
+        self.m = k - 2
+        super().__init__(2 * self.m + 1, n_max)
+        self.vector = self.base**self.m  # B^m
+        self.r1_weight = self.weights[1] if self.m else 0
+        self.r1_unit = self.vector // self.base  # r_1's unit in r
         self.options = {}
+        self.vectors = {}  # vector code -> the vector, shared by the labels
 
-    def _closings(self, h, vec):
-        key = (h, vec)
-        opts = self.options.get(key)
-        if opts is None:
-            opts = _closing_options(h, vec)
-            self.options[key] = opts
-        return opts
+    def encode(self, label):
+        h, r, s = label
+        return self.encode_digits((h,) + r + s)
+
+    def decode(self, code):
+        hr, s = divmod(code, self.vector)
+        h, r = divmod(hr, self.vector)
+        return h, self._vector(r), self._vector(s)
+
+    def _vector(self, v):
+        vec = self.vectors.get(v)
+        if vec is None:
+            vec = self.vectors[v] = tuple(self.decode_digits(v)[self.m + 1 :])
+        return vec
+
+    def _closings(self, hv):
+        """(lower, upper) deltas of the closings of the (h, vector) code hv."""
+        deltas = self.options.get(hv)
+        if deltas is None:
+            h, v = divmod(hv, self.vector)
+            vec = self._vector(v)
+            lower = [
+                self.encode_digits(option) - v
+                for option in _closing_options(h, vec)
+            ]
+            deltas = lower, [d * self.vector for d in lower]
+            self.options[hv] = deltas
+        return deltas
 
     def push(self, current):
         nxt = {}
         half_closed = {}
-        for label, count in current.items():
-            h, r, s = label
-            if r:
-                fp = (h, (h,) + r[1:], s)
+        vector, wh = self.vector, self.weight
+        r1_weight, r1_unit = self.r1_weight, self.r1_unit
+        closings = self._closings
+        for code, count in current.items():
+            hr, s = divmod(code, vector)
+            h, r = divmod(hr, vector)
+            # (1) fixed point, r_1 set to h
+            if r1_weight:
+                fp = code + (h - r // r1_unit) * r1_weight
                 nxt[fp] = nxt.get(fp, 0) + count
             elif h == 0:
-                nxt[label] = nxt.get(label, 0) + count
-            op = (h + 1, r, s)
-            nxt[op] = nxt.get(op, 0) + count
-            for r2 in self._closings(h, r):
-                child = (h, r2, s)
+                nxt[code] = nxt.get(code, 0) + count
+            # (2) semi-opener
+            nxt[code + wh] = nxt.get(code + wh, 0) + count
+            # (3) upper semi-transitory, and the first half of (5)
+            for d in closings(hr)[1]:
+                child = code + d
                 nxt[child] = nxt.get(child, 0) + count
                 half_closed[child] = half_closed.get(child, 0) + count
-            for s2 in self._closings(h, s):
-                child = (h, r, s2)
+            # (4) lower semi-transitory
+            for d in closings(h * vector + s)[0]:
+                child = code + d
                 nxt[child] = nxt.get(child, 0) + count
-        for (h, r2, s), count in half_closed.items():
-            for s2 in self._closings(h, s):
-                child = (h - 1, r2, s2)
+        # (5) closer: close a lower semi-arc of each half-closed label
+        for code, count in half_closed.items():
+            hr, s = divmod(code, vector)
+            low = code - wh
+            for d in closings(hr // vector * vector + s)[0]:
+                child = low + d
                 nxt[child] = nxt.get(child, 0) + count
         return nxt
 
@@ -432,7 +565,8 @@ class _Family:
     successors: Callable  # label -> Counter of child labels
     diagram: type  # the geometric counterpart, walked from size 0
     enhanced: bool = False  # the `enhanced` flag of diagrams.legal_steps
-    pusher: Callable = _GenericPusher  # the row -> a fresh one-level pusher
+    # (the row, k, n_max) -> a fresh one-level pusher, with its label codec
+    pusher: Callable = _GenericPusher
 
 
 def _partition_root(k):
@@ -459,7 +593,7 @@ _FAMILY_TABLE = {
     ),
     "permutations": _Family(
         True, _permutation_root, successors_permutation,
-        OpenPermutationDiagram, pusher=lambda _family: _PermutationPusher(),
+        OpenPermutationDiagram, pusher=_PermutationPusher,
     ),
     "open-partitions": _Family(
         False, _open_root, _successors_open_partition, OpenPartitionDiagram
@@ -484,10 +618,11 @@ def count_sequence(spec, n_max, max_labels=None, stats=None):
     length of the largest kept count (`max_count_bits`).  Without it no
     timing call is made.
     """
-    root = spec.root_label()
-    levels = _level_stream(spec, n_max, max_labels, True, stats)
+    pusher = _pusher(spec, n_max)
+    root = pusher.encode(spec.root_label())
+    levels = _level_stream(pusher, root, n_max, max_labels, True, stats)
     next(levels)
-    return [entries.get(root, 0) for entries in levels]
+    return [codes.get(root, 0) for codes in levels]
 
 
 def generate_diagrams(spec, n, closed_only=False):

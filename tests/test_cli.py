@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,38 @@ class TestCount:
         assert (2, 0) in from_json and (10, 0) in from_json
         assert from_csv == from_json
         assert from_text == from_json
+
+
+    @pytest.mark.parametrize("family,k", [
+        ("partitions", 2), ("permutations", 2), ("permutations", 3),
+        ("open-partitions", None),
+    ])
+    def test_all_labels_text_and_csv_as_sorted_items(self, capsys, family, k):
+        # the level built label by label through the succession rule, its
+        # items sorted and rendered as `count` used to render them
+        spec = FamilySpec(family, k)
+        n = 7
+        level = {spec.root_label(): 1}
+        for _ in range(n):
+            nxt = Counter()
+            for label, count in level.items():
+                for child, mult in spec.successors(label).items():
+                    nxt[child] += count * mult
+            level = nxt
+        items = sorted(level.items())
+        argv = ["count", "--family", family, "--n", str(n), "--all-labels"]
+        if k is not None:
+            argv += ["--k", str(k)]
+        run(argv)
+        out, _ = output(capsys)
+        assert out == "".join(f"{label}: {count}\n" for label, count in items)
+        run(argv + ["--format", "csv"])
+        out, _ = output(capsys)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["label", "count"])
+        writer.writerows([json.dumps(l), str(c)] for l, c in items)
+        assert out == buf.getvalue()
 
 
 class TestSeries:

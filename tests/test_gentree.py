@@ -1,5 +1,6 @@
 """Succession rules and the level-counting dynamic program."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import (
-    _FAMILY_TABLE,
+    _pusher,
     CONSTRAINED_FAMILIES,
     FAMILIES,
     FamilySpec,
@@ -106,7 +107,7 @@ class TestCountSequence:
 
     def test_level_distribution_json(self):
         level = count_levels(FamilySpec("partitions", 3), 4)[4]
-        j = level.to_json_dict()
+        j = json.loads(level.to_json())
         assert j["n"] == 4
         counts = {tuple(e["label"]): e["count"] for e in j["labels"]}
         assert counts[(0, 0)] == "15"
@@ -121,7 +122,8 @@ class TestCountSequence:
             )
 
         k = 4 if family in CONSTRAINED_FAMILIES else None
-        labels = level_distribution(FamilySpec(family, k), 7).to_json_dict()["labels"]
+        level = level_distribution(FamilySpec(family, k), 7)
+        labels = json.loads(level.to_json())["labels"]
         keys = [flatten(e["label"]) for e in labels]
         assert len(keys) > 5
         assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -175,10 +177,15 @@ def _rule_push(spec, level):
     return dict(nxt)
 
 
-def _family_push(spec):
-    """A fresh pusher of the family's table row, as the DP builds one."""
-    entry = _FAMILY_TABLE[spec.family]
-    return entry.pusher(entry).push
+def _coded_push(pusher):
+    """A push of tuple labels through `pusher` as the DP makes it: each
+    label encoded, the codes pushed, the children decoded."""
+
+    def push(level):
+        pushed = pusher.push({pusher.encode(l): c for l, c in level.items()})
+        return {pusher.decode(code): count for code, count in pushed.items()}
+
+    return push
 
 
 def _pusher_cases():
@@ -194,9 +201,10 @@ def test_pusher_equals_rule_on_full_levels(family, k, n_max):
     """Each family's pusher (range sums for partitions, the split closer
     for permutations) against its own succession rule, one level at a
     time on full unpruned levels, with one pusher kept across levels as
-    the DP keeps it."""
+    the DP keeps it.  Its codes are built for n_max, as the DP builds
+    them, so the deepest level's digits reach the bound."""
     spec = FamilySpec(family, k)
-    push = _family_push(spec)
+    push = _coded_push(_pusher(spec, n_max))
     level = {spec.root_label(): 1}
     for _ in range(n_max):
         expected = _rule_push(spec, level)
@@ -236,10 +244,80 @@ def test_pusher_equals_rule_on_random_labels(data):
     counts = data.draw(st.lists(st.integers(1, 2**300), min_size=len(labels),
                                 max_size=len(labels)))
     level = dict(zip(labels, counts))
-    push = _family_push(spec)
+    # the labels' digits are at most 15, their children's at most 16
+    push = _coded_push(_pusher(spec, 16))
     expected = _rule_push(spec, level)
     assert push(level) == expected
     assert push(level) == expected  # a cache filled by the first push
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_codes_round_trip_in_label_order(data):
+    """decode(encode(label)) is the label, and code order is label order,
+    for codes built with a bound equal to the largest digit drawn."""
+    family = data.draw(st.sampled_from(FAMILIES))
+    k = data.draw(st.integers(2, 6)) if family in CONSTRAINED_FAMILIES else None
+    labels = data.draw(st.lists(_labels(family, k), min_size=1, max_size=8,
+                                unique=True))
+    pusher = _pusher(FamilySpec(family, k), 15)
+    for label in labels:
+        assert pusher.decode(pusher.encode(label)) == label
+    assert sorted(labels, key=pusher.encode) == sorted(labels)
+
+
+@pytest.mark.parametrize("family,k,label", [
+    ("partitions", 3, (6, 0)),
+    ("partitions-enhanced", 4, (5, 5, 9)),
+    ("permutations", 2, (6, (), ())),
+    ("permutations", 4, (5, (5, 1), (6, 0))),
+])
+def test_encode_rejects_a_digit_outside_the_base(family, k, label):
+    # codes for n_max = 5 are in base 6: a digit of 6 would carry
+    pusher = _pusher(FamilySpec(family, k), 5)
+    with pytest.raises(ValueError, match="outside base 6"):
+        pusher.encode(label)
+
+
+def _old_json_dict(level):
+    """The object `count --all-labels --format json` used to dump: labels
+    sorted, each written as a list, a permutation's r and s as lists."""
+
+    def label_to_json(label):
+        if isinstance(label, int):
+            return [label]
+        if len(label) == 3 and isinstance(label[1], tuple):
+            h, r, s = label
+            return [h, list(r), list(s)]
+        return list(label)
+
+    return {
+        "n": level.level,
+        "labels": [
+            {"label": label_to_json(label), "count": str(count)}
+            for label, count in sorted(level.entries.items())
+        ],
+    }
+
+
+def _writer_cases():
+    for family in CONSTRAINED_FAMILIES:
+        for k in range(2, 7):
+            yield family, k
+    yield "open-partitions", None
+    yield "open-permutations", None
+
+
+@pytest.mark.parametrize("family,k", list(_writer_cases()))
+def test_json_writer_equals_dumped_sorted_dict(family, k):
+    """LevelDistribution.to_json against json.dumps of the dict it replaces;
+    k = 2 has the 1-tuple partition labels and permutation labels with
+    empty r and s."""
+    spec = FamilySpec(family, k)
+    for n in (0, 1, 5, 8):
+        level = level_distribution(spec, n)
+        assert list(level.entries) == sorted(level.entries)
+        assert level.to_json() == json.dumps(_old_json_dict(level))
 
 
 class TestLevelStats:
