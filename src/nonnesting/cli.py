@@ -5,7 +5,8 @@ solver), generate (exhaustive diagram stream), oracle (brute force),
 verify (cross-check harness) and refdata (embedded sequences).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-guard tripped.  Counts are always printed as decimal strings.
+guard tripped.  Counts are always printed as exact decimal strings, however
+many digits they have.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -186,7 +188,20 @@ def _cmd_generate(args):
 
 
 def _cmd_oracle(args):
-    print(oracle.oracle_count(args.family, args.k, args.n))
+    if not args.stats:
+        print(oracle.oracle_count(args.family, args.k, args.n))
+        return 0
+    # past the memo, so that the time is the walk's own
+    started = time.perf_counter()
+    histogram = oracle.nesting_histogram.__wrapped__(args.family, args.n)
+    seconds = time.perf_counter() - started
+    objects = sum(histogram)
+    _print_stats({
+        "family": args.family, "n": args.n, "objects": objects,
+        "histogram": list(histogram), "seconds": seconds,
+        "objects_per_s": objects / seconds if seconds > 0 else None,
+    })
+    print(sum(histogram[: args.k]))
     return 0
 
 
@@ -375,6 +390,9 @@ def _build_parser():
     p.add_argument("--family", required=True, choices=CONSTRAINED_FAMILIES)
     p.add_argument("--k", type=_NESTING, required=True)
     p.add_argument("--n", type=_SIZE, required=True)
+    p.add_argument("--stats", action="store_true",
+                   help="write one JSON line to stderr: objects walked, their "
+                   "maximum-nesting histogram, seconds and objects per second")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="cross-check harness")
@@ -399,11 +417,29 @@ def _build_parser():
     return parser
 
 
+@contextmanager
+def _exact_int_strings():
+    """Lift CPython's cap on the digits of an int converted to a string
+    (4,300 by default) while a command runs, since every count it prints is
+    exact; the caller's cap is restored afterwards."""
+    get_cap = getattr(sys, "get_int_max_str_digits", None)
+    if get_cap is None:  # an interpreter without the cap
+        yield
+        return
+    saved = get_cap()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def run(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _exact_int_strings():
+            return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

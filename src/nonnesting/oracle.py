@@ -1,20 +1,31 @@
 """Definition-level brute force over set partitions and permutations.
 
-Everything here works straight from the definitions: enumerate all objects
-of size n, build the arc diagram, and test the maximum nesting.  It is the
-ground truth that the generating-tree and series counts are checked
+Everything here works straight from the definitions: every object of size
+n is visited and the maximum nesting of its arc diagram measured.  It is
+the ground truth that the generating-tree and series counts are checked
 against, so it shares no succession-rule code with them.
+
+`nesting_histogram` visits the objects in one depth-first walk per family
+that places one element at a time, and each placement adds at most one
+arc.  The arcs arrive in an order in which every nesting chain is a
+strictly decreasing run of one endpoint, so the walk keeps the
+patience-sort tails of the longest chain (the tails that `max_nesting`
+builds for a whole diagram), updates them with one `bisect_left` per arc
+and undoes the update when it backtracks.  The work done for a prefix is
+shared by every object that extends it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache
-from itertools import combinations, permutations
+from bisect import bisect_left
+from functools import lru_cache, partial
+from itertools import combinations
 from math import factorial
 
 from .closedform import bell
-from .diagrams import max_nesting, permutation_arcs
+# max_nesting is the per-diagram measure the walk reproduces; it stays bound
+# here as the name bench/tracer.py wraps to count calls from this module
+from .diagrams import max_nesting, permutation_arcs  # noqa: F401
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -96,39 +107,139 @@ def rgs_arcs(rgs, enhanced=False):
     return arcs
 
 
-def _permutation_nesting(sigma):
-    upper, lower = permutation_arcs(sigma)
-    return max(max_nesting(upper, enhanced=True), max_nesting(lower))
+def _partition_walk(n, enhanced):
+    """Maximum-nesting counts over the set partitions of {1..n}.
+
+    Elements are placed in order, each joining an earlier block or opening
+    a new one, as in the restricted growth strings.  Joining a block whose
+    last element is q adds the arc (q, p), so arcs arrive by increasing
+    right end, no two arcs share an endpoint, and a nesting chain is a
+    strictly decreasing run of left ends: the tails hold negated left ends.
+
+    In the enhanced variant a new block decides at once whether it stays a
+    singleton, which adds the degenerate arc (p, p), or is promised a
+    second element.  Every earlier arc ends before p, so none fits inside
+    (p, p): it can only start a chain, as the innermost arc.  A branch with
+    more open promises than elements left is cut, so every leaf is a
+    partition.
+    """
+    counts = [0] * (n + 2)
+    last = []  # last element of each block that may still grow
+    promise = []  # its only element if it was promised a second one, else 0
+    # tails[:depth] are the patience-sort tails; the slots past depth are
+    # scratch, restored on the way back like the rest
+    tails = [0] * (n + 1)
+
+    def place(p, depth, promised):
+        if p > n:
+            counts[depth] += 1
+            return
+        left_after = n - p
+        for b, q in enumerate(last):
+            fulfils = q == promise[b]
+            if promised - fulfils > left_after:
+                continue
+            pos = bisect_left(tails, -q, 0, depth)
+            old = tails[pos]
+            tails[pos] = -q
+            last[b] = p
+            place(p + 1, depth + (pos == depth), promised - fulfils)
+            last[b] = q
+            tails[pos] = old
+        if enhanced and promised <= left_after:
+            # a new block that stays a singleton
+            pos = bisect_left(tails, -p, 0, depth)
+            old = tails[pos]
+            tails[pos] = -p
+            place(p + 1, depth + (pos == depth), promised)
+            tails[pos] = old
+        if promised < left_after or not enhanced:
+            # a new block that may grow (must, in the enhanced variant)
+            last.append(p)
+            promise.append(p if enhanced else 0)
+            place(p + 1, depth, promised + enhanced)
+            promise.pop()
+            last.pop()
+
+    place(1, 0, 0)
+    return counts
+
+
+def _permutation_walk(n):
+    """Maximum-nesting counts over the permutations of {1..n}.
+
+    sigma(1), sigma(2), ... are placed in order, each value taken from a
+    free list kept by swaps.  Placing v = sigma(i) adds one arc:
+
+    - v >= i: the upper arc (i, v).  Upper arcs arrive by increasing left
+      end, so a chain is a strictly decreasing run of right ends; the tails
+      hold -v.  Every later upper arc starts after i, so none fits inside
+      a fixed point (i, i): it can only end a chain, as the innermost
+      (degenerate) arc.
+    - v < i: the lower arc (v, i).  Lower arcs arrive by increasing right
+      end, so a chain is a strictly decreasing run of left ends; the tails
+      hold -v.
+
+    A permutation's nesting is the larger of the two chains.
+    """
+    counts = [0] * (n + 2)
+    free = list(range(1, n + 1))
+    upper = [0] * (n + 1)
+    lower = [0] * (n + 1)
+
+    def place(i, up, low):
+        if i > n:
+            counts[max(up, low)] += 1
+            return
+        for j in range(i - 1, n):
+            v = free[j]
+            free[j] = free[i - 1]
+            free[i - 1] = v
+            if v >= i:
+                pos = bisect_left(upper, -v, 0, up)
+                old = upper[pos]
+                upper[pos] = -v
+                place(i + 1, up + (pos == up), low)
+                upper[pos] = old
+            else:
+                pos = bisect_left(lower, -v, 0, low)
+                old = lower[pos]
+                lower[pos] = -v
+                place(i + 1, up, low + (pos == low))
+                lower[pos] = old
+            free[i - 1] = free[j]
+            free[j] = v
+
+    place(1, 0, 0)
+    return counts
 
 
 @lru_cache(maxsize=None)
 def nesting_histogram(family, n):
     """Entry m counts the size-n objects whose maximum nesting is m, from
-    one enumeration of all of them.
+    one walk over all of them.
 
     family is "partitions", "partitions-enhanced" or "permutations"; a
     permutation's nesting is the larger of its upper (enhanced) and lower
-    ones.  Raises ResourceLimitError when the enumeration would exceed the
-    guard.
+    ones.  Raises ResourceLimitError, before any walking, when the
+    enumeration would exceed the guard.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if family in ("partitions", "partitions-enhanced"):
         size, noun = bell(n), "partitions"
-        enhanced = family == "partitions-enhanced"
-        depths = (
-            max_nesting(rgs_arcs(rgs, enhanced), enhanced=enhanced)
-            for rgs in restricted_growth_strings(n)
-        )
+        walk = partial(_partition_walk, n, family == "partitions-enhanced")
     elif family == "permutations":
         size, noun = factorial(n), "permutations"
-        depths = map(_permutation_nesting, permutations(range(1, n + 1)))
+        walk = partial(_permutation_walk, n)
     else:
         raise ValueError(f"unknown family {family!r}")
     if size > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"refusing to enumerate {size} {noun}", reached=size)
-    counts = Counter(depths)
-    return tuple(counts[m] for m in range(max(counts) + 1))
+    counts = walk()
+    while not counts[-1]:
+        counts.pop()
+    return tuple(counts)
 
 
 def oracle_count(family, k, n):

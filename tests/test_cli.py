@@ -10,15 +10,17 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from math import factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonnesting import cli
+from nonnesting import cli, closedform, oracle
 from nonnesting.cli import run
 from nonnesting.gentree import FamilySpec, count_levels
+from nonnesting.series import TruncatedSeries
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -290,6 +292,116 @@ class TestOracleCommand:
 
     def test_guard_exit_code(self, capsys):
         assert run(["oracle", "--family", "partitions", "--k", "3", "--n", "40"]) == 3
+
+    @pytest.mark.parametrize("extra", [[], ["--stats"]])
+    @pytest.mark.parametrize("argv,message", [
+        # Bell(13) = 27,644,437 and 11! = 39,916,800 are past the 10^7 guard
+        ("partitions-enhanced --k 3 --n 13",
+         "resource limit: refusing to enumerate 27644437 partitions"),
+        ("permutations --k 3 --n 11",
+         "resource limit: refusing to enumerate 39916800 permutations"),
+    ])
+    def test_guard_trips_before_any_walk(self, monkeypatch, capsys, argv, message,
+                                         extra):
+        def entered(*args):
+            raise AssertionError("a walk started past the guard")
+
+        monkeypatch.setattr(oracle, "_partition_walk", entered)
+        monkeypatch.setattr(oracle, "_permutation_walk", entered)
+        assert run(["oracle", "--family", *argv.split(), *extra]) == 3
+        assert output(capsys) == ("", message + "\n")
+
+    @pytest.mark.parametrize("family,n,objects", [
+        ("partitions", 8, 4140), ("partitions-enhanced", 7, 877),
+        ("permutations", 6, 720),
+    ])
+    def test_stats(self, capsys, family, n, objects):
+        argv = ["oracle", "--family", family, "--k", "3", "--n", str(n)]
+        assert run(argv) == 0
+        plain, err = output(capsys)
+        assert err == ""
+        assert run(argv + ["--stats"]) == 0
+        out, err = output(capsys)
+        assert out == plain
+        (record,) = [json.loads(line) for line in err.splitlines()]
+        assert set(record) == {"family", "n", "objects", "histogram", "seconds",
+                               "objects_per_s"}
+        assert (record["family"], record["n"]) == (family, n)
+        assert record["histogram"] == list(oracle.nesting_histogram(family, n))
+        assert record["objects"] == sum(record["histogram"]) == objects
+        assert record["seconds"] > 0
+        assert record["objects_per_s"] == pytest.approx(objects / record["seconds"])
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no cap on int-to-string conversion")
+class TestBigCounts:
+    """Counts past CPython's cap on int-to-string digits print exactly.  The
+    commands run with the cap at its minimum, 640 digits, so that 320! (665
+    digits) is past it."""
+
+    @staticmethod
+    def run_capped(argv):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = run(argv)
+            assert sys.get_int_max_str_digits() == 640  # the cap is restored
+        finally:
+            sys.set_int_max_str_digits(saved)
+        return code
+
+    def run_ok(self, capsys, argv):
+        assert self.run_capped(argv) == 0
+        out, err = output(capsys)
+        assert err == ""
+        return out
+
+    COUNT = ["count", "--family", "open-permutations", "--n", "320"]
+
+    def test_count_text(self, capsys):
+        out = self.run_ok(capsys, self.COUNT)
+        assert out.rstrip("\n").split(",")[-1] == "%d" % factorial(320)
+
+    def test_count_json(self, capsys):
+        data = json.loads(self.run_ok(capsys, self.COUNT + ["--format", "json"]))
+        assert data["counts"][-1] == "%d" % factorial(320)
+
+    def test_count_csv(self, capsys):
+        out = self.run_ok(capsys, self.COUNT + ["--format", "csv"])
+        assert out.splitlines()[-1] == "320,%d" % factorial(320)
+
+    def test_all_labels_json(self, capsys):
+        out = self.run_ok(capsys, self.COUNT + ["--all-labels", "--format", "json"])
+        counts = {tuple(e["label"]): int(e["count"])
+                  for e in json.loads(out)["labels"]}
+        assert "%d" % factorial(320) in out
+        assert counts[(0,)] == factorial(320)
+        assert sum(counts.values()) == closedform.open_permutation_count(320)
+
+    def test_series_coefficients(self, monkeypatch, capsys):
+        # no equation reaches 640 digits quickly, so the solver is replaced
+        # by a series holding such coefficients
+        big, bigger = factorial(320), factorial(330)
+        f = TruncatedSeries(("z", "v0"), 2, {(0, 0): 1, (2, 0): big, (2, 1): bigger})
+        monkeypatch.setattr(cli, "solve_equation", lambda *args, **kwargs: f)
+        out = self.run_ok(capsys, ["series", "--family", "partitions", "--k", "3",
+                                   "--n", "2"])
+        assert out == "1,0,%d\n" % big
+        out = self.run_ok(capsys, ["series", "--family", "baxter", "--n", "2"])
+        assert out == "1,0,%d\n" % (big + bigger)
+        out = self.run_ok(capsys, ["series", "--family", "partitions", "--k", "3",
+                                   "--n", "2", "--full"])
+        assert out.splitlines()[-2:] == ["2 0: %d" % big, "2 1: %d" % bigger]
+
+    def test_verify_values(self, monkeypatch, capsys):
+        big = factorial(320)
+        check = cli.Check("egf", "egf/big/n<={n}", 3, lambda n: ([big], [big + 1]))
+        monkeypatch.setattr(cli, "CHECKS", (check,))
+        assert self.run_capped(["verify", "--suite", "egf", "--max-n", "3"]) == 1
+        out, _ = output(capsys)
+        assert out.splitlines()[1:3] == ["      expected: [%d]" % big,
+                                         "      actual:   [%d]" % (big + 1)]
 
 
 class TestRefdataCommand:

@@ -1,5 +1,6 @@
 """Brute-force enumeration and the definitional nesting check."""
 
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
@@ -140,6 +141,34 @@ class TestNestingHistogram:
             assert isinstance(hist, tuple)
             assert sum(hist) == size(n)
             assert hist[-1] > 0
+
+
+def _plain_histogram(family, n):
+    """The path the walk replaced: build each object's arcs and measure
+    them with `max_nesting`, one object at a time."""
+    if family == "permutations":
+        depths = (
+            max(max_nesting(upper, enhanced=True), max_nesting(lower))
+            for upper, lower in map(permutation_arcs, permutations(range(1, n + 1)))
+        )
+    else:
+        enhanced = family == "partitions-enhanced"
+        depths = (
+            max_nesting(rgs_arcs(rgs, enhanced), enhanced=enhanced)
+            for rgs in restricted_growth_strings(n)
+        )
+    counts = Counter(depths)
+    return tuple(counts[m] for m in range(max(counts) + 1))
+
+
+class TestWalk:
+    @pytest.mark.parametrize("family,n", [
+        *((family, n) for family in ("partitions", "partitions-enhanced")
+          for n in range(10)),
+        *(("permutations", n) for n in range(8)),
+    ])
+    def test_histogram_equals_plain_enumeration(self, family, n):
+        assert nesting_histogram(family, n) == _plain_histogram(family, n)
 
 
 class TestContainsKNesting:
