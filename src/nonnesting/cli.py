@@ -183,7 +183,7 @@ def _cmd_series(args):
 def _cmd_generate(args):
     spec = _spec_from_args(args)
     for diagram in generate_diagrams(spec, args.n, closed_only=args.closed_only):
-        print(json.dumps(diagram.to_json_dict()))
+        print(diagram.to_json())
     return 0
 
 

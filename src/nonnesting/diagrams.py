@@ -8,7 +8,12 @@ outermost ("top" upper / "bottom" lower) semi-arc is the one with the
 smallest left endpoint, matching the non-crossing drawing convention.
 
 Vertices are 1-based.  Diagrams are immutable values: `apply_step` returns a
-new diagram.
+new diagram.  Exhaustive generation does not build one per tree node: it
+grows one mutable copy (`walk_state`), applying each step in place and
+undoing it on backtrack, and builds an immutable diagram, through its
+validating constructor, only for the ones it yields.  That state belongs
+to the walk that made it and is never handed out; what callers get are
+immutable diagrams.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "permutation_label",
     "legal_steps",
     "apply_step",
+    "walk_state",
     "permutation_arcs",
     "perm_to_diagram",
 ]
@@ -126,25 +132,23 @@ class OpenPartitionDiagram:
         self._validate()
 
     def _validate(self):
-        left_deg = {}
-        right_deg = {}
+        n = self.n
         for left, right in self.closed_arcs:
-            if not (1 <= left < right <= self.n):
-                raise ValueError(f"arc ({left}, {right}) out of range for n={self.n}")
-            left_deg[left] = left_deg.get(left, 0) + 1
-            right_deg[right] = right_deg.get(right, 0) + 1
+            if not (1 <= left < right <= n):
+                raise ValueError(f"arc ({left}, {right}) out of range for n={n}")
         seen = set()
         for origin in self.open_arcs:
-            if not 1 <= origin <= self.n:
+            if not 1 <= origin <= n:
                 raise ValueError(f"semi-arc origin {origin} out of range")
             if origin in seen:
                 raise ValueError(f"duplicate semi-arc origin {origin}")
             seen.add(origin)
-            left_deg[origin] = left_deg.get(origin, 0) + 1
-        bad = [v for v, d in left_deg.items() if d > 1]
-        bad += [v for v, d in right_deg.items() if d > 1]
-        if bad:
-            raise ValueError(f"vertex degree constraint violated at {sorted(set(bad))}")
+        lefts = [left for left, _ in self.closed_arcs]
+        lefts += self.open_arcs
+        rights = [right for _, right in self.closed_arcs]
+        if len(set(lefts)) < len(lefts) or len(set(rights)) < len(rights):
+            bad = {v for ends in (lefts, rights) for v in ends if ends.count(v) > 1}
+            raise ValueError(f"vertex degree constraint violated at {sorted(bad)}")
 
     def fixed_points(self):
         """Vertices with no incident arc or semi-arc."""
@@ -168,6 +172,12 @@ class OpenPartitionDiagram:
             "closed_arcs": [list(a) for a in sorted(self.closed_arcs)],
             "open_arcs": list(self.open_arcs),
         }
+
+    def to_json(self):
+        """`json.dumps(self.to_json_dict())`, written directly."""
+        return '{"n": %d, "closed_arcs": %s, "open_arcs": %s}' % (
+            self.n, _json_arcs(self.closed_arcs), list(self.open_arcs),
+        )
 
 
 @dataclass(frozen=True)
@@ -194,35 +204,30 @@ class OpenPermutationDiagram:
         self._validate()
 
     def _validate(self):
+        n = self.n
         if len(self.upper_open) != len(self.lower_open):
             raise ValueError("upper and lower semi-arc counts must match")
         for left, right in self.upper_arcs:
-            if not (1 <= left <= right <= self.n):
+            if not (1 <= left <= right <= n):
                 raise ValueError(f"upper arc ({left}, {right}) out of range")
         for left, right in self.lower_arcs:
-            if not (1 <= left < right <= self.n):
+            if not (1 <= left < right <= n):
                 raise ValueError(f"lower arc ({left}, {right}) out of range")
         for layer, arcs, opens in (
             ("upper", self.upper_arcs, self.upper_open),
             ("lower", self.lower_arcs, self.lower_open),
         ):
-            left_deg = {}
-            right_deg = {}
-            for left, right in arcs:
-                left_deg[left] = left_deg.get(left, 0) + 1
-                right_deg[right] = right_deg.get(right, 0) + 1
             for origin in opens:
-                if not 1 <= origin <= self.n:
+                if not 1 <= origin <= n:
                     raise ValueError(f"{layer} semi-arc origin {origin} out of range")
-                left_deg[origin] = left_deg.get(origin, 0) + 1
-            if any(d > 1 for d in left_deg.values()) or any(
-                d > 1 for d in right_deg.values()
-            ):
+            # each vertex is the left end of at most one arc or semi-arc of
+            # the layer, and the right end of at most one arc
+            lefts = {left for left, _ in arcs}
+            lefts.update(opens)
+            if len(lefts) < len(arcs) + len(opens) or len(
+                {right for _, right in arcs}
+            ) < len(arcs):
                 raise ValueError(f"{layer} layer degree constraint violated")
-        if len(set(self.upper_open)) != len(self.upper_open):
-            raise ValueError("duplicate upper semi-arc origin")
-        if len(set(self.lower_open)) != len(self.lower_open):
-            raise ValueError("duplicate lower semi-arc origin")
 
     def semi_arcs(self):
         """Number of upper semi-arcs (equal to the number of lower ones)."""
@@ -241,6 +246,21 @@ class OpenPermutationDiagram:
             "lower_open": list(self.lower_open),
         }
 
+    def to_json(self):
+        """`json.dumps(self.to_json_dict())`, written directly."""
+        return (
+            '{"n": %d, "upper_arcs": %s, "lower_arcs": %s, '
+            '"upper_open": %s, "lower_open": %s}'
+        ) % (
+            self.n, _json_arcs(self.upper_arcs), _json_arcs(self.lower_arcs),
+            list(self.upper_open), list(self.lower_open),
+        )
+
+
+def _json_arcs(arcs):
+    """The arcs, sorted, as a JSON list of [left, right] lists."""
+    return "[%s]" % ", ".join(["[%d, %d]" % arc for arc in sorted(arcs)])
+
 
 def nesting_index(diagram, semi_arc_origin, enhanced=False):
     """Largest j such that a j-nesting lies entirely right of the semi-arc.
@@ -258,16 +278,32 @@ def nesting_index(diagram, semi_arc_origin, enhanced=False):
     )
 
 
-def _upper_nesting_index(diagram, origin):
-    """Enhanced nesting index of an upper semi-arc of a permutation diagram."""
-    return max_nesting(
-        [a for a in diagram.upper_arcs if a[0] > origin], enhanced=True
-    )
+def _nesting_indices(arcs, origins):
+    """Nesting index of every semi-arc of one layer, in one sweep.
 
-
-def _lower_nesting_index(diagram, origin):
-    """Plain nesting index of a lower semi-arc of a permutation diagram."""
-    return max_nesting([a for a in diagram.lower_arcs if a[0] > origin])
+    Entry p is `max_nesting` over the arcs with left > origins[p], which
+    must be ascending; degenerate arcs (f, f) count as in enhanced mode.
+    The arcs are sorted in descending order once and read from the right:
+    a chain is then a strictly increasing run of right ends, so the
+    patience-sort tails of rights grow while going down the origins, and
+    an origin's index is the number of tails when it is reached.
+    """
+    ordered = sorted(arcs, reverse=True)
+    tails = []
+    indices = [0] * len(origins)
+    i = 0
+    for pos in range(len(origins) - 1, -1, -1):
+        origin = origins[pos]
+        while i < len(ordered) and ordered[i][0] > origin:
+            right = ordered[i][1]
+            at = bisect_left(tails, right)
+            if at == len(tails):
+                tails.append(right)
+            else:
+                tails[at] = right
+            i += 1
+        indices[pos] = len(tails)
+    return indices
 
 
 def partition_label(diagram, k, enhanced=False):
@@ -283,9 +319,7 @@ def partition_label(diagram, k, enhanced=False):
     closed = _chain_arcs(diagram.closed_arcs, 0, enhanced, fps)
     if max_nesting(closed, enhanced=enhanced) > k:
         raise ConstraintViolation(f"diagram contains a regular (>{k})-nesting")
-    indices = [
-        nesting_index(diagram, origin, enhanced) for origin in diagram.open_arcs
-    ]
+    indices = _nesting_indices(closed, diagram.open_arcs)
     if any(idx >= k for idx in indices):
         raise ConstraintViolation(f"diagram contains a future ({k + 1})-nesting")
     return tuple(sum(1 for idx in indices if idx >= i) for i in range(k))
@@ -306,8 +340,8 @@ def permutation_label(diagram, k):
         raise ConstraintViolation(f"diagram contains an upper (>{k})-nesting")
     if max_nesting(diagram.lower_arcs) > k:
         raise ConstraintViolation(f"diagram contains a lower (>{k})-nesting")
-    up = [_upper_nesting_index(diagram, o) for o in diagram.upper_open]
-    lo = [_lower_nesting_index(diagram, o) for o in diagram.lower_open]
+    up = _nesting_indices(diagram.upper_arcs, diagram.upper_open)
+    lo = _nesting_indices(diagram.lower_arcs, diagram.lower_open)
     if any(idx >= k for idx in up) or any(idx >= k for idx in lo):
         raise ConstraintViolation(f"diagram contains a future ({k + 1})-nesting")
     r = tuple(sum(1 for idx in up if idx >= i) for i in range(1, k))
@@ -315,18 +349,18 @@ def permutation_label(diagram, k):
     return (len(diagram.upper_open), r, s)
 
 
-def _closable(index_of, origins, k):
-    """Positions whose semi-arc may be closed without forcing a k-nesting.
+def _closable(arcs, origins, k):
+    """Positions of the semi-arcs of one layer that may be closed without
+    forcing a k-nesting.
 
     A semi-arc in a future (k-1)-nesting (nesting index >= k-2) may only be
     closed if it is the outermost one, i.e. has the smallest left endpoint.
     k=None means unconstrained.
     """
-    positions = []
-    for pos, origin in enumerate(origins):
-        if k is None or index_of(origin) < k - 2 or pos == 0:
-            positions.append(pos)
-    return positions
+    if k is None:
+        return range(len(origins))
+    indices = _nesting_indices(arcs, origins)
+    return [pos for pos, idx in enumerate(indices) if idx < k - 2 or pos == 0]
 
 
 def legal_steps(diagram, k, enhanced=False):
@@ -338,41 +372,170 @@ def legal_steps(diagram, k, enhanced=False):
     ascending index, closers by ascending index (permutation closers by
     lexicographic (upper, lower) index).
     """
+    steps = walk_state(diagram, k, enhanced).steps()
     if isinstance(diagram, OpenPartitionDiagram):
-        steps = []
-        # a fixed point bumps enhanced indices 0 -> 1, forbidden for k=2
-        # unless there are no semi-arcs
-        if not (enhanced and k == 2 and diagram.open_arcs):
-            steps.append(BuildStep(FIXED_POINT))
-        steps.append(BuildStep(SEMI_OPENER))
-        closable = _closable(
-            lambda o: nesting_index(diagram, o, enhanced), diagram.open_arcs, k
-        )
-        steps.extend(BuildStep(SEMI_TRANSITORY, close_index=p) for p in closable)
-        steps.extend(BuildStep(CLOSER, close_index=p) for p in closable)
-        return steps
+        return [BuildStep(kind, close_index=index) for kind, index in steps]
+    return [
+        BuildStep(kind, upper_index=upper, lower_index=lower)
+        for kind, upper, lower in steps
+    ]
+
+
+def walk_state(diagram, k, enhanced=False):
+    """A mutable copy of `diagram` for a depth-first walk of the k-nonnesting
+    tree (arguments as in `legal_steps`).
+
+    Its `steps()` are the legal steps as plain tuples, (kind, close_index)
+    for a partition diagram and (kind, upper_index, lower_index) for a
+    permutation diagram, in `legal_steps` order.  `apply(step)` adds one
+    vertex in place, appending arcs in the order `apply_step` does, and
+    `undo(step)` removes it again, so the state is the diagram it was;
+    `freeze()` builds the immutable diagram the state holds.
+    """
+    if isinstance(diagram, OpenPartitionDiagram):
+        return _PartitionState(diagram, k, enhanced)
     if isinstance(diagram, OpenPermutationDiagram):
         if enhanced:
             raise ValueError("enhanced applies to partition diagrams only")
-        steps = []
-        if not (k == 2 and diagram.upper_open):
-            steps.append(BuildStep(FIXED_POINT))
-        steps.append(BuildStep(SEMI_OPENER))
-        up = _closable(
-            lambda o: _upper_nesting_index(diagram, o), diagram.upper_open, k
-        )
-        lo = _closable(
-            lambda o: _lower_nesting_index(diagram, o), diagram.lower_open, k
-        )
-        steps.extend(BuildStep(UPPER_SEMI_TRANSITORY, upper_index=p) for p in up)
-        steps.extend(BuildStep(LOWER_SEMI_TRANSITORY, lower_index=p) for p in lo)
-        steps.extend(
-            BuildStep(CLOSER, upper_index=pu, lower_index=pl)
-            for pu in up
-            for pl in lo
-        )
-        return steps
+        return _PermutationState(diagram, k)
     raise TypeError(f"not a diagram: {diagram!r}")
+
+
+class _PartitionState:
+    """Closed arcs in the order they were added, sorted semi-arc origins and
+    the fixed points, as lists."""
+
+    __slots__ = ("n", "closed", "opens", "fixed", "k", "enhanced")
+
+    def __init__(self, diagram, k, enhanced):
+        self.n = diagram.n
+        self.closed = list(diagram.closed_arcs)
+        self.opens = list(diagram.open_arcs)
+        self.fixed = list(diagram.fixed_points())
+        self.k = k
+        self.enhanced = enhanced
+
+    def semi_arcs(self):
+        return len(self.opens)
+
+    def steps(self):
+        k, opens = self.k, self.opens
+        steps = []
+        # a fixed point bumps enhanced indices 0 -> 1, forbidden for k=2
+        # unless there are no semi-arcs
+        if not (self.enhanced and k == 2 and opens):
+            steps.append((FIXED_POINT, None))
+        steps.append((SEMI_OPENER, None))
+        if opens:
+            arcs = self.closed
+            if self.enhanced:
+                arcs = arcs + [(f, f) for f in self.fixed]
+            closable = _closable(arcs, opens, k)
+            steps += [(SEMI_TRANSITORY, pos) for pos in closable]
+            steps += [(CLOSER, pos) for pos in closable]
+        return steps
+
+    def apply(self, step):
+        kind, index = step
+        self.n = v = self.n + 1
+        if kind == FIXED_POINT:
+            self.fixed.append(v)
+        elif kind == SEMI_OPENER:
+            self.opens.append(v)
+        else:
+            self.closed.append((self.opens.pop(index), v))
+            if kind == SEMI_TRANSITORY:
+                self.opens.append(v)
+
+    def undo(self, step):
+        kind, index = step
+        self.n -= 1
+        if kind == FIXED_POINT:
+            self.fixed.pop()
+        elif kind == SEMI_OPENER:
+            self.opens.pop()
+        else:
+            if kind == SEMI_TRANSITORY:
+                self.opens.pop()
+            self.opens.insert(index, self.closed.pop()[0])
+
+    def freeze(self):
+        return OpenPartitionDiagram(self.n, tuple(self.closed), tuple(self.opens))
+
+
+class _PermutationState:
+    """Upper and lower arcs in the order they were added (fixed points as
+    degenerate upper arcs) and the sorted upper and lower semi-arc origins,
+    as lists."""
+
+    __slots__ = ("n", "upper", "lower", "upper_open", "lower_open", "k")
+
+    def __init__(self, diagram, k):
+        self.n = diagram.n
+        self.upper = list(diagram.upper_arcs)
+        self.lower = list(diagram.lower_arcs)
+        self.upper_open = list(diagram.upper_open)
+        self.lower_open = list(diagram.lower_open)
+        self.k = k
+
+    def semi_arcs(self):
+        return len(self.upper_open)
+
+    def steps(self):
+        k = self.k
+        steps = []
+        if not (k == 2 and self.upper_open):
+            steps.append((FIXED_POINT, None, None))
+        steps.append((SEMI_OPENER, None, None))
+        if self.upper_open:
+            up = _closable(self.upper, self.upper_open, k)
+            lo = _closable(self.lower, self.lower_open, k)
+            steps += [(UPPER_SEMI_TRANSITORY, pu, None) for pu in up]
+            steps += [(LOWER_SEMI_TRANSITORY, None, pl) for pl in lo]
+            steps += [(CLOSER, pu, pl) for pu in up for pl in lo]
+        return steps
+
+    def apply(self, step):
+        kind, pu, pl = step
+        self.n = v = self.n + 1
+        if kind == FIXED_POINT:
+            self.upper.append((v, v))
+        elif kind == SEMI_OPENER:
+            self.upper_open.append(v)
+            self.lower_open.append(v)
+        else:
+            if pu is not None:
+                self.upper.append((self.upper_open.pop(pu), v))
+            if pl is not None:
+                self.lower.append((self.lower_open.pop(pl), v))
+            if kind == UPPER_SEMI_TRANSITORY:
+                self.upper_open.append(v)
+            elif kind == LOWER_SEMI_TRANSITORY:
+                self.lower_open.append(v)
+
+    def undo(self, step):
+        kind, pu, pl = step
+        self.n -= 1
+        if kind == FIXED_POINT:
+            self.upper.pop()
+        elif kind == SEMI_OPENER:
+            self.upper_open.pop()
+            self.lower_open.pop()
+        else:
+            if kind == UPPER_SEMI_TRANSITORY:
+                self.upper_open.pop()
+            elif kind == LOWER_SEMI_TRANSITORY:
+                self.lower_open.pop()
+            if pu is not None:
+                self.upper_open.insert(pu, self.upper.pop()[0])
+            if pl is not None:
+                self.lower_open.insert(pl, self.lower.pop()[0])
+
+    def freeze(self):
+        return OpenPermutationDiagram(
+            self.n, tuple(self.upper), tuple(self.lower),
+            tuple(self.upper_open), tuple(self.lower_open),
+        )
 
 
 def apply_step(diagram, step):

@@ -629,35 +629,48 @@ def generate_diagrams(spec, n, closed_only=False):
     """Depth-first stream of every k-nonnesting open diagram of size n.
 
     Each diagram is emitted exactly once, in the deterministic step order of
-    `legal_steps`.  With closed_only, only diagrams without semi-arcs (true
-    set partitions / permutations) are emitted, and only prefixes that can
-    still close are walked: a step that would leave more semi-arcs than
-    vertices remain before n is skipped before its child is built, since
-    each step closes at most one semi-arc.  The cost then follows the
-    closed diagrams, not all open ones.  The walk keeps an explicit stack,
-    so n is not bounded by the recursion limit.
+    `legal_steps`.  The walk grows one mutable diagram (`walk_state`): each
+    step is applied in place and undone on backtrack, and an immutable,
+    validated diagram is built only for each one emitted.  With
+    closed_only, only diagrams without semi-arcs (true set partitions /
+    permutations) are emitted, and only prefixes that can still close are
+    walked: a step that would leave more semi-arcs than vertices remain
+    before n is skipped before it is applied, since each step closes at
+    most one semi-arc.  The cost then follows the closed diagrams, not all
+    open ones.  The walk keeps an explicit stack, so n is not bounded by
+    the recursion limit.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     root, enhanced = spec.walk_start()
+    if n == 0:
+        return iter((root,))
+    state = diagrams.walk_state(root, spec.k, enhanced)
     change = diagrams.SEMI_ARC_CHANGE
 
-    def children(d):
-        steps = diagrams.legal_steps(d, spec.k, enhanced)
+    def steps():
+        legal = state.steps()
         if closed_only:
-            room = n - d.n - 1 - d.semi_arcs()
-            steps = [s for s in steps if change[s.kind] <= room]
-        return (diagrams.apply_step(d, s) for s in steps)
+            room = n - state.n - 1 - state.semi_arcs()
+            legal = [s for s in legal if change[s[0]] <= room]
+        return legal
 
     def walk():
-        stack = [iter((root,))]
-        while stack:
-            d = next(stack[-1], None)
-            if d is None:
-                stack.pop()
-            elif d.n == n:
-                yield d  # closed if closed_only: the steps were filtered
+        frames = [iter(steps())]
+        path = []  # the step that led to each frame but the first
+        while frames:
+            step = next(frames[-1], None)
+            if step is None:
+                frames.pop()
+                if path:
+                    state.undo(path.pop())
+                continue
+            state.apply(step)
+            if state.n == n:
+                yield state.freeze()  # closed if closed_only: steps filtered
+                state.undo(step)
             else:
-                stack.append(children(d))
+                path.append(step)
+                frames.append(iter(steps()))
 
     return walk()

@@ -10,7 +10,6 @@ accidental edits.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 __all__ = ["ReferenceSequence", "lookup", "all_sequences", "transcription_checksum"]
@@ -167,6 +166,9 @@ def all_sequences():
 def transcription_checksum():
     """sha256 of the embedded tables in a canonical form; compare against
     the stored constant to detect accidental edits."""
+    # imported here: no command calls this, and hashlib costs every start
+    import hashlib
+
     lines = []
     for (family, k), (oeis_id, raw) in sorted(_TABLES.items()):
         terms = ",".join(t.strip() for t in raw.split(","))

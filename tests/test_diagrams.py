@@ -49,6 +49,23 @@ class TestPartitionDiagram:
         with pytest.raises(ValueError):
             dg.OpenPartitionDiagram(3, ((1, 2), (1, 3)), ())
 
+    @pytest.mark.parametrize("args,message", [
+        ((3, ((2, 2),), ()), r"arc \(2, 2\) out of range for n=3"),
+        ((3, ((1, 4),), ()), r"arc \(1, 4\) out of range for n=3"),
+        ((3, (), (0,)), "semi-arc origin 0 out of range"),
+        ((3, (), (2, 2)), "duplicate semi-arc origin 2"),
+        ((3, ((1, 2), (1, 3)), ()), r"vertex degree constraint violated at \[1\]"),
+        ((4, ((1, 3), (2, 3)), (4,)), r"vertex degree constraint violated at \[3\]"),
+        ((4, ((1, 3), (2, 4)), (1, 2)), r"violated at \[1, 2\]"),
+        # precedence: arcs, then origins in ascending order, then degrees
+        ((3, ((1, 2), (1, 9)), (0,)), r"arc \(1, 9\) out of range"),
+        ((3, ((1, 2), (1, 3)), (2, 2, 9)), "duplicate semi-arc origin 2"),
+        ((3, ((1, 2), (1, 3)), (9,)), "semi-arc origin 9 out of range"),
+    ])
+    def test_validation_messages(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            dg.OpenPartitionDiagram(*args)
+
     def test_fixed_points(self):
         d = dg.OpenPartitionDiagram(4, ((1, 3),), (2,))
         assert d.fixed_points() == (4,)
@@ -156,6 +173,32 @@ class TestPermutationDiagrams:
     def test_semi_arc_count_balance_enforced(self):
         with pytest.raises(ValueError):
             dg.OpenPermutationDiagram(2, (), (), (1, 2), ())
+
+    @pytest.mark.parametrize("args,message", [
+        ((2, (), (), (1, 2), ()), "upper and lower semi-arc counts must match"),
+        ((3, ((2, 1),), (), (), ()), r"upper arc \(2, 1\) out of range"),
+        ((3, ((1, 4),), (), (), ()), r"upper arc \(1, 4\) out of range"),
+        ((3, (), ((2, 2),), (), ()), r"lower arc \(2, 2\) out of range"),
+        ((3, (), (), (4,), (1,)), "upper semi-arc origin 4 out of range"),
+        ((3, ((1, 2), (1, 3)), (), (), ()), "upper layer degree constraint violated"),
+        ((3, ((1, 3), (2, 3)), (), (), ()), "upper layer degree constraint violated"),
+        ((3, ((1, 3),), (), (1,), (2,)), "upper layer degree constraint violated"),
+        # a duplicate origin is a vertex of degree two
+        ((3, (), (), (1, 1), (2, 3)), "upper layer degree constraint violated"),
+        ((3, (), (), (1,), (0,)), "lower semi-arc origin 0 out of range"),
+        ((3, (), ((1, 2), (1, 3)), (), ()), "lower layer degree constraint violated"),
+        ((3, (), (), (1, 2), (3, 3)), "lower layer degree constraint violated"),
+        # precedence: counts, upper arcs, lower arcs, then the upper layer's
+        # origins and degrees before the lower layer's
+        ((3, ((0, 1),), (), (1,), ()), "semi-arc counts must match"),
+        ((3, ((0, 1),), ((3, 3),), (), ()), r"upper arc \(0, 1\)"),
+        ((3, (), ((3, 3),), (9,), (9,)), r"lower arc \(3, 3\)"),
+        ((3, (), (), (1, 1), (0, 2)), "upper layer degree constraint violated"),
+        ((3, ((1, 2), (1, 3)), (), (9,), (1,)), "upper semi-arc origin 9"),
+    ])
+    def test_validation_messages(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            dg.OpenPermutationDiagram(*args)
 
     def test_perm_to_diagram(self):
         d = dg.perm_to_diagram((11, 6, 1, 5, 2, 4, 9, 8, 7, 10, 3))

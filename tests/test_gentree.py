@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from nonnesting.gentree import (
     successors_partition,
     successors_permutation,
 )
+from nonnesting import diagrams as dg
 from nonnesting import refdata
 
 
@@ -398,3 +400,51 @@ def test_closed_only_walk_equals_filtered_walk(family, k, n_max):
         full = [d for d in generate_diagrams(spec, n) if d.is_closed()]
         assert pruned == full
     assert len(pruned) > 100
+
+
+def _object_walk(spec, n, closed_only):
+    """The walk the in-place one replaces: one immutable diagram per tree
+    node, its children built by `apply_step` from `legal_steps`."""
+    root, enhanced = spec.walk_start()
+    change = dg.SEMI_ARC_CHANGE
+
+    def children(d):
+        steps = dg.legal_steps(d, spec.k, enhanced)
+        if closed_only:
+            room = n - d.n - 1 - d.semi_arcs()
+            steps = [s for s in steps if change[s.kind] <= room]
+        return (dg.apply_step(d, s) for s in steps)
+
+    stack = [iter((root,))]
+    while stack:
+        d = next(stack[-1], None)
+        if d is None:
+            stack.pop()
+        elif d.n == n:
+            yield d
+        else:
+            stack.append(children(d))
+
+
+def _reference_cases():
+    for family in CONSTRAINED_FAMILIES:
+        for k in (2, 3, 4, 5):
+            yield family, k, 6 if family == "permutations" else 7
+    yield "open-partitions", None, 6
+    yield "open-permutations", None, 5
+
+
+@pytest.mark.parametrize("closed_only", [False, True])
+@pytest.mark.parametrize("family,k,n_max", list(_reference_cases()))
+def test_walk_equals_object_walk(family, k, n_max, closed_only):
+    """The in-place walk yields the object-per-node walk's diagrams, in its
+    order; each equals its copy rebuilt through the public constructor,
+    and its direct JSON is json.dumps of its dict."""
+    spec = FamilySpec(family, k)
+    for n in range(n_max + 1):
+        walked = list(generate_diagrams(spec, n, closed_only=closed_only))
+        assert walked == list(_object_walk(spec, n, closed_only))
+    assert len(walked) > 20
+    for d in walked:
+        assert replace(d) == d
+        assert d.to_json() == json.dumps(d.to_json_dict())

@@ -5,7 +5,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonnesting.diagrams import max_nesting
+from nonnesting.diagrams import _nesting_indices, max_nesting
 from nonnesting.oracle import _is_nesting, contains_knesting
 
 
@@ -36,6 +36,24 @@ def test_max_nesting_matches_subset_check(arcs):
 @given(arc_sets(allow_degenerate=True))
 def test_enhanced_max_nesting_matches_subset_check(arcs):
     assert max_nesting(arcs, enhanced=True) == brute_max_nesting(arcs, enhanced=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arc_sets(allow_degenerate=True),
+    st.lists(st.integers(0, 13), max_size=6, unique=True).map(sorted),
+    st.booleans(),
+)
+def test_nesting_index_sweep_matches_max_nesting(arcs, origins, enhanced):
+    """The one-sweep indices against max_nesting over the arcs with left >
+    origin, taken origin by origin."""
+    if not enhanced:
+        arcs = [a for a in arcs if a[0] < a[1]]
+    expected = [
+        max_nesting([a for a in arcs if a[0] > origin], enhanced=enhanced)
+        for origin in origins
+    ]
+    assert _nesting_indices(arcs, origins) == expected
 
 
 @settings(max_examples=100, deadline=None)

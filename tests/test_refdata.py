@@ -1,5 +1,9 @@
 """Embedded reference sequences."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from nonnesting import refdata
@@ -55,3 +59,16 @@ class TestLookup:
 def test_transcription_checksum():
     digest, ok = refdata.transcription_checksum()
     assert ok, f"embedded tables changed; checksum now {digest}"
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # only transcription_checksum needs hashlib, and no command calls it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import nonnesting.cli; "
+        "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
