@@ -19,17 +19,19 @@ in base n_max + 1.  No digit of a label at a level <= n_max exceeds n_max,
 so codes are distinct, code order is label order, and the semi-arc count
 is the leading digit.  The open families' labels are already ints and are
 their own codes.  Only the pushers know the codes: each is built for one
-n_max and owns its encode and decode.  `count_sequence` looks up the root's
-code, and `count_levels` and `level_distribution` decode each level they
-return once, in code order, so `LevelDistribution.entries` holds the tuple
-labels above in label order.
+n_max and owns its encode, its decode and the JSON text of a label.
+`count_sequence` looks up the root's code.  `count_levels` and
+`level_distribution` return each level as a `LevelDistribution` that keeps
+its codes and its pusher: `entries` (the tuple labels above, in label
+order) is decoded on first read, and the JSON dump is written straight
+from the codes, in code order, without building a label.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
 
@@ -84,16 +86,31 @@ class FamilySpec:
         return entry.diagram(0), entry.enhanced
 
 
-@dataclass
 class LevelDistribution:
-    """Exact multiset of labels at one level of a generating tree; the DP
-    builds `entries` in label order."""
+    """Exact multiset of labels at one level of a generating tree.
 
-    level: int
-    entries: dict = field(default_factory=dict)
+    The level is held as the DP left it: a count per label code, with the
+    pusher that owns the codes.  `entries` (label -> count, in label order)
+    is decoded from the codes on first read and then kept; `total()` sums
+    the counts without decoding, and `to_json()` writes each row from its
+    code, so a JSON dump decodes nothing.
+    """
+
+    def __init__(self, level, codes, pusher):
+        self.level = level
+        self._codes = codes
+        self._pusher = pusher
+        self._entries = None
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            decode, codes = self._pusher.decode, self._codes
+            self._entries = {decode(c): codes[c] for c in sorted(codes)}
+        return self._entries
 
     def total(self):
-        return sum(self.entries.values())
+        return sum(self._codes.values())
 
     def count_of(self, label):
         return self.entries.get(label, 0)
@@ -101,20 +118,21 @@ class LevelDistribution:
     def to_json(self):
         """The level as one line of JSON, as `json.dumps` writes it:
         {"n": level, "labels": [{"label": [...], "count": "..."}, ...]},
-        each label a list (a permutation's r and s nested lists), in the
-        order of `entries`.  A list of ints prints as its JSON."""
-        rows = []
+        each label a list (a permutation's r and s nested lists), in label
+        order.  Rows are written from the codes in sorted-code order, which
+        is label order, each label's text coming from its pusher."""
+        text, codes = self._pusher.label_text, self._codes
         row = '{"label": %s, "count": "%d"}'
-        for label, count in self.entries.items():
-            if isinstance(label, int):
-                text = f"[{label}]"
-            elif isinstance(label[-1], tuple):
-                h, r, s = label
-                text = str([h, list(r), list(s)])
-            else:
-                text = str(list(label))
-            rows.append(row % (text, count))
-        return '{"n": %d, "labels": [%s]}' % (self.level, ", ".join(rows))
+        rows = ", ".join([row % (text(c), codes[c]) for c in sorted(codes)])
+        return '{"n": %d, "labels": [%s]}' % (self.level, rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, LevelDistribution):
+            return NotImplemented
+        return (self.level, self.entries) == (other.level, other.entries)
+
+    def __repr__(self):
+        return f"LevelDistribution(level={self.level!r}, entries={self.entries!r})"
 
 
 def successors_partition(label, enhanced=False):
@@ -283,12 +301,6 @@ def _level_stream(pusher, root, n_max, max_labels, prune, stats=None):
         yield current
 
 
-def _decoded(pusher, n, codes):
-    """Level n with its codes decoded, in code order, which is label order."""
-    decode = pusher.decode
-    return LevelDistribution(n, {decode(c): codes[c] for c in sorted(codes)})
-
-
 def count_levels(spec, n_max, max_labels=None):
     """Full label distributions for levels 0..n_max.
 
@@ -300,7 +312,7 @@ def count_levels(spec, n_max, max_labels=None):
     pusher = _pusher(spec, n_max)
     root = pusher.encode(spec.root_label())
     stream = _level_stream(pusher, root, n_max, max_labels, prune=False)
-    return [_decoded(pusher, n, codes) for n, codes in enumerate(stream)]
+    return [LevelDistribution(n, codes, pusher) for n, codes in enumerate(stream)]
 
 
 def level_distribution(spec, n, max_labels=None, stats=None):
@@ -311,7 +323,7 @@ def level_distribution(spec, n, max_labels=None, stats=None):
     root = pusher.encode(spec.root_label())
     for codes in _level_stream(pusher, root, n, max_labels, False, stats):
         pass
-    return _decoded(pusher, n, codes)
+    return LevelDistribution(n, codes, pusher)
 
 
 class _GenericPusher:
@@ -331,6 +343,10 @@ class _GenericPusher:
         return label
 
     decode = encode
+
+    @staticmethod
+    def label_text(code):
+        return f"[{code}]"
 
     def push(self, current):
         nxt = {}
@@ -401,6 +417,9 @@ class _RangeSumPusher(_DigitCodec):
 
     def decode(self, code):
         return tuple(self.decode_digits(code))
+
+    def label_text(self, code):
+        return str(self.decode_digits(code))  # a list of ints prints as JSON
 
     def push(self, current):
         nxt = {}
@@ -474,12 +493,18 @@ class _PermutationPusher(_DigitCodec):
     makes each level linear in |upper| + |lower| per label, which is what
     makes the deeper permutation tables tractable.
 
+    The upper closings are pushed into `half_closed` only; its pass adds
+    each half-closed label once to the level as the upper semi-transitory
+    child, then closes one of its lower semi-arcs for the closer.
+
     The closings stay one child per option, not summed along lines as in
     `_RangeSumPusher`.  A ranged form of this push gave equal levels but
     took 1.5 to 2 times as long on k = 3, 4 and 5 (n = 14, 13 and 11):
     the ranges are short (2.3 steps on average at k = 5, n = 11, and 40 %
     are one step), so building the line keys costs more than it saves.
-    The option cache keeps entries from every level pushed so far.
+    The option cache keeps entries from every level pushed so far.  A
+    label's JSON text is built from the texts of its two vectors, cached
+    per vector code.
     """
 
     def __init__(self, family, k, n_max):
@@ -490,6 +515,7 @@ class _PermutationPusher(_DigitCodec):
         self.r1_unit = self.vector // self.base  # r_1's unit in r
         self.options = {}
         self.vectors = {}  # vector code -> the vector, shared by the labels
+        self.texts = {}  # vector code -> the vector's JSON text
 
     def encode(self, label):
         h, r, s = label
@@ -500,11 +526,23 @@ class _PermutationPusher(_DigitCodec):
         h, r = divmod(hr, self.vector)
         return h, self._vector(r), self._vector(s)
 
+    def label_text(self, code):
+        hr, s = divmod(code, self.vector)
+        h, r = divmod(hr, self.vector)
+        texts = self.texts
+        r_text = texts.get(r) or self._text(r)
+        s_text = texts.get(s) or self._text(s)
+        return f"[{h}, {r_text}, {s_text}]"
+
     def _vector(self, v):
         vec = self.vectors.get(v)
         if vec is None:
             vec = self.vectors[v] = tuple(self.decode_digits(v)[self.m + 1 :])
         return vec
+
+    def _text(self, v):
+        text = self.texts[v] = str(list(self._vector(v)))
+        return text
 
     def _closings(self, hv):
         """(lower, upper) deltas of the closings of the (h, vector) code hv."""
@@ -525,7 +563,7 @@ class _PermutationPusher(_DigitCodec):
         half_closed = {}
         vector, wh = self.vector, self.weight
         r1_weight, r1_unit = self.r1_weight, self.r1_unit
-        closings = self._closings
+        options, closings = self.options, self._closings
         for code, count in current.items():
             hr, s = divmod(code, vector)
             h, r = divmod(hr, vector)
@@ -537,20 +575,23 @@ class _PermutationPusher(_DigitCodec):
                 nxt[code] = nxt.get(code, 0) + count
             # (2) semi-opener
             nxt[code + wh] = nxt.get(code + wh, 0) + count
-            # (3) upper semi-transitory, and the first half of (5)
-            for d in closings(hr)[1]:
+            # close an upper semi-arc: (3) and the first half of (5)
+            for d in (options.get(hr) or closings(hr))[1]:
                 child = code + d
-                nxt[child] = nxt.get(child, 0) + count
                 half_closed[child] = half_closed.get(child, 0) + count
             # (4) lower semi-transitory
-            for d in closings(h * vector + s)[0]:
+            hs = h * vector + s
+            for d in (options.get(hs) or closings(hs))[0]:
                 child = code + d
                 nxt[child] = nxt.get(child, 0) + count
-        # (5) closer: close a lower semi-arc of each half-closed label
         for code, count in half_closed.items():
+            # (3) upper semi-transitory
+            nxt[code] = nxt.get(code, 0) + count
+            # (5) closer: close a lower semi-arc of the half-closed label
             hr, s = divmod(code, vector)
+            hs = hr // vector * vector + s
             low = code - wh
-            for d in closings(hr // vector * vector + s)[0]:
+            for d in (options.get(hs) or closings(hs))[0]:
                 child = low + d
                 nxt[child] = nxt.get(child, 0) + count
         return nxt

@@ -178,6 +178,39 @@ class TestCount:
         writer.writerows([json.dumps(l), str(c)] for l, c in items)
         assert out == buf.getvalue()
 
+    @pytest.mark.parametrize("argv,fmt,pinned", [
+        # digests of the dumps printed while every label was decoded for output
+        ("permutations --k 3 --n 8", "text",
+         "b2e59ec2e397a1fe81b83093b7a57be964e4ed917ac9e43bc504303d4f5fab4a"),
+        ("permutations --k 3 --n 8", "json",
+         "b7a3cae7df27dfcb394b0e5ae1a35e1dc8cfa26231a7e55fbc8033a36b801d06"),
+        ("permutations --k 3 --n 8", "csv",
+         "b7c73549cbef2920bd3ccc281fff022f0050a62d1c4d40edc6ad172a8071781a"),
+        ("permutations --k 4 --n 8", "text",
+         "57757f2ff5b72d7384485a2f5bd7581ffc4a816c29e860326259187546a509cf"),
+        ("permutations --k 4 --n 8", "json",
+         "23f5ceb4b45487765801663a1d1880a08ccae4677d8e808a09ecb21f7d812fac"),
+        ("permutations --k 4 --n 8", "csv",
+         "ac4279c8c00aa1256531df868353574daa606b8f4ce11b587a01d0b3ef49c71f"),
+        ("permutations --k 5 --n 8", "text",
+         "a06d3a5389c993a06a2fa6d51a41c4b680360d6f3a08a7bba9f18a97a65a82c4"),
+        ("permutations --k 5 --n 8", "json",
+         "ea42d29ea1048b276eb38a1b49c00ab8d3f3fd7e7a1469bdd7c8d8794257e66a"),
+        ("permutations --k 5 --n 8", "csv",
+         "601fc0df6c789ecfc50b88d0c986677250ed7f0a608d4b9824f8280ba4ca90bc"),
+        ("partitions-enhanced --k 3 --n 20", "text",
+         "2822bbb52efe5a400b2139854eb9f67b4b053833f005f387edd1ab8282b62da6"),
+        ("partitions-enhanced --k 3 --n 20", "json",
+         "5604a94d7036f038b07dcc8548542de1b01ee2d2523d7cc120122e580d173c4b"),
+        ("partitions-enhanced --k 3 --n 20", "csv",
+         "a7616f41129cb1463158b245a16044fae11ecab4a170f6a84dc12ac2419f8c83"),
+    ])
+    def test_all_labels_dump_unchanged(self, capsys, argv, fmt, pinned):
+        argv = ["count", "--family", *argv.split(), "--all-labels", "--format", fmt]
+        assert run(argv) == 0
+        out, _ = output(capsys)
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned
+
 
 class TestSeries:
     def test_partitions(self, capsys):

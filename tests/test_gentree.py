@@ -322,6 +322,36 @@ def test_json_writer_equals_dumped_sorted_dict(family, k):
         assert level.to_json() == json.dumps(_old_json_dict(level))
 
 
+def _too_open(spec, n):
+    """A label of spec's shape with n + 1 semi-arcs, more than any label of
+    level n has, and a digit outside the codes of a level-n pusher."""
+    root = spec.root_label()
+    return n + 1 if isinstance(root, int) else (n + 1,) + root[1:]
+
+
+@pytest.mark.parametrize("family,k", list(_writer_cases()))
+def test_json_from_codes_equals_dumped_entries(family, k):
+    """to_json() writes from the label codes and entries is decoded on first
+    read: the dump equals json.dumps of the dict built from entries whether
+    entries is read before or after it, and total() and count_of() agree
+    with the decoded entries."""
+    spec = FamilySpec(family, k)
+    for n in (0, 1, 5, 8):
+        dumped_first = level_distribution(spec, n)
+        text = dumped_first.to_json()
+        assert text == json.dumps(_old_json_dict(dumped_first))
+        decoded_first = level_distribution(spec, n)
+        expected = json.dumps(_old_json_dict(decoded_first))
+        assert decoded_first.to_json() == expected == text
+        assert count_levels(spec, 8)[n] == decoded_first == dumped_first
+        for level in (level_distribution(spec, n), decoded_first):
+            total = level.total()
+            assert total == sum(level.entries.values()) > 0
+            for label, count in level.entries.items():
+                assert level.count_of(label) == count
+            assert level.count_of(_too_open(spec, n)) == 0
+
+
 class TestLevelStats:
     @pytest.mark.parametrize("family,k", [
         ("partitions", 4), ("partitions-enhanced", 3), ("permutations", 3),
