@@ -142,18 +142,15 @@ def successors_partition(label, enhanced=False):
     partition diagram:
       (1) fixed point: label unchanged (enhanced: s_1 becomes s_0);
       (2) semi-opener: s_0 + 1;
-      (3) semi-transitory closing a semi-arc of index j-1 < k-1:
-          [s_0, s_1-1, ..., s_{j-1}-1, i, s_{j+1}, ...] for s_j <= i <= s_{j-1}-1;
-      (4) closer, same with s_0 - 1;
-      (5) if s_{k-1} > 0, the semi-transitory and closer that close the top
-          semi-arc: all of s_1..s_{k-1} decrement.
+      (3) semi-transitory: s_0 kept, and one semi-arc closed, giving any
+          vector of `_closing_options(s_0, [s_1, ..., s_{k-1}])`;
+      (4) closer, the same with s_0 - 1.
     """
-    k = len(label)
     s0 = label[0]
     children = Counter()
     # (1) fixed point
     if enhanced:
-        if k >= 2:
+        if len(label) >= 2:
             children[(s0, s0) + label[2:]] += 1
         elif s0 == 0:
             children[label] += 1
@@ -162,28 +159,21 @@ def successors_partition(label, enhanced=False):
     # (2) semi-opener
     children[(s0 + 1,) + label[1:]] += 1
     # (3) semi-transitory and (4) closer
-    for j in range(1, k):
-        prefix = tuple(x - 1 for x in label[1:j])
-        rest = label[j + 1 :]
-        for i in range(label[j], label[j - 1]):
-            children[(s0,) + prefix + (i,) + rest] += 1
-            children[(s0 - 1,) + prefix + (i,) + rest] += 1
-    # (5) closing the top semi-arc of a future k-nesting
-    if label[k - 1] > 0:
-        dec = tuple(x - 1 for x in label[1:])
-        children[(s0,) + dec] += 1
-        children[(s0 - 1,) + dec] += 1
+    for vec in _closing_options(s0, label[1:]):
+        children[(s0,) + vec] += 1
+        children[(s0 - 1,) + vec] += 1
     return children
 
 
 def _closing_options(h, vec):
-    """Vectors reachable by closing one (upper or lower) semi-arc.
+    """Vectors reachable by closing one semi-arc, for the partition rule
+    and for each side (upper or lower) of the permutation rule.
 
     vec is (r_1, ..., r_{k-1}) with the convention r_0 = h.  Closing a
-    semi-arc of nesting index j-1 bumps the index of the same-index
-    semi-arcs outside it, giving the ranged rules (3b)/(4b); closing the
-    outermost semi-arc of a future k-nesting (allowed only for the
-    outermost) decrements the whole vector, rules (3a)/(4a).
+    semi-arc of nesting index j-1 < k-1 bumps the index of the same-index
+    semi-arcs outside it: (r_1-1, ..., r_{j-1}-1, i, r_{j+1}, ...) for
+    r_j <= i < r_{j-1}.  Closing the outermost semi-arc of a future
+    k-nesting (possible when r_{k-1} > 0) decrements the whole vector.
     """
     ext = (h,) + vec
     options = []
@@ -389,9 +379,10 @@ class _RangeSumPusher(_DigitCodec):
     digit j = s_j, that sums each ranged rule once.
 
     The fixed point adds 0 (enhanced: (s_0 - s_1) * w_1, which sets s_1 to
-    s_0), the opener w_0, and rule (5) subtracts w_1 + ... + w_{k-2}, then
-    w_0 more for its closer.  Rule j of (3)/(4) gives a label the children
-    line + i * w_j and line + i * w_j - w_0 for s_j <= i < s_{j-1}, where
+    s_0), the opener w_0, and closing the top semi-arc subtracts
+    w_1 + ... + w_{k-2}, then w_0 more for its closer.  The ranged closing
+    j of (3)/(4) gives a label the children line + i * w_j and
+    line + i * w_j - w_0 for s_j <= i < s_{j-1}, where
     `line` is the label's code less s_j * w_j and w_1 + ... + w_{j-1} (digit
     j zeroed, digits 1..j-1 decremented).  The first pass adds the label's
     count once, at s_j, to line j's starts; the second walks each line from
@@ -410,7 +401,7 @@ class _RangeSumPusher(_DigitCodec):
         for w in self.weights[1:]:
             self.rules.append((w, below))
             below += w
-        self.dec = below  # rule (5): every digit but s_0 less one
+        self.dec = below  # the top closing: every digit but s_0 less one
 
     def encode(self, label):
         return self.encode_digits(label)
@@ -440,7 +431,7 @@ class _RangeSumPusher(_DigitCodec):
                 nxt[fp] = nxt.get(fp, 0) + count
             # (2) semi-opener
             nxt[code + w0] = nxt.get(code + w0, 0) + count
-            # (3) semi-transitory and (4) closer, one line entry per rule
+            # (3) and (4), the ranged closings: one line entry per rule
             prev = s0
             for line_starts, (w, below) in zip(lines, rules):
                 d, rest = divmod(rest, w)
@@ -452,7 +443,7 @@ class _RangeSumPusher(_DigitCodec):
                     else:
                         starts[d] = starts.get(d, 0) + count
                 prev = d
-            # (5) closing the top semi-arc of a future k-nesting
+            # (3) and (4), closing the top semi-arc of a future k-nesting
             if prev > 0:
                 child = code - dec
                 nxt[child] = nxt.get(child, 0) + count

@@ -23,9 +23,11 @@ forbidden nesting size k >= 2, and `baxter` (P at k = 3, as B(u, v)).
 Each functional equation has the shape  G = 1 + z * Phi(G)  where Phi is
 built from three substitution shapes (set a variable to 0, to 1, or fold it
 into a neighbour), shifts in catalytic variables and exact divisions by a
-variable or by (1 - variable).  The closings of a semi-arc are written once,
-as the operator `_close`; the three Phis add the other vertex types around
-it, and F applies it once per side.  None of these touches z, so Phi is linear
+variable or by (1 - variable).  Two operators are shared: `_close`, the
+closings of one semi-arc, and `_fix`, the enhanced fixed point.  One Phi
+serves both partition families, Q and P differing only in the fixed point
+(the label unchanged, or `_fix`); F applies `_close` once per side and `_fix`
+to the upper side.  None of these touches z, so Phi is linear
 and keeps the z-order: [z^n]G = Phi([z^(n-1)]G).  The solver therefore
 builds G one z-order at a time from [z^0]G = 1, and checks at runtime that
 Phi kept every term at the z-order it was given.  Every division is checked
@@ -34,6 +36,7 @@ for a zero remainder as well; a nonzero remainder raises DivisibilityError.
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
 
 from .errors import DivisibilityError
@@ -108,13 +111,6 @@ class TruncatedSeries:
     def _check_compatible(self, other):
         if self.variables != other.variables or self.cap != other.cap:
             raise ValueError("incompatible series")
-
-    def scale(self, factor):
-        return TruncatedSeries(
-            self.variables,
-            self.cap,
-            {expo: factor * coeff for expo, coeff in self.terms.items()},
-        )
 
     def shift(self, var, amount=1):
         """Multiply by var**amount (truncating in z if var is z)."""
@@ -254,13 +250,13 @@ def _iterate(variables, n_max, phi, *, semi_arc=None, stats=None):
     return TruncatedSeries(variables, n_max, terms)
 
 
-def _close(g, xs, first=1):
+def _close(g, xs):
     """The closing operator over catalytic variables xs: the sum of the
     ways to close one semi-arc of a label marked by xs.
 
     The "top" piece closes the outermost semi-arc of a future nesting, which
     lowers every entry: (g - g|xs[-1]=0) / xs[1..].  The ranged piece j
-    (for first <= j < len(xs)) closes a semi-arc of index j-1 and bumps the
+    (for 1 <= j < len(xs)) closes a semi-arc of index j-1 and bumps the
     same-index semi-arcs outside it:
     (g - g|xs[j-1]->xs[j-1]*xs[j], xs[j]->1) / (1 - xs[j]) / xs[1..j-1].
     Entry 0 is never divided; the callers divide by it or keep it.
@@ -268,7 +264,7 @@ def _close(g, xs, first=1):
     total = g - substitute(g, {xs[-1]: 0})
     for x in xs[1:]:
         total = divide_by_var(total, x)
-    for j in range(first, len(xs)):
+    for j in range(1, len(xs)):
         collapsed = substitute(g, {xs[j - 1]: (xs[j - 1], xs[j]), xs[j]: 1})
         part = divide_by_one_minus(g - collapsed, xs[j])
         for x in xs[1:j]:
@@ -277,11 +273,22 @@ def _close(g, xs, first=1):
     return total
 
 
-def solve_partition_equation(k, n_max, **options):
-    """Generating function Q for k-nonnesting open partition diagrams.
+def _fix(g, xs):
+    """The enhanced fixed point over catalytic variables xs: entry 1 is set
+    to entry 0, as every index-0 semi-arc joins a future enhanced 2-nesting.
+    With entry 0 alone it is allowed only when that entry is 0."""
+    if len(xs) == 1:
+        return substitute(g, {xs[0]: 0})
+    return substitute(g, {xs[0]: (xs[0], xs[1]), xs[1]: 1})
+
+
+def solve_partition_equation(k, n_max, enhanced=False, **options):
+    """Generating function Q for k-nonnesting open partition diagrams, or
+    with `enhanced` P, for those that also avoid future enhanced k-nestings
+    (for k=3, P is the Baxter series).
 
     Variables v0..v(k-2) mark the label entries s_0..s_{k-2}; the constant
-    term in the catalytic variables counts k-nonnesting set partitions.
+    term in the catalytic variables counts the diagrams that close.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -289,39 +296,11 @@ def solve_partition_equation(k, n_max, **options):
     vs = variables[1:]
 
     def phi(g):
-        # every closing lowers s_0; the common factor (1 + v0) pairs each
-        # closing with the semi-transitory that reopens a fresh semi-arc
-        total = g + divide_by_var(_close(g, vs), vs[0])
-        return total + total.shift(vs[0])
-
-    return _iterate(variables, n_max, phi, **options)
-
-
-def solve_enhanced_equation(k, n_max, **options):
-    """Generating function P for open partition diagrams avoiding regular
-    and future enhanced k-nestings (for k=3 this is the Baxter series)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    m = k - 1
-    variables = ("z",) + tuple(f"v{i}" for i in range(m))
-    vs = variables[1:]
-
-    def phi(g):
-        # semi-opener, then the closings other than index class j = 1, with
-        # the (1 + v0) pairing
-        part = divide_by_var(_close(g, vs, first=2), vs[0])
-        total = g.shift(vs[0]) + part + part.shift(vs[0])
-        if m >= 2:
-            # index class j = 1, merged with the fixed point: a fixed point
-            # lifts every index-0 semi-arc to index 1
-            collapsed = substitute(g, {vs[0]: (vs[0], vs[1]), vs[1]: 1})
-            numer = (g + g.shift(vs[0])) - (collapsed + collapsed.shift(vs[0]).shift(vs[1]))
-            part = divide_by_one_minus(divide_by_var(numer, vs[0]), vs[1])
-            total = total + part
-        else:
-            # k = 2: a fixed point is only allowed on the empty label
-            total = total + substitute(g, {vs[0]: 0})
-        return total
+        # every closing lowers s_0; the semi-opener and the semi-transitories
+        # (a closing that reopens a fresh semi-arc) raise it again
+        closer = divide_by_var(_close(g, vs), vs[0])
+        fixed = _fix(g, vs) if enhanced else g
+        return fixed + closer + (g + closer).shift(vs[0])
 
     return _iterate(variables, n_max, phi, **options)
 
@@ -329,7 +308,7 @@ def solve_enhanced_equation(k, n_max, **options):
 def solve_baxter_equation(n_max, **options):
     """The two-variable series B(u, v; z) of enhanced-3-nonnesting open
     partition diagrams, written with the u = v0, v = v1 naming."""
-    f = solve_enhanced_equation(3, n_max, **options)
+    f = solve_partition_equation(3, n_max, enhanced=True, **options)
     return TruncatedSeries(("z", "u", "v"), n_max, f.terms)
 
 
@@ -354,13 +333,11 @@ def solve_permutation_equation(k, n_max, **options):
     variables = ("z", "u") + ups + lows
     upper = ("u",) + ups
     lower = ("u",) + lows
-    # a fixed point sets r_1 to h; at k = 2 it is only allowed when h = 0
-    fixed = {"u": ("u", ups[0]), ups[0]: 1} if m else {"u": 0}
 
     def phi(g):
         low = _close(g, lower)
         closer = divide_by_var(_close(low, upper), "u")
-        return g.shift("u") + substitute(g, fixed) + _close(g, upper) + low + closer
+        return g.shift("u") + _fix(g, upper) + _close(g, upper) + low + closer
 
     return _iterate(variables, n_max, phi, **options)
 
@@ -370,7 +347,8 @@ def solve_permutation_equation(k, n_max, **options):
 # it names no variable and is never pruned.
 _SOLVERS = {
     "partitions": (solve_partition_equation, True, "v0"),
-    "partitions-enhanced": (solve_enhanced_equation, True, "v0"),
+    "partitions-enhanced": (
+        partial(solve_partition_equation, enhanced=True), True, "v0"),
     "permutations": (solve_permutation_equation, True, "u"),
     "baxter": (solve_baxter_equation, False, None),
 }

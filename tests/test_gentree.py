@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,49 @@ class TestSuccessionRules:
         assert children == Counter(
             {(0, (0,), (0,)): 1, (1, (0,), (0,)): 1}
         )
+
+
+def _reference_successors_partition(label, enhanced):
+    """The partition rule as written before its closings came from
+    `_closing_options`: the ranged closings (3)/(4) and the top closing (5)
+    as loops of their own."""
+    k = len(label)
+    s0 = label[0]
+    children = Counter()
+    if enhanced:
+        if k >= 2:
+            children[(s0, s0) + label[2:]] += 1
+        elif s0 == 0:
+            children[label] += 1
+    else:
+        children[label] += 1
+    children[(s0 + 1,) + label[1:]] += 1
+    for j in range(1, k):
+        prefix = tuple(x - 1 for x in label[1:j])
+        rest = label[j + 1 :]
+        for i in range(label[j], label[j - 1]):
+            children[(s0,) + prefix + (i,) + rest] += 1
+            children[(s0 - 1,) + prefix + (i,) + rest] += 1
+    if label[k - 1] > 0:
+        dec = tuple(x - 1 for x in label[1:])
+        children[(s0,) + dec] += 1
+        children[(s0 - 1,) + dec] += 1
+    return children
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+def test_partition_rule_equals_inline_closings(enhanced):
+    # every non-increasing label of length 1..5 with entries <= 6
+    labels = [
+        label
+        for length in range(1, 6)
+        for label in combinations_with_replacement(range(6, -1, -1), length)
+    ]
+    assert len(labels) == 791
+    for label in labels:
+        assert successors_partition(label, enhanced) == (
+            _reference_successors_partition(label, enhanced)
+        ), label
 
 
 class TestCountSequence:

@@ -77,9 +77,9 @@ class TestArithmetic:
 
 
 # Test ids name each series as the paper does: Q and P (with k) for the
-# two partition families, F for permutations, B for Baxter, and A for the
-# paper's explicit k=3 partition equation; an F id without k is its
-# explicit k=3 permutation equation.
+# two partition families, F for permutations and B for Baxter.  In the
+# order-by-order differential, A-None is Q at k = 3 and F-None is F at
+# k = 3: ids kept from the explicit k = 3 equations those cases once solved.
 PAPER_NAME = {
     "partitions": "Q",
     "partitions-enhanced": "P",
@@ -133,16 +133,33 @@ class TestSolvers:
             1, 2, 6, 22, 92, 422, 2074, 10754, 58202, 326240, 1882960,
         ]
 
-    def test_catalytic_coefficients_match_label_dp(self):
-        # full coefficient, not just the constant term: u^i v^j picks out
-        # the diagrams with label (i, j)
+    @pytest.mark.parametrize("family,k,n_max", [
+        pytest.param(family, k, n_max, id=f"{PAPER_NAME[family]}-{k}")
+        for family, ks, n_max in (
+            ("partitions", range(2, 7), 8),
+            ("partitions-enhanced", range(2, 7), 8),
+            ("permutations", range(2, 6), 7),
+        )
+        for k in ks
+    ])
+    def test_catalytic_coefficients_match_label_dp(self, family, k, n_max):
+        # every coefficient, not just the constant term: the z^n slice is
+        # the DP's level n, a label's entries being the catalytic exponents
         from nonnesting.gentree import count_levels
 
-        f = solve_equation("partitions", 6, k=3)
-        levels = count_levels(FamilySpec("partitions", 3), 6)
-        for n in range(7):
-            for label, count in levels[n].entries.items():
-                assert f.coefficient((n,) + label) == count
+        f = solve_equation(family, n_max, k=k)
+        levels = count_levels(FamilySpec(family, k), n_max)
+
+        def flat(label):  # a permutation label (h, r, s) as h, *r, *s
+            if family == "permutations":
+                return (label[0], *label[1], *label[2])
+            return label
+
+        assert f.terms == {
+            (n,) + flat(label): count
+            for n, level in enumerate(levels)
+            for label, count in level.entries.items()
+        }
 
     def test_unknown_equation(self):
         # the equation letters are gone; families go by their CLI names
@@ -211,6 +228,62 @@ def test_general_permutation_equation_equals_k3_reference(n_max):
     assert (general.variables, general.cap, general.terms) == (
         reference.variables, reference.cap, reference.terms
     )
+
+
+def _reference_enhanced(k, n_max, **options):
+    """The P solver that the shared partition Phi replaced: a closing loop
+    of its own that skips index class j = 1, and that piece merged by hand
+    with the enhanced fixed point."""
+    from nonnesting.series import _iterate
+
+    m = k - 1
+    variables = ("z",) + tuple(f"v{i}" for i in range(m))
+    vs = variables[1:]
+
+    def close_from_2(g):
+        total = g - substitute(g, {vs[-1]: 0})
+        for x in vs[1:]:
+            total = divide_by_var(total, x)
+        for j in range(2, m):
+            collapsed = substitute(g, {vs[j - 1]: (vs[j - 1], vs[j]), vs[j]: 1})
+            part = divide_by_one_minus(g - collapsed, vs[j])
+            for x in vs[1:j]:
+                part = divide_by_var(part, x)
+            total = total + part
+        return total
+
+    def phi(g):
+        part = divide_by_var(close_from_2(g), vs[0])
+        total = g.shift(vs[0]) + part + part.shift(vs[0])
+        if m >= 2:
+            collapsed = substitute(g, {vs[0]: (vs[0], vs[1]), vs[1]: 1})
+            numer = (g + g.shift(vs[0])) - (
+                collapsed + collapsed.shift(vs[0]).shift(vs[1])
+            )
+            total = total + divide_by_one_minus(divide_by_var(numer, vs[0]), vs[1])
+        else:
+            total = total + substitute(g, {vs[0]: 0})
+        return total
+
+    return _iterate(variables, n_max, phi, **options)
+
+
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("k", range(2, 8))
+def test_enhanced_partition_equation_equals_merged_reference(k, full):
+    options = {} if full else {"semi_arc": "v0"}
+    for n_max in range(11):
+        f = solve_equation("partitions-enhanced", n_max, k=k, full=full)
+        reference = _reference_enhanced(k, n_max, **options)
+        assert (f.variables, f.cap, f.terms) == (
+            reference.variables, reference.cap, reference.terms
+        )
+
+
+def test_baxter_equation_equals_merged_reference():
+    b = solve_equation("baxter", 25)
+    reference = _reference_enhanced(3, 25)
+    assert (b.variables, b.cap, b.terms) == (("z", "u", "v"), 25, reference.terms)
 
 
 def _fixed_point_iterate(variables, n_max, phi):
