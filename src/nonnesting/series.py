@@ -21,10 +21,11 @@ has its full coefficient, since its parents had at most one semi-arc more.
 forbidden nesting size k >= 2, and `baxter` (P at k = 3, as B(u, v)).
 
 Each functional equation has the shape  G = 1 + z * Phi(G)  where Phi is
-built from three substitution shapes (set a variable to 0, to 1, or fold it
-into a neighbour), shifts in catalytic variables and exact divisions by a
-variable or by (1 - variable).  Two operators are shared: `_close`, the
-closings of one semi-arc, and `_fix`, the enhanced fixed point.  One Phi
+built from two substitution shapes (set a variable to 0, or fold one into
+another: x -> x*y, y -> 1), shifts in catalytic variables and exact
+divisions by a variable or by (1 - variable).  Two operators are shared:
+`_close`, the closings of one semi-arc, and `_fix`, the enhanced fixed
+point.  One Phi
 serves both partition families, Q and P differing only in the fixed point
 (the label unchanged, or `_fix`); F applies `_close` once per side and `_fix`
 to the upper side.  None of these touches z, so Phi is linear
@@ -32,6 +33,15 @@ and keeps the z-order: [z^n]G = Phi([z^(n-1)]G).  The solver therefore
 builds G one z-order at a time from [z^0]G = 1, and checks at runtime that
 Phi kept every term at the z-order it was given.  Every division is checked
 for a zero remainder as well; a nonzero remainder raises DivisibilityError.
+
+Phi's intermediate series are clean by construction, so the arithmetic
+builds them without re-validation (`TruncatedSeries._of`); sums and
+differences drop a coefficient that cancels as they go.  `_close` and `_fix`
+apply their two substitution shapes as exponent maps (`_zero` keeps the
+terms free of a variable, `_fold` copies one exponent over another and sums
+the terms that merge) in place of the general `substitute`, which the tests
+use as their reference.  Every division check and the z-order check are
+kept.
 """
 
 from __future__ import annotations
@@ -80,6 +90,18 @@ class TruncatedSeries:
     def one(cls, variables, cap):
         return cls(variables, cap, {(0,) * len(variables): 1})
 
+    @classmethod
+    def _of(cls, variables, cap, terms):
+        """A series from terms that are clean by construction: tuple keys
+        of the arity of `variables`, z-exponents at most `cap`, no zero
+        coefficient.  Nothing is checked; the arithmetic below builds its
+        results with it, and `__init__` keeps the checks for outside input."""
+        f = object.__new__(cls)
+        f.variables = variables
+        f.cap = cap
+        f.terms = terms
+        return f
+
     def _index(self, var):
         try:
             return self.variables.index(var)
@@ -98,15 +120,23 @@ class TruncatedSeries:
         self._check_compatible(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            terms[expo] = terms.get(expo, 0) + coeff
-        return TruncatedSeries(self.variables, self.cap, terms)
+            coeff += terms.get(expo, 0)
+            if coeff:
+                terms[expo] = coeff
+            else:
+                del terms[expo]
+        return TruncatedSeries._of(self.variables, self.cap, terms)
 
     def __sub__(self, other):
         self._check_compatible(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            terms[expo] = terms.get(expo, 0) - coeff
-        return TruncatedSeries(self.variables, self.cap, terms)
+            coeff = terms.get(expo, 0) - coeff
+            if coeff:
+                terms[expo] = coeff
+            else:
+                del terms[expo]
+        return TruncatedSeries._of(self.variables, self.cap, terms)
 
     def _check_compatible(self, other):
         if self.variables != other.variables or self.cap != other.cap:
@@ -121,7 +151,7 @@ class TruncatedSeries:
             if i == 0 and e > self.cap:
                 continue
             terms[expo[:i] + (e,) + expo[i + 1 :]] = coeff
-        return TruncatedSeries(self.variables, self.cap, terms)
+        return TruncatedSeries._of(self.variables, self.cap, terms)
 
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), 0)
@@ -140,15 +170,18 @@ def substitute(f, assignment):
     `assignment` maps a variable name to 0, to 1, or to a tuple of variable
     names whose product replaces it; unmentioned variables are kept.  The
     shapes needed by the functional equations are v -> 0, v -> 1 and the
-    collapse (u, v) -> (u*v, 1).
+    collapse (u, v) -> (u*v, 1).  A name that is not a variable of f, on
+    either side, raises ValueError.
     """
+    for var in assignment:
+        f._index(var)
     targets = []
-    for i, var in enumerate(f.variables):
+    for var in f.variables:
         spec = assignment.get(var, (var,))
         if spec == 0 or spec == 1:
             targets.append(spec)
         else:
-            if isinstance(spec, str):
+            if not isinstance(spec, tuple):
                 spec = (spec,)
             targets.append(tuple(f._index(v) for v in spec))
     terms = {}
@@ -172,6 +205,30 @@ def substitute(f, assignment):
     return TruncatedSeries(f.variables, f.cap, terms)
 
 
+def _zero(f, var):
+    """substitute(f, {var: 0}) for a catalytic var: the terms free of var."""
+    i = f._index(var)
+    return TruncatedSeries._of(
+        f.variables, f.cap, {expo: c for expo, c in f.terms.items() if not expo[i]}
+    )
+
+
+def _fold(f, x, y):
+    """substitute(f, {x: (x, y), y: 1}) for catalytic x and y: exponent y
+    is set to exponent x.  Terms that then coincide are summed, and dropped
+    if they cancel."""
+    i, j = f._index(x), f._index(y)
+    terms = {}
+    for expo, coeff in f.terms.items():
+        key = expo[:j] + (expo[i],) + expo[j + 1 :]
+        coeff += terms.get(key, 0)
+        if coeff:
+            terms[key] = coeff
+        else:
+            del terms[key]
+    return TruncatedSeries._of(f.variables, f.cap, terms)
+
+
 def divide_by_var(f, var):
     """Exact division by a variable; every term must contain it."""
     i = f._index(var)
@@ -180,7 +237,7 @@ def divide_by_var(f, var):
         if expo[i] == 0:
             raise DivisibilityError(f"term {expo} not divisible by {var}")
         terms[expo[:i] + (expo[i] - 1,) + expo[i + 1 :]] = coeff
-    return TruncatedSeries(f.variables, f.cap, terms)
+    return TruncatedSeries._of(f.variables, f.cap, terms)
 
 
 def divide_by_one_minus(f, var):
@@ -207,7 +264,7 @@ def divide_by_one_minus(f, var):
             raise DivisibilityError(
                 f"nonzero remainder dividing by (1 - {var}) at {key}"
             )
-    return TruncatedSeries(f.variables, f.cap, terms)
+    return TruncatedSeries._of(f.variables, f.cap, terms)
 
 
 def _iterate(variables, n_max, phi, *, semi_arc=None, stats=None):
@@ -239,7 +296,7 @@ def _iterate(variables, n_max, phi, *, semi_arc=None, stats=None):
         layer = image.shift("z")
         if index is not None:
             horizon = n_max - n
-            layer = TruncatedSeries(variables, n_max, {
+            layer = TruncatedSeries._of(variables, n_max, {
                 expo: coeff for expo, coeff in layer.terms.items()
                 if expo[index] <= horizon
             })
@@ -247,7 +304,7 @@ def _iterate(variables, n_max, phi, *, semi_arc=None, stats=None):
         if stats is not None:
             stats({"order": n, "terms_built": len(image.terms),
                    "terms_kept": len(layer.terms), "phi_s": phi_s})
-    return TruncatedSeries(variables, n_max, terms)
+    return TruncatedSeries._of(variables, n_max, terms)
 
 
 def _close(g, xs):
@@ -261,12 +318,11 @@ def _close(g, xs):
     (g - g|xs[j-1]->xs[j-1]*xs[j], xs[j]->1) / (1 - xs[j]) / xs[1..j-1].
     Entry 0 is never divided; the callers divide by it or keep it.
     """
-    total = g - substitute(g, {xs[-1]: 0})
+    total = g - _zero(g, xs[-1])
     for x in xs[1:]:
         total = divide_by_var(total, x)
     for j in range(1, len(xs)):
-        collapsed = substitute(g, {xs[j - 1]: (xs[j - 1], xs[j]), xs[j]: 1})
-        part = divide_by_one_minus(g - collapsed, xs[j])
+        part = divide_by_one_minus(g - _fold(g, xs[j - 1], xs[j]), xs[j])
         for x in xs[1:j]:
             part = divide_by_var(part, x)
         total = total + part
@@ -278,8 +334,8 @@ def _fix(g, xs):
     to entry 0, as every index-0 semi-arc joins a future enhanced 2-nesting.
     With entry 0 alone it is allowed only when that entry is 0."""
     if len(xs) == 1:
-        return substitute(g, {xs[0]: 0})
-    return substitute(g, {xs[0]: (xs[0], xs[1]), xs[1]: 1})
+        return _zero(g, xs[0])
+    return _fold(g, xs[0], xs[1])
 
 
 def solve_partition_equation(k, n_max, enhanced=False, **options):
@@ -309,7 +365,7 @@ def solve_baxter_equation(n_max, **options):
     """The two-variable series B(u, v; z) of enhanced-3-nonnesting open
     partition diagrams, written with the u = v0, v = v1 naming."""
     f = solve_partition_equation(3, n_max, enhanced=True, **options)
-    return TruncatedSeries(("z", "u", "v"), n_max, f.terms)
+    return TruncatedSeries._of(("z", "u", "v"), n_max, f.terms)
 
 
 def solve_permutation_equation(k, n_max, **options):

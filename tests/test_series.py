@@ -1,12 +1,16 @@
 """Truncated series arithmetic and the functional-equation solvers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonnesting import series
 from nonnesting.errors import DivisibilityError
 from nonnesting.gentree import FamilySpec, count_sequence
 from nonnesting.series import (
     TruncatedSeries,
+    _fold,
+    _zero,
     constant_term_sequence,
     divide_by_one_minus,
     divide_by_var,
@@ -50,6 +54,17 @@ class TestArithmetic:
         out = substitute(a, {"u": ("u", "v"), "v": 1})
         assert out.terms == {(1, 2, 2): 1}
 
+    def test_substitute_rejects_unknown_variable(self):
+        a = S({(1, 2, 1): 5})
+        with pytest.raises(ValueError, match="unknown variable 'x'"):
+            substitute(a, {"x": 0})
+        with pytest.raises(ValueError, match="unknown variable 'x'"):
+            substitute(a, {"u": ("u", "x")})
+
+    def test_substitute_rejects_bad_target(self):
+        with pytest.raises(ValueError, match="unknown variable 2"):
+            substitute(S({(1, 2, 1): 5}), {"v": 2})
+
     def test_divide_by_var(self):
         a = S({(0, 1, 2): 4})
         assert divide_by_var(a, "v").terms == {(0, 1, 1): 4}
@@ -74,6 +89,52 @@ class TestArithmetic:
     def test_dump_lines_sorted(self):
         a = S({(1, 0, 0): 2, (0, 1, 0): 3})
         assert a.dump_lines() == ["0 1 0: 3", "1 0 0: 2"]
+
+
+def _assert_clean(f, variables, cap):
+    assert (f.variables, f.cap) == (variables, cap)
+    assert all(len(expo) == len(variables) for expo in f.terms)
+    assert 0 not in f.terms.values()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_shapes_and_sums_equal_the_validating_path(data):
+    arity = data.draw(st.integers(3, 5))
+    variables = ("z",) + tuple(f"x{i}" for i in range(1, arity))
+    cap = data.draw(st.integers(0, 3))
+    x, y = data.draw(st.lists(
+        st.sampled_from(variables[1:]), min_size=2, max_size=2, unique=True))
+    j = variables.index(y)
+    exponents = st.tuples(*[st.integers(0, 3)] * arity)
+    coeffs = st.integers(-3, 3).filter(bool)
+    terms = data.draw(st.dictionaries(exponents, coeffs, max_size=12))
+    # pairs that differ only in y's exponent, which the fold merges and cancels
+    for expo, coeff, e in data.draw(st.lists(
+            st.tuples(exponents, coeffs, st.integers(0, 3)), max_size=3)):
+        terms[expo] = coeff
+        terms[expo[:j] + (e,) + expo[j + 1:]] = -coeff
+    f = TruncatedSeries(variables, cap, terms)
+
+    zero = _zero(f, x)
+    fold = _fold(f, x, y)
+    assert zero == substitute(f, {x: 0})
+    assert fold == substitute(f, {x: (x, y), y: 1})
+
+    # other cancels f on the shared terms
+    shared = data.draw(st.sets(st.sampled_from(sorted(f.terms)))) if f.terms else set()
+    other_terms = data.draw(st.dictionaries(exponents, coeffs, max_size=12))
+    other_terms.update({expo: -f.terms[expo] for expo in shared})
+    other = TruncatedSeries(variables, cap, other_terms)
+    negated = TruncatedSeries(variables, cap, {e: -c for e, c in other.terms.items()})
+    total = TruncatedSeries(variables, cap, {
+        expo: f.coefficient(expo) + other.coefficient(expo)
+        for expo in f.terms.keys() | other.terms.keys()
+    })
+    assert f + other == total
+    assert f - negated == total
+    for out in (zero, fold, f + other, f - negated):
+        _assert_clean(out, variables, cap)
 
 
 # Test ids name each series as the paper does: Q and P (with k) for the
@@ -395,3 +456,55 @@ def test_stats_records_each_order(full):
     else:
         assert all(built >= kept for built, kept in sizes)
         assert records[-1]["terms_kept"] == 1  # only the constant term is left
+
+
+def _plain_close(g, xs):
+    """`_close` as built from `substitute`: the plain path of the exponent
+    maps `_zero` and `_fold`."""
+    total = g - substitute(g, {xs[-1]: 0})
+    for x in xs[1:]:
+        total = divide_by_var(total, x)
+    for j in range(1, len(xs)):
+        collapsed = substitute(g, {xs[j - 1]: (xs[j - 1], xs[j]), xs[j]: 1})
+        part = divide_by_one_minus(g - collapsed, xs[j])
+        for x in xs[1:j]:
+            part = divide_by_var(part, x)
+        total = total + part
+    return total
+
+
+def _plain_fix(g, xs):
+    """`_fix` as built from `substitute`."""
+    if len(xs) == 1:
+        return substitute(g, {xs[0]: 0})
+    return substitute(g, {xs[0]: (xs[0], xs[1]), xs[1]: 1})
+
+
+def _plain_cases():
+    for family, ks in (
+        ("partitions", range(2, 8)),
+        ("partitions-enhanced", range(2, 8)),
+        ("permutations", range(2, 6)),
+        ("baxter", (None,)),
+    ):
+        for k in ks:
+            name = PAPER_NAME[family] + ("" if k is None else f"-{k}")
+            for full in (True, False):
+                yield pytest.param(
+                    family, k, full, id=f"{name}-{'full' if full else 'pruned'}")
+
+
+@pytest.mark.parametrize("family,k,full", list(_plain_cases()))
+def test_solver_equals_plain_path(family, k, full, monkeypatch):
+    # the plain path validates every intermediate series in the public
+    # constructor and substitutes through `substitute`
+    fast = [solve_equation(family, n_max, k=k, full=full) for n_max in range(11)]
+    monkeypatch.setattr(series, "_close", _plain_close)
+    monkeypatch.setattr(series, "_fix", _plain_fix)
+    monkeypatch.setattr(TruncatedSeries, "_of", classmethod(
+        lambda cls, variables, cap, terms: cls(variables, cap, terms)))
+    for n_max, f in enumerate(fast):
+        plain = solve_equation(family, n_max, k=k, full=full)
+        assert (f.variables, f.cap, f.terms) == (
+            plain.variables, plain.cap, plain.terms
+        )
