@@ -37,44 +37,7 @@ from .gentree import (
 from .series import (SERIES_FAMILIES, constant_term_sequence, ones_sequence,
                      solve_equation)
 
-__all__ = [
-    "main", "run", "run_suite", "run_checks", "CHECKS", "Check",
-    "VerificationReport", "CheckRecord",
-]
-
-@dataclass(frozen=True)
-class CheckRecord:
-    check_id: str
-    expected: str
-    actual: str
-    status: str  # pass | fail
-    runtime: float
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    suite: str
-    checks: tuple
-
-    @property
-    def overall(self):
-        return "pass" if all(c.status != "fail" for c in self.checks) else "fail"
-
-    def to_json_dict(self):
-        return {
-            "suite": self.suite,
-            "overall": self.overall,
-            "checks": [
-                {
-                    "check_id": c.check_id,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "status": c.status,
-                    "runtime": round(c.runtime, 3),
-                }
-                for c in self.checks
-            ],
-        }
+__all__ = ["main", "run", "run_suite", "run_checks", "CHECKS", "Check"]
 
 
 def _spec_from_args(args):
@@ -309,40 +272,43 @@ CHECKS = _build_checks()
 
 
 def run_checks(sized):
-    """Run each (check, n) pair at its size n; one CheckRecord each."""
-    records = []
+    """Run each (check, n) pair at its size n; one row each, a dict with the
+    keys of a `verify --format json` check in order, runtime unrounded."""
+    rows = []
     for check, n in sized:
         started = time.perf_counter()
         expected, actual = check.run(n)
-        records.append(
-            CheckRecord(
-                check_id=check.check_id.format(n=n),
-                expected=str(expected),
-                actual=str(actual),
-                status="pass" if expected == actual else "fail",
-                runtime=time.perf_counter() - started,
-            )
-        )
-    return tuple(records)
+        rows.append({
+            "check_id": check.check_id.format(n=n),
+            "expected": str(expected),
+            "actual": str(actual),
+            "status": "pass" if expected == actual else "fail",
+            "runtime": time.perf_counter() - started,
+        })
+    return rows
 
 
 def run_suite(suite, max_n):
+    """The `run_checks` rows of every check in `suite` ("all" for every
+    check), each run at min(max_n, its max_n)."""
     sized = [(c, min(max_n, c.max_n)) for c in CHECKS if suite in (c.suite, "all")]
-    return VerificationReport(suite=suite, checks=run_checks(sized))
+    return run_checks(sized)
 
 
 def _cmd_verify(args):
-    report = run_suite(args.suite, args.max_n)
+    rows = run_suite(args.suite, args.max_n)
+    overall = "pass" if all(r["status"] == "pass" for r in rows) else "fail"
     if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
+        checks = [{**r, "runtime": round(r["runtime"], 3)} for r in rows]
+        print(json.dumps({"suite": args.suite, "overall": overall, "checks": checks}))
     else:
-        for c in report.checks:
-            print(f"{c.status.upper():4}  {c.check_id}  [{c.runtime:.2f}s]")
-            if c.status == "fail":
-                print(f"      expected: {c.expected}")
-                print(f"      actual:   {c.actual}")
-        print(f"overall: {report.overall}")
-    return 0 if report.overall == "pass" else 1
+        for r in rows:
+            print(f"{r['status'].upper():4}  {r['check_id']}  [{r['runtime']:.2f}s]")
+            if r["status"] == "fail":
+                print(f"      expected: {r['expected']}")
+                print(f"      actual:   {r['actual']}")
+        print(f"overall: {overall}")
+    return 0 if overall == "pass" else 1
 
 
 def _build_parser():

@@ -7,7 +7,8 @@ upper and lower semi-arcs.  Semi-arcs are kept sorted by left endpoint; the
 outermost ("top" upper / "bottom" lower) semi-arc is the one with the
 smallest left endpoint, matching the non-crossing drawing convention.
 
-Vertices are 1-based.  Diagrams are immutable values: `apply_step` returns a
+Vertices are 1-based.  A step, which adds one vertex, is a plain tuple
+(see `legal_steps`).  Diagrams are immutable values: `apply_step` returns a
 new diagram.  Exhaustive generation does not build one per tree node: it
 grows one mutable copy (`walk_state`), applying each step in place and
 undoing it on backtrack, and builds an immutable diagram, through its
@@ -26,7 +27,6 @@ from .errors import ConstraintViolation
 __all__ = [
     "OpenPartitionDiagram",
     "OpenPermutationDiagram",
-    "BuildStep",
     "SEMI_ARC_CHANGE",
     "max_nesting",
     "nesting_index",
@@ -39,7 +39,7 @@ __all__ = [
     "perm_to_diagram",
 ]
 
-# BuildStep kinds for partition diagrams
+# step kinds for partition diagrams
 FIXED_POINT = "fixed_point"
 SEMI_OPENER = "semi_opener"
 SEMI_TRANSITORY = "semi_transitory"
@@ -58,22 +58,6 @@ SEMI_ARC_CHANGE = {
     LOWER_SEMI_TRANSITORY: 0,
     CLOSER: -1,
 }
-
-
-@dataclass(frozen=True)
-class BuildStep:
-    """One vertex-addition event.
-
-    `close_index` refers to a position in the sorted open-arc list of a
-    partition diagram; `upper_index`/`lower_index` to positions in the sorted
-    upper/lower semi-arc lists of a permutation diagram.  A permutation
-    closer carries both indices.
-    """
-
-    kind: str
-    close_index: int | None = None
-    upper_index: int | None = None
-    lower_index: int | None = None
 
 
 def max_nesting(arcs, enhanced=False):
@@ -364,7 +348,10 @@ def _closable(arcs, origins, k):
 
 
 def legal_steps(diagram, k, enhanced=False):
-    """All vertex additions that keep the diagram k-nonnesting.
+    """All vertex additions that keep the diagram k-nonnesting, as step
+    tuples: (kind, index) for a partition diagram and (kind, upper, lower)
+    for a permutation diagram, where an index is the position of the
+    semi-arc the step closes among the sorted origins of its layer, or None.
 
     `k` is the forbidden nesting size (k=None for the unconstrained tree);
     `enhanced` counts fixed points as arcs (partition diagrams only).  Order
@@ -372,25 +359,18 @@ def legal_steps(diagram, k, enhanced=False):
     ascending index, closers by ascending index (permutation closers by
     lexicographic (upper, lower) index).
     """
-    steps = walk_state(diagram, k, enhanced).steps()
-    if isinstance(diagram, OpenPartitionDiagram):
-        return [BuildStep(kind, close_index=index) for kind, index in steps]
-    return [
-        BuildStep(kind, upper_index=upper, lower_index=lower)
-        for kind, upper, lower in steps
-    ]
+    return walk_state(diagram, k, enhanced).steps()
 
 
 def walk_state(diagram, k, enhanced=False):
     """A mutable copy of `diagram` for a depth-first walk of the k-nonnesting
     tree (arguments as in `legal_steps`).
 
-    Its `steps()` are the legal steps as plain tuples, (kind, close_index)
-    for a partition diagram and (kind, upper_index, lower_index) for a
-    permutation diagram, in `legal_steps` order.  `apply(step)` adds one
-    vertex in place, appending arcs in the order `apply_step` does, and
-    `undo(step)` removes it again, so the state is the diagram it was;
-    `freeze()` builds the immutable diagram the state holds.
+    Its `steps()` are the legal step tuples, in `legal_steps` order.
+    `apply(step)` adds one vertex in place, appending arcs in the order
+    `apply_step` does, and `undo(step)` removes it again, so the state is
+    the diagram it was; `freeze()` builds the immutable diagram the state
+    holds.
     """
     if isinstance(diagram, OpenPartitionDiagram):
         return _PartitionState(diagram, k, enhanced)
@@ -539,7 +519,9 @@ class _PermutationState:
 
 
 def apply_step(diagram, step):
-    """Add one vertex to a diagram; returns the extended diagram."""
+    """Add one vertex to a diagram by a step tuple of its type (see
+    `legal_steps`); returns the extended diagram.  A step that does not fit
+    the diagram raises ValueError."""
     if isinstance(diagram, OpenPartitionDiagram):
         return _apply_partition_step(diagram, step)
     if isinstance(diagram, OpenPermutationDiagram):
@@ -554,47 +536,49 @@ def _take(origins, index):
 
 
 def _apply_partition_step(d, step):
+    kind, index = step
     v = d.n + 1
-    if step.kind == FIXED_POINT:
+    if kind == FIXED_POINT:
         return OpenPartitionDiagram(v, d.closed_arcs, d.open_arcs)
-    if step.kind == SEMI_OPENER:
+    if kind == SEMI_OPENER:
         return OpenPartitionDiagram(v, d.closed_arcs, d.open_arcs + (v,))
-    if step.kind == SEMI_TRANSITORY:
-        origin, rest = _take(d.open_arcs, step.close_index)
+    if kind == SEMI_TRANSITORY:
+        origin, rest = _take(d.open_arcs, index)
         return OpenPartitionDiagram(v, d.closed_arcs + ((origin, v),), rest + (v,))
-    if step.kind == CLOSER:
-        origin, rest = _take(d.open_arcs, step.close_index)
+    if kind == CLOSER:
+        origin, rest = _take(d.open_arcs, index)
         return OpenPartitionDiagram(v, d.closed_arcs + ((origin, v),), rest)
-    raise ValueError(f"bad step kind {step.kind!r} for a partition diagram")
+    raise ValueError(f"bad step kind {kind!r} for a partition diagram")
 
 
 def _apply_permutation_step(d, step):
+    kind, upper, lower = step
     v = d.n + 1
-    if step.kind == FIXED_POINT:
+    if kind == FIXED_POINT:
         return OpenPermutationDiagram(
             v, d.upper_arcs + ((v, v),), d.lower_arcs, d.upper_open, d.lower_open
         )
-    if step.kind == SEMI_OPENER:
+    if kind == SEMI_OPENER:
         return OpenPermutationDiagram(
             v, d.upper_arcs, d.lower_arcs, d.upper_open + (v,), d.lower_open + (v,)
         )
-    if step.kind == UPPER_SEMI_TRANSITORY:
-        origin, rest = _take(d.upper_open, step.upper_index)
+    if kind == UPPER_SEMI_TRANSITORY:
+        origin, rest = _take(d.upper_open, upper)
         return OpenPermutationDiagram(
             v, d.upper_arcs + ((origin, v),), d.lower_arcs, rest + (v,), d.lower_open
         )
-    if step.kind == LOWER_SEMI_TRANSITORY:
-        origin, rest = _take(d.lower_open, step.lower_index)
+    if kind == LOWER_SEMI_TRANSITORY:
+        origin, rest = _take(d.lower_open, lower)
         return OpenPermutationDiagram(
             v, d.upper_arcs, d.lower_arcs + ((origin, v),), d.upper_open, rest + (v,)
         )
-    if step.kind == CLOSER:
-        uo, urest = _take(d.upper_open, step.upper_index)
-        lo, lrest = _take(d.lower_open, step.lower_index)
+    if kind == CLOSER:
+        uo, urest = _take(d.upper_open, upper)
+        lo, lrest = _take(d.lower_open, lower)
         return OpenPermutationDiagram(
             v, d.upper_arcs + ((uo, v),), d.lower_arcs + ((lo, v),), urest, lrest
         )
-    raise ValueError(f"bad step kind {step.kind!r} for a permutation diagram")
+    raise ValueError(f"bad step kind {kind!r} for a permutation diagram")
 
 
 def permutation_arcs(sigma):

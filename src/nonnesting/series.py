@@ -66,8 +66,8 @@ class TruncatedSeries:
 
     The first variable is the truncation variable; terms whose exponent in
     it exceeds `cap` are dropped.  terms maps exponent tuples (aligned with
-    `variables`) to nonzero coefficients.  Instances are treated as
-    immutable.
+    `variables`, no exponent negative) to nonzero coefficients.  Instances
+    are treated as immutable.
     """
 
     __slots__ = ("variables", "cap", "terms")
@@ -82,6 +82,8 @@ class TruncatedSeries:
                     continue
                 if len(expo) != len(self.variables):
                     raise ValueError("exponent arity mismatch")
+                if any(e < 0 for e in expo):
+                    raise ValueError(f"negative exponent in {tuple(expo)}")
                 if expo[0] <= self.cap:
                     clean[tuple(expo)] = coeff
         self.terms = clean
@@ -93,9 +95,10 @@ class TruncatedSeries:
     @classmethod
     def _of(cls, variables, cap, terms):
         """A series from terms that are clean by construction: tuple keys
-        of the arity of `variables`, z-exponents at most `cap`, no zero
-        coefficient.  Nothing is checked; the arithmetic below builds its
-        results with it, and `__init__` keeps the checks for outside input."""
+        of the arity of `variables`, no negative exponent, z-exponents at
+        most `cap`, no zero coefficient.  Nothing is checked; the arithmetic
+        below builds its results with it, and `__init__` keeps the checks
+        for outside input."""
         f = object.__new__(cls)
         f.variables = variables
         f.cap = cap
@@ -142,12 +145,12 @@ class TruncatedSeries:
         if self.variables != other.variables or self.cap != other.cap:
             raise ValueError("incompatible series")
 
-    def shift(self, var, amount=1):
-        """Multiply by var**amount (truncating in z if var is z)."""
+    def shift(self, var):
+        """Multiply by var (truncating in z if var is z)."""
         i = self._index(var)
         terms = {}
         for expo, coeff in self.terms.items():
-            e = expo[i] + amount
+            e = expo[i] + 1
             if i == 0 and e > self.cap:
                 continue
             terms[expo[:i] + (e,) + expo[i + 1 :]] = coeff

@@ -55,7 +55,7 @@ def release_checks(criterion):
 def release_ok(criterion):
     sized = release_checks(criterion)
     assert sized, f"criterion {criterion} matches no check"
-    return all(record.status == "pass" for record in run_checks(sized))
+    return all(record["status"] == "pass" for record in run_checks(sized))
 
 
 def test_01_partition_table(capsys):

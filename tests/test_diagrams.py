@@ -111,9 +111,9 @@ class TestLegalSteps:
         assert dg.partition_label(self.EXAMPLE_11, 2) == (4, 2)
         steps = dg.legal_steps(self.EXAMPLE_11, 3)
         closed = {
-            self.EXAMPLE_11.open_arcs[s.close_index]
+            self.EXAMPLE_11.open_arcs[s[1]]
             for s in steps
-            if s.close_index is not None
+            if s[1] is not None
         }
         # origin 7 has nesting index 1 and is not outermost, so closing it
         # would commit a future 3-nesting
@@ -145,7 +145,7 @@ class TestLegalSteps:
         assert d.semi_arcs() == 4
         for step in dg.legal_steps(d, 3):
             child = dg.apply_step(d, step)
-            assert child.semi_arcs() == d.semi_arcs() + dg.SEMI_ARC_CHANGE[step.kind]
+            assert child.semi_arcs() == d.semi_arcs() + dg.SEMI_ARC_CHANGE[step[0]]
 
 
 class TestPermutationDiagrams:
@@ -220,8 +220,8 @@ class TestPermutationDiagrams:
         kinds = set()
         for step in dg.legal_steps(d, None):
             child = dg.apply_step(d, step)
-            assert child.semi_arcs() == d.semi_arcs() + dg.SEMI_ARC_CHANGE[step.kind]
-            kinds.add(step.kind)
+            assert child.semi_arcs() == d.semi_arcs() + dg.SEMI_ARC_CHANGE[step[0]]
+            kinds.add(step[0])
         assert kinds == set(dg.SEMI_ARC_CHANGE) - {dg.SEMI_TRANSITORY}
 
     def test_permutation_steps_reject_enhanced(self):
@@ -231,3 +231,49 @@ class TestPermutationDiagrams:
 
     def test_permutation_arcs(self):
         assert dg.permutation_arcs((3, 2, 1)) == ([(1, 3), (2, 2)], [(1, 3)])
+
+
+EXAMPLE_11 = TestLegalSteps.EXAMPLE_11
+EXAMPLE_13 = TestPermutationDiagrams.EXAMPLE_13
+
+
+@pytest.mark.parametrize("diagram,k,enhanced", [
+    (EXAMPLE_11, 3, False),
+    (EXAMPLE_11, None, False),
+    (EXAMPLE_14, 5, False),
+    (EXAMPLE_14, 5, True),
+    (EXAMPLE_13, 4, False),
+    (EXAMPLE_13, None, False),
+])
+def test_legal_steps_are_the_walk_steps(diagram, k, enhanced):
+    steps = dg.legal_steps(diagram, k, enhanced)
+    assert steps == dg.walk_state(diagram, k, enhanced).steps()
+    assert len(steps) > 2
+
+
+@pytest.mark.parametrize("diagram,step,error,message", [
+    # partition steps are (kind, index)
+    (EXAMPLE_11, (dg.CLOSER, 4), ValueError, "close index 4 out of range for 4"),
+    (EXAMPLE_11, (dg.SEMI_TRANSITORY, -1), ValueError, "close index -1 out of range"),
+    (EXAMPLE_11, (dg.CLOSER, None), ValueError, "close index None out of range"),
+    (EXAMPLE_11, (dg.SEMI_TRANSITORY, None), ValueError, "close index None"),
+    (EXAMPLE_11, ("bogus", None), ValueError, "bad step kind 'bogus' for a partition"),
+    (EXAMPLE_11, (dg.UPPER_SEMI_TRANSITORY, 0), ValueError, "bad step kind"),
+    (EXAMPLE_11, (dg.CLOSER, 0, None), ValueError, "too many values to unpack"),
+    (EXAMPLE_11, (dg.FIXED_POINT,), ValueError, "not enough values to unpack"),
+    # permutation steps are (kind, upper, lower)
+    (EXAMPLE_13, (dg.CLOSER, 0, 3), ValueError, "close index 3 out of range for 3"),
+    (EXAMPLE_13, (dg.UPPER_SEMI_TRANSITORY, 3, None), ValueError, "close index 3"),
+    (EXAMPLE_13, (dg.CLOSER, 0, None), ValueError, "close index None out of range"),
+    (EXAMPLE_13, (dg.LOWER_SEMI_TRANSITORY, 0, None), ValueError, "close index None"),
+    (EXAMPLE_13, ("bogus", None, None), ValueError,
+     "bad step kind 'bogus' for a permutation"),
+    (EXAMPLE_13, (dg.SEMI_TRANSITORY, 0, None), ValueError, "bad step kind"),
+    (EXAMPLE_13, (dg.CLOSER, 0), ValueError, "not enough values to unpack"),
+    (EXAMPLE_13, (dg.CLOSER, 0, 0, 0), ValueError, "too many values to unpack"),
+    # anything else is not a diagram
+    ((), (dg.FIXED_POINT, None), TypeError, "not a diagram"),
+])
+def test_apply_step_rejects_a_step_that_does_not_fit(diagram, step, error, message):
+    with pytest.raises(error, match=message):
+        dg.apply_step(diagram, step)

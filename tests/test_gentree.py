@@ -486,7 +486,7 @@ def _object_walk(spec, n, closed_only):
         steps = dg.legal_steps(d, spec.k, enhanced)
         if closed_only:
             room = n - d.n - 1 - d.semi_arcs()
-            steps = [s for s in steps if change[s.kind] <= room]
+            steps = [s for s in steps if change[s[0]] <= room]
         return (dg.apply_step(d, s) for s in steps)
 
     stack = [iter((root,))]

@@ -37,6 +37,15 @@ class TestArithmetic:
         a = S({(1, 0, 0): 2})
         assert (a - a).terms == {}
 
+    @pytest.mark.parametrize("expo,message", [
+        ((1, 2, 0), "exponent arity mismatch"),
+        ((1, -2), r"negative exponent in \(1, -2\)"),
+        ((-1, 0), r"negative exponent in \(-1, 0\)"),
+    ])
+    def test_constructor_rejects_bad_exponents(self, expo, message):
+        with pytest.raises(ValueError, match=message):
+            TruncatedSeries(("z", "v"), 3, {expo: 5})
+
     def test_shift_truncates_only_z(self):
         a = S({(6, 0, 0): 1, (0, 6, 0): 1})
         assert a.shift("z").terms == {(1, 6, 0): 1}
