@@ -521,7 +521,8 @@ class _PermutationState:
 def apply_step(diagram, step):
     """Add one vertex to a diagram by a step tuple of its type (see
     `legal_steps`); returns the extended diagram.  A step that does not fit
-    the diagram raises ValueError."""
+    the diagram, such as an index out of range or an index other than None
+    where the step closes no semi-arc, raises ValueError."""
     if isinstance(diagram, OpenPartitionDiagram):
         return _apply_partition_step(diagram, step)
     if isinstance(diagram, OpenPermutationDiagram):
@@ -535,12 +536,22 @@ def _take(origins, index):
     return origins[index], origins[:index] + origins[index + 1 :]
 
 
+def _unused(kind, *indices):
+    """A step closes no semi-arc where its index is None; any other index
+    does not fit it."""
+    for index in indices:
+        if index is not None:
+            raise ValueError(f"{kind} step takes the index None, not {index!r}")
+
+
 def _apply_partition_step(d, step):
     kind, index = step
     v = d.n + 1
     if kind == FIXED_POINT:
+        _unused(kind, index)
         return OpenPartitionDiagram(v, d.closed_arcs, d.open_arcs)
     if kind == SEMI_OPENER:
+        _unused(kind, index)
         return OpenPartitionDiagram(v, d.closed_arcs, d.open_arcs + (v,))
     if kind == SEMI_TRANSITORY:
         origin, rest = _take(d.open_arcs, index)
@@ -555,20 +566,24 @@ def _apply_permutation_step(d, step):
     kind, upper, lower = step
     v = d.n + 1
     if kind == FIXED_POINT:
+        _unused(kind, upper, lower)
         return OpenPermutationDiagram(
             v, d.upper_arcs + ((v, v),), d.lower_arcs, d.upper_open, d.lower_open
         )
     if kind == SEMI_OPENER:
+        _unused(kind, upper, lower)
         return OpenPermutationDiagram(
             v, d.upper_arcs, d.lower_arcs, d.upper_open + (v,), d.lower_open + (v,)
         )
     if kind == UPPER_SEMI_TRANSITORY:
         origin, rest = _take(d.upper_open, upper)
+        _unused(kind, lower)
         return OpenPermutationDiagram(
             v, d.upper_arcs + ((origin, v),), d.lower_arcs, rest + (v,), d.lower_open
         )
     if kind == LOWER_SEMI_TRANSITORY:
         origin, rest = _take(d.lower_open, lower)
+        _unused(kind, upper)
         return OpenPermutationDiagram(
             v, d.upper_arcs, d.lower_arcs + ((origin, v),), d.upper_open, rest + (v,)
         )

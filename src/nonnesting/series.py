@@ -34,19 +34,29 @@ builds G one z-order at a time from [z^0]G = 1, and checks at runtime that
 Phi kept every term at the z-order it was given.  Every division is checked
 for a zero remainder as well; a nonzero remainder raises DivisibilityError.
 
+Each monomial is one int, its code: every exponent sits in a bit field of
+the series' `width`, z in the lowest field (see `TruncatedSeries`).  The
+arithmetic works on the codes: a shift or a division by a variable adds or
+subtracts the unit of that variable's field, and a division by (1 - var)
+sums along the lines of codes that differ only in var's field.  Exponent
+tuples are decoded only where they are read (`terms`, `coefficient`,
+`dump_lines`); the solver and the sequence readers never decode.
+
 Phi's intermediate series are clean by construction, so the arithmetic
 builds them without re-validation (`TruncatedSeries._of`); sums and
 differences drop a coefficient that cancels as they go.  `_close` and `_fix`
 apply their two substitution shapes as exponent maps (`_zero` keeps the
-terms free of a variable, `_fold` copies one exponent over another and sums
-the terms that merge) in place of the general `substitute`, which the tests
-use as their reference.  Every division check and the z-order check are
-kept.
+terms free of a variable, `_fold` copies one exponent field over another
+and sums the terms that merge) in place of the general `substitute`, which
+the tests use as their reference.  A ranged closing never builds its
+numerator g - fold(g): `_fold_quotient` divides it line by line.  Every
+division check and the z-order check are kept.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 from time import perf_counter
 
 from .errors import DivisibilityError
@@ -65,45 +75,67 @@ class TruncatedSeries:
     """Sparse multivariate polynomial over the integers, truncated in z.
 
     The first variable is the truncation variable; terms whose exponent in
-    it exceeds `cap` are dropped.  terms maps exponent tuples (aligned with
-    `variables`, no exponent negative) to nonzero coefficients.  Instances
-    are treated as immutable.
+    it exceeds `cap` are dropped.  `codes` maps one int per monomial to its
+    nonzero coefficient.  A code holds the exponents in fixed-width bit
+    fields, `width` bits each, variable i in bits i*width and up, so z is
+    the lowest field.  The width is one bit more than the bit length of the
+    largest of the cap and every exponent, so the top bit of every field is
+    clear: one is added to an exponent without carrying into the next
+    field.  Only a catalytic `shift` can set a top bit, and it then re-codes
+    the series one bit wider; the solvers never do, since no exponent of
+    theirs exceeds the z-order.  Exponent tuples (aligned with `variables`)
+    are decoded only where they are read: `terms`, `coefficient` and
+    `dump_lines`.  Instances are treated as immutable.
     """
 
-    __slots__ = ("variables", "cap", "terms")
+    __slots__ = ("variables", "cap", "width", "codes")
 
     def __init__(self, variables, cap, terms=None):
         self.variables = tuple(variables)
         self.cap = int(cap)
         clean = {}
+        top = self.cap
         if terms:
             for expo, coeff in terms.items():
-                if coeff == 0:
-                    continue
                 if len(expo) != len(self.variables):
                     raise ValueError("exponent arity mismatch")
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in {tuple(expo)}")
-                if expo[0] <= self.cap:
+                if coeff and expo[0] <= self.cap:
                     clean[tuple(expo)] = coeff
-        self.terms = clean
+                    top = max(top, *expo)
+        self.width = top.bit_length() + 1
+        self.codes = {_encode(expo, self.width): c for expo, c in clean.items()}
 
     @classmethod
     def one(cls, variables, cap):
         return cls(variables, cap, {(0,) * len(variables): 1})
 
     @classmethod
-    def _of(cls, variables, cap, terms):
-        """A series from terms that are clean by construction: tuple keys
-        of the arity of `variables`, no negative exponent, z-exponents at
-        most `cap`, no zero coefficient.  Nothing is checked; the arithmetic
-        below builds its results with it, and `__init__` keeps the checks
-        for outside input."""
+    def _of(cls, variables, cap, width, codes):
+        """A series from codes that are clean by construction: every field
+        of `width` bits with its top bit clear, z at most `cap`, no zero
+        coefficient.  Nothing is checked; the arithmetic below builds its
+        results with it, and `__init__` keeps the checks for outside
+        input."""
         f = object.__new__(cls)
         f.variables = variables
         f.cap = cap
-        f.terms = terms
+        f.width = width
+        f.codes = codes
         return f
+
+    @property
+    def terms(self):
+        """The terms as a dict from exponent tuples to coefficients,
+        decoded from the codes on each read."""
+        width = self.width
+        mask = (1 << width) - 1
+        offsets = range(0, len(self.variables) * width, width)
+        return {
+            tuple([code >> s & mask for s in offsets]): coeff
+            for code, coeff in self.codes.items()
+        }
 
     def _index(self, var):
         try:
@@ -111,35 +143,48 @@ class TruncatedSeries:
         except ValueError:
             raise ValueError(f"unknown variable {var!r}") from None
 
+    def _recoded(self, width):
+        """The codes at a width no smaller than this series' own."""
+        if width == self.width:
+            return self.codes
+        return {_encode(expo, width): c for expo, c in self.terms.items()}
+
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)
             and self.variables == other.variables
             and self.cap == other.cap
-            and self.terms == other.terms
+            and (self.codes == other.codes if self.width == other.width
+                 else self.terms == other.terms)
         )
 
-    def __add__(self, other):
+    def _aligned(self, other):
+        """The common width of self and other, and both their codes at it."""
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            coeff += terms.get(expo, 0)
+        width = max(self.width, other.width)
+        return width, self._recoded(width), other._recoded(width)
+
+    def __add__(self, other):
+        width, codes, other_codes = self._aligned(other)
+        codes = dict(codes)
+        for code, coeff in other_codes.items():
+            coeff += codes.get(code, 0)
             if coeff:
-                terms[expo] = coeff
+                codes[code] = coeff
             else:
-                del terms[expo]
-        return TruncatedSeries._of(self.variables, self.cap, terms)
+                del codes[code]
+        return TruncatedSeries._of(self.variables, self.cap, width, codes)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            coeff = terms.get(expo, 0) - coeff
+        width, codes, other_codes = self._aligned(other)
+        codes = dict(codes)
+        for code, coeff in other_codes.items():
+            coeff = codes.get(code, 0) - coeff
             if coeff:
-                terms[expo] = coeff
+                codes[code] = coeff
             else:
-                del terms[expo]
-        return TruncatedSeries._of(self.variables, self.cap, terms)
+                del codes[code]
+        return TruncatedSeries._of(self.variables, self.cap, width, codes)
 
     def _check_compatible(self, other):
         if self.variables != other.variables or self.cap != other.cap:
@@ -148,16 +193,30 @@ class TruncatedSeries:
     def shift(self, var):
         """Multiply by var (truncating in z if var is z)."""
         i = self._index(var)
-        terms = {}
-        for expo, coeff in self.terms.items():
-            e = expo[i] + 1
-            if i == 0 and e > self.cap:
-                continue
-            terms[expo[:i] + (e,) + expo[i + 1 :]] = coeff
-        return TruncatedSeries._of(self.variables, self.cap, terms)
+        width = self.width
+        if i == 0:
+            mask, cap = (1 << width) - 1, self.cap
+            return TruncatedSeries._of(self.variables, cap, width, {
+                code + 1: coeff for code, coeff in self.codes.items()
+                if code & mask < cap
+            })
+        unit = 1 << i * width
+        codes = {code + unit: coeff for code, coeff in self.codes.items()}
+        f = TruncatedSeries._of(self.variables, self.cap, width, codes)
+        if reduce(or_, codes, 0) & unit << width - 1:
+            # an exponent reached the top bit of its field; one bit more
+            # keeps every top bit clear
+            f = TruncatedSeries._of(
+                self.variables, self.cap, width + 1, f._recoded(width + 1))
+        return f
 
     def coefficient(self, expo):
-        return self.terms.get(tuple(expo), 0)
+        expo = tuple(expo)
+        mask = (1 << self.width) - 1
+        if len(expo) != len(self.variables) or any(
+                not 0 <= e <= mask for e in expo):
+            return 0  # no term has an exponent that does not fit its field
+        return self.codes.get(_encode(expo, self.width), 0)
 
     def dump_lines(self):
         """Sorted "e0 e1 ...: coefficient" lines, for golden-file output."""
@@ -165,6 +224,27 @@ class TruncatedSeries:
             " ".join(map(str, expo)) + ": " + str(coeff)
             for expo, coeff in sorted(self.terms.items())
         ]
+
+
+def _encode(expo, width):
+    """The code of an exponent tuple: exponent i in bits i*width and up."""
+    code = 0
+    for e in reversed(expo):
+        code = code << width | e
+    return code
+
+
+def _decode(code, width, arity):
+    """The exponent tuple of a code."""
+    mask = (1 << width) - 1
+    return tuple([code >> s & mask for s in range(0, arity * width, width)])
+
+
+def _field(f, var):
+    """The index of var, the bit offset of its field and the field mask."""
+    i = f._index(var)
+    offset = i * f.width
+    return i, offset, ((1 << f.width) - 1) << offset
 
 
 def substitute(f, assignment):
@@ -210,37 +290,41 @@ def substitute(f, assignment):
 
 def _zero(f, var):
     """substitute(f, {var: 0}) for a catalytic var: the terms free of var."""
-    i = f._index(var)
-    return TruncatedSeries._of(
-        f.variables, f.cap, {expo: c for expo, c in f.terms.items() if not expo[i]}
-    )
+    field = _field(f, var)[2]
+    return TruncatedSeries._of(f.variables, f.cap, f.width, {
+        code: c for code, c in f.codes.items() if not code & field
+    })
 
 
 def _fold(f, x, y):
     """substitute(f, {x: (x, y), y: 1}) for catalytic x and y: exponent y
     is set to exponent x.  Terms that then coincide are summed, and dropped
     if they cancel."""
-    i, j = f._index(x), f._index(y)
-    terms = {}
-    for expo, coeff in f.terms.items():
-        key = expo[:j] + (expo[i],) + expo[j + 1 :]
-        coeff += terms.get(key, 0)
+    _, sx, fx = _field(f, x)
+    _, sy, fy = _field(f, y)
+    keep = ~fy
+    codes = {}
+    for code, coeff in f.codes.items():
+        key = code & keep | (code & fx) >> sx << sy
+        coeff += codes.get(key, 0)
         if coeff:
-            terms[key] = coeff
+            codes[key] = coeff
         else:
-            del terms[key]
-    return TruncatedSeries._of(f.variables, f.cap, terms)
+            del codes[key]
+    return TruncatedSeries._of(f.variables, f.cap, f.width, codes)
 
 
 def divide_by_var(f, var):
     """Exact division by a variable; every term must contain it."""
-    i = f._index(var)
-    terms = {}
-    for expo, coeff in f.terms.items():
-        if expo[i] == 0:
+    _, offset, field = _field(f, var)
+    unit = 1 << offset
+    codes = {}
+    for code, coeff in f.codes.items():
+        if not code & field:
+            expo = _decode(code, f.width, len(f.variables))
             raise DivisibilityError(f"term {expo} not divisible by {var}")
-        terms[expo[:i] + (expo[i] - 1,) + expo[i + 1 :]] = coeff
-    return TruncatedSeries._of(f.variables, f.cap, terms)
+        codes[code - unit] = coeff
+    return TruncatedSeries._of(f.variables, f.cap, f.width, codes)
 
 
 def divide_by_one_minus(f, var):
@@ -250,24 +334,55 @@ def divide_by_one_minus(f, var):
     numerator coefficients up to i; the remainder is the value at var = 1
     and must vanish.
     """
-    i = f._index(var)
-    groups = {}
-    for expo, coeff in f.terms.items():
-        key = expo[:i] + expo[i + 1 :]
-        groups.setdefault(key, {})[expo[i]] = coeff
-    terms = {}
-    for key, coeffs in groups.items():
+    return _sweep(f, var, _lines(f, var))
+
+
+def _fold_quotient(f, x, y):
+    """divide_by_one_minus(f - _fold(f, x, y), y), without building the
+    numerator: x's exponent is fixed along a line in y, so the fold moves
+    the whole line to one exponent of y, where its sum is subtracted."""
+    lines = _lines(f, y)
+    _, offset, field = _field(f, x)
+    for rest, line in lines.items():
+        e = (rest & field) >> offset
+        line[e] = line.get(e, 0) - sum(line.values())
+    return _sweep(f, y, lines)
+
+
+def _lines(f, var):
+    """f's terms in lines along var: the code with var's field cleared maps
+    to {exponent of var: coefficient}."""
+    _, offset, field = _field(f, var)
+    keep = ~field
+    lines = {}
+    for code, coeff in f.codes.items():
+        rest = code & keep
+        line = lines.get(rest)
+        if line is None:
+            lines[rest] = line = {}
+        line[(code & field) >> offset] = coeff
+    return lines
+
+
+def _sweep(f, var, lines):
+    """The quotient by (1 - var) of the lines of `_lines(f, var)`: one
+    running sum per line, whose remainder must vanish."""
+    i, offset, _ = _field(f, var)
+    codes = {}
+    for rest, coeffs in lines.items():
         top = max(coeffs)
         running = 0
         for e in range(top):
             running += coeffs.get(e, 0)
             if running:
-                terms[key[:i] + (e,) + key[i:]] = running
-        if running + coeffs.get(top, 0) != 0:
+                codes[rest | e << offset] = running
+        if running + coeffs[top]:
+            expo = _decode(rest, f.width, len(f.variables))
             raise DivisibilityError(
-                f"nonzero remainder dividing by (1 - {var}) at {key}"
+                f"nonzero remainder dividing by (1 - {var}) at "
+                f"{expo[:i] + expo[i + 1:]}"
             )
-    return TruncatedSeries._of(f.variables, f.cap, terms)
+    return TruncatedSeries._of(f.variables, f.cap, f.width, codes)
 
 
 def _iterate(variables, n_max, phi, *, semi_arc=None, stats=None):
@@ -282,32 +397,38 @@ def _iterate(variables, n_max, phi, *, semi_arc=None, stats=None):
     if given, is called after each z-order n with a dict: order, terms_built
     (phi's image), terms_kept and phi_s (seconds in phi).
     """
-    index = None if semi_arc is None else variables.index(semi_arc)
     layer = TruncatedSeries.one(variables, n_max)
-    terms = dict(layer.terms)
+    width = layer.width
+    codes = dict(layer.codes)
     for n in range(1, n_max + 1):
         if stats is not None:
             started = perf_counter()
         image = phi(layer)
         if stats is not None:
             phi_s = perf_counter() - started
-        for expo in image.terms:
-            if expo[0] != n - 1:
+        mask = (1 << image.width) - 1
+        for code in image.codes:
+            if code & mask != n - 1:
                 raise ValueError(
-                    f"phi moved a term of z-order {n - 1} to z-order {expo[0]}"
+                    f"phi moved a term of z-order {n - 1} to z-order {code & mask}"
                 )
         layer = image.shift("z")
-        if index is not None:
-            horizon = n_max - n
-            layer = TruncatedSeries._of(variables, n_max, {
-                expo: coeff for expo, coeff in layer.terms.items()
-                if expo[index] <= horizon
+        if semi_arc is not None:
+            _, offset, field = _field(layer, semi_arc)
+            bound = n_max - n << offset
+            layer = TruncatedSeries._of(variables, n_max, layer.width, {
+                code: coeff for code, coeff in layer.codes.items()
+                if code & field <= bound
             })
-        terms.update(layer.terms)
+        if layer.width != width:  # a catalytic shift in phi widened it
+            codes = TruncatedSeries._of(
+                variables, n_max, width, codes)._recoded(layer.width)
+            width = layer.width
+        codes.update(layer.codes)
         if stats is not None:
-            stats({"order": n, "terms_built": len(image.terms),
-                   "terms_kept": len(layer.terms), "phi_s": phi_s})
-    return TruncatedSeries._of(variables, n_max, terms)
+            stats({"order": n, "terms_built": len(image.codes),
+                   "terms_kept": len(layer.codes), "phi_s": phi_s})
+    return TruncatedSeries._of(variables, n_max, width, codes)
 
 
 def _close(g, xs):
@@ -325,7 +446,7 @@ def _close(g, xs):
     for x in xs[1:]:
         total = divide_by_var(total, x)
     for j in range(1, len(xs)):
-        part = divide_by_one_minus(g - _fold(g, xs[j - 1], xs[j]), xs[j])
+        part = _fold_quotient(g, xs[j - 1], xs[j])
         for x in xs[1:j]:
             part = divide_by_var(part, x)
         total = total + part
@@ -368,7 +489,7 @@ def solve_baxter_equation(n_max, **options):
     """The two-variable series B(u, v; z) of enhanced-3-nonnesting open
     partition diagrams, written with the u = v0, v = v1 naming."""
     f = solve_partition_equation(3, n_max, enhanced=True, **options)
-    return TruncatedSeries._of(("z", "u", "v"), n_max, f.terms)
+    return TruncatedSeries._of(("z", "u", "v"), n_max, f.width, f.codes)
 
 
 def solve_permutation_equation(k, n_max, **options):
@@ -445,15 +566,17 @@ def solve_equation(family, n_max, k=None, *, full=True, stats=None):
 def constant_term_sequence(f):
     """z-coefficients of the catalytic-constant part, index 0..cap."""
     out = [0] * (f.cap + 1)
-    for expo, coeff in f.terms.items():
-        if all(e == 0 for e in expo[1:]):
-            out[expo[0]] = coeff
+    catalytic = -1 << f.width  # every field but z's
+    for code, coeff in f.codes.items():
+        if not code & catalytic:
+            out[code] = coeff
     return out
 
 
 def ones_sequence(f):
     """z-coefficients after setting every catalytic variable to 1."""
     out = [0] * (f.cap + 1)
-    for expo, coeff in f.terms.items():
-        out[expo[0]] += coeff
+    mask = (1 << f.width) - 1
+    for code, coeff in f.codes.items():
+        out[code & mask] += coeff
     return out

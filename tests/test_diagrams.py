@@ -277,3 +277,37 @@ def test_legal_steps_are_the_walk_steps(diagram, k, enhanced):
 def test_apply_step_rejects_a_step_that_does_not_fit(diagram, step, error, message):
     with pytest.raises(error, match=message):
         dg.apply_step(diagram, step)
+
+
+@pytest.mark.parametrize("diagram,step,message", [
+    # an index where a step closes nothing is rejected, not ignored
+    (dg.OpenPartitionDiagram(1, (), (1,)), (dg.FIXED_POINT, 7),
+     "fixed_point step takes the index None, not 7"),
+    (EXAMPLE_11, (dg.FIXED_POINT, 0), "fixed_point step takes the index None, not 0"),
+    (EXAMPLE_11, (dg.SEMI_OPENER, 1), "semi_opener step takes the index None, not 1"),
+    (EXAMPLE_13, (dg.FIXED_POINT, 0, None),
+     "fixed_point step takes the index None, not 0"),
+    (EXAMPLE_13, (dg.FIXED_POINT, None, 2),
+     "fixed_point step takes the index None, not 2"),
+    (EXAMPLE_13, (dg.SEMI_OPENER, None, 1),
+     "semi_opener step takes the index None, not 1"),
+    (EXAMPLE_13, (dg.UPPER_SEMI_TRANSITORY, 0, 0),
+     "upper_semi_transitory step takes the index None, not 0"),
+    (EXAMPLE_13, (dg.LOWER_SEMI_TRANSITORY, 0, 1),
+     "lower_semi_transitory step takes the index None, not 0"),
+], ids=["partition-fixed-point-7", "partition-fixed-point", "partition-semi-opener",
+        "permutation-fixed-point-upper", "permutation-fixed-point-lower",
+        "permutation-semi-opener", "permutation-upper-transitory",
+        "permutation-lower-transitory"])
+def test_apply_step_rejects_an_unused_index(diagram, step, message):
+    with pytest.raises(ValueError, match=message):
+        dg.apply_step(diagram, step)
+    # the same step with None there fits
+    kind, *indices = step
+    if kind in (dg.FIXED_POINT, dg.SEMI_OPENER):
+        fixed = (kind,) + (None,) * len(indices)
+    elif kind == dg.UPPER_SEMI_TRANSITORY:
+        fixed = (kind, indices[0], None)
+    else:
+        fixed = (kind, None, indices[1])
+    assert dg.apply_step(diagram, fixed).n == diagram.n + 1

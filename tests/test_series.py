@@ -46,6 +46,15 @@ class TestArithmetic:
         with pytest.raises(ValueError, match=message):
             TruncatedSeries(("z", "v"), 3, {expo: 5})
 
+    @pytest.mark.parametrize("expo,message", [
+        ((1, -2), r"negative exponent in \(1, -2\)"),
+        ((1,), "exponent arity mismatch"),
+    ])
+    def test_constructor_checks_a_zero_term(self, expo, message):
+        # a zero coefficient is dropped only after its key is checked
+        with pytest.raises(ValueError, match=message):
+            TruncatedSeries(("z", "v"), 3, {expo: 0})
+
     def test_shift_truncates_only_z(self):
         a = S({(6, 0, 0): 1, (0, 6, 0): 1})
         assert a.shift("z").terms == {(1, 6, 0): 1}
@@ -144,6 +153,148 @@ def test_shapes_and_sums_equal_the_validating_path(data):
     assert f - negated == total
     for out in (zero, fold, f + other, f - negated):
         _assert_clean(out, variables, cap)
+
+
+# Tuple-keyed copies of the arithmetic as it was before the terms were
+# coded as ints: the reference for the coded arithmetic.  Each takes and
+# returns a dict from exponent tuples to coefficients.
+def _tuple_add(a, b):
+    terms = dict(a)
+    for expo, coeff in b.items():
+        coeff += terms.get(expo, 0)
+        if coeff:
+            terms[expo] = coeff
+        else:
+            del terms[expo]
+    return terms
+
+
+def _tuple_sub(a, b):
+    return _tuple_add(a, {expo: -coeff for expo, coeff in b.items()})
+
+
+def _tuple_shift(terms, i, cap):
+    out = {}
+    for expo, coeff in terms.items():
+        e = expo[i] + 1
+        if i == 0 and e > cap:
+            continue
+        out[expo[:i] + (e,) + expo[i + 1:]] = coeff
+    return out
+
+
+def _tuple_divide_by_var(terms, i, var):
+    out = {}
+    for expo, coeff in terms.items():
+        if expo[i] == 0:
+            raise DivisibilityError(f"term {expo} not divisible by {var}")
+        out[expo[:i] + (expo[i] - 1,) + expo[i + 1:]] = coeff
+    return out
+
+
+def _tuple_divide_by_one_minus(terms, i, var):
+    groups = {}
+    for expo, coeff in terms.items():
+        groups.setdefault(expo[:i] + expo[i + 1:], {})[expo[i]] = coeff
+    out = {}
+    for key, coeffs in groups.items():
+        top = max(coeffs)
+        running = 0
+        for e in range(top):
+            running += coeffs.get(e, 0)
+            if running:
+                out[key[:i] + (e,) + key[i:]] = running
+        if running + coeffs.get(top, 0) != 0:
+            raise DivisibilityError(
+                f"nonzero remainder dividing by (1 - {var}) at {key}"
+            )
+    return out
+
+
+def _outcome(fn, *args):
+    """The terms fn returns, or the DivisibilityError message it raises."""
+    try:
+        out = fn(*args)
+    except DivisibilityError as exc:
+        return ("DivisibilityError", str(exc))
+    return out.terms if isinstance(out, TruncatedSeries) else out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coded_arithmetic_equals_tuple_arithmetic(data):
+    arity = data.draw(st.integers(2, 5))
+    variables = ("z",) + tuple(f"x{i}" for i in range(1, arity))
+    cap = data.draw(st.integers(0, 6))
+    coeffs = st.integers(-3, 3).filter(bool)
+
+    def draw_series():
+        # exponents up to 40 give widths from 2 to 7 bits
+        top = data.draw(st.sampled_from([1, 3, 7, 8, 40]))
+        exponents = st.tuples(*[st.integers(0, top)] * arity)
+        return TruncatedSeries(
+            variables, cap, data.draw(st.dictionaries(exponents, coeffs, max_size=10)))
+
+    f, other = draw_series(), draw_series()
+    var = data.draw(st.sampled_from(variables))
+    i = variables.index(var)
+    # f times var and f times (1 - var) are divisible; f may well not be
+    multiple = f.shift(var)
+    multiple = multiple - multiple.shift(var) if i else multiple
+    numerator = data.draw(st.sampled_from([f, multiple]))
+
+    assert _outcome(lambda: f + other) == _tuple_add(f.terms, other.terms)
+    assert _outcome(lambda: f - other) == _tuple_sub(f.terms, other.terms)
+    assert _outcome(f.shift, var) == _tuple_shift(f.terms, i, cap)
+    assert _outcome(divide_by_var, numerator, var) == _outcome(
+        _tuple_divide_by_var, numerator.terms, i, var)
+    if i:
+        assert _outcome(divide_by_one_minus, numerator, var) == _outcome(
+            _tuple_divide_by_one_minus, numerator.terms, i, var)
+    if i and arity > 2:
+        x = data.draw(st.sampled_from([v for v in variables[1:] if v != var]))
+        assert _outcome(series._fold_quotient, f, x, var) == _outcome(
+            _tuple_divide_by_one_minus,
+            _tuple_sub(f.terms, substitute(f, {x: (x, var), var: 1}).terms), i, var)
+
+
+def test_shift_at_the_top_of_a_field_widens():
+    # cap 1 and exponent 3 give 3-bit fields, of which 3 is the largest
+    # value with the top bit clear
+    f = TruncatedSeries(V, 1, {(0, 3, 0): 1, (1, 0, 3): 2})
+    assert f.width == 3
+    for step in range(1, 20):
+        f = f.shift("u")
+        assert f.terms == {(0, 3 + step, 0): 1, (1, step, 3): 2}
+        assert f.coefficient((0, 0, 1)) == 0
+        assert max(f.terms)[1] < 1 << f.width - 1
+    assert f.width == 6
+    # the widened series still adds to and equals the narrow ones
+    g = TruncatedSeries(V, 1, {(1, 19, 3): -2})
+    assert (f + g).terms == {(0, 22, 0): 1}
+
+
+def test_coefficient_of_an_exponent_wider_than_its_field():
+    f = TruncatedSeries(V, 1, {(0, 0, 1): 7, (1, 1, 0): 3})
+    assert f.width == 2
+    # 4 << 2 is the code of v's field at 1: a wide u must not read it
+    assert f.coefficient((0, 4, 0)) == 0
+    assert f.coefficient((1 + 4, 1, 0)) == 0
+    assert f.coefficient((0, 0, -1)) == 0
+    assert f.coefficient((0, 0)) == 0
+    assert f.coefficient((0, 0, 1)) == 7
+    assert f.coefficient([1, 1, 0]) == 3
+
+
+def test_equal_series_of_different_widths_are_equal():
+    narrow = TruncatedSeries(V, 2, {(1, 0, 0): 2, (0, 1, 2): -1})
+    wide = TruncatedSeries(V, 2, {(1, 0, 0): 2, (0, 1, 2): -1, (0, 9, 0): 1})
+    wide = wide - TruncatedSeries(V, 2, {(0, 9, 0): 1})
+    assert (narrow.width, wide.width) == (3, 5)
+    assert narrow == wide and wide == narrow
+    assert narrow.dump_lines() == wide.dump_lines()
+    assert wide != narrow + TruncatedSeries(V, 2, {(2, 0, 0): 1})
+    assert wide != TruncatedSeries(V, 3, narrow.terms)
 
 
 # Test ids name each series as the paper does: Q and P (with k) for the
@@ -503,6 +654,18 @@ def _plain_cases():
                     family, k, full, id=f"{name}-{'full' if full else 'pruned'}")
 
 
+_UNCHECKED_OF = TruncatedSeries._of
+
+
+def _validating_of(cls, variables, cap, width, codes):
+    """`TruncatedSeries._of` through the validating constructor: the codes
+    are decoded, checked there and coded again at their width, which must
+    hold every exponent with the top bit of its field clear."""
+    checked = cls(variables, cap, _UNCHECKED_OF(variables, cap, width, codes).terms)
+    assert checked.width <= width
+    return _UNCHECKED_OF(variables, cap, width, checked._recoded(width))
+
+
 @pytest.mark.parametrize("family,k,full", list(_plain_cases()))
 def test_solver_equals_plain_path(family, k, full, monkeypatch):
     # the plain path validates every intermediate series in the public
@@ -510,8 +673,7 @@ def test_solver_equals_plain_path(family, k, full, monkeypatch):
     fast = [solve_equation(family, n_max, k=k, full=full) for n_max in range(11)]
     monkeypatch.setattr(series, "_close", _plain_close)
     monkeypatch.setattr(series, "_fix", _plain_fix)
-    monkeypatch.setattr(TruncatedSeries, "_of", classmethod(
-        lambda cls, variables, cap, terms: cls(variables, cap, terms)))
+    monkeypatch.setattr(TruncatedSeries, "_of", classmethod(_validating_of))
     for n_max, f in enumerate(fast):
         plain = solve_equation(family, n_max, k=k, full=full)
         assert (f.variables, f.cap, f.terms) == (
