@@ -2,7 +2,10 @@
 
 Subcommands: count (generating-tree DP), series (functional-equation
 solver), generate (exhaustive diagram stream), oracle (brute force),
-verify (cross-check harness) and refdata (embedded sequences).
+verify (cross-check harness) and refdata (embedded sequences).  Each is one
+row of `_COMMANDS`: its help text, the function that adds its arguments and
+the function that runs it.  `run` builds the parser of the invoked
+subcommand alone, and the full parser only for any other argv.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard tripped.  Counts are always printed as exact decimal strings, however
@@ -311,15 +314,7 @@ def _cmd_verify(args):
     return 0 if overall == "pass" else 1
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="nonnesting",
-        description="Enumerate set partitions and permutations with no k "
-        "mutually nested arcs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="generating-tree counts")
+def _count_arguments(p):
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--k", type=_NESTING, help="forbidden nesting size")
     p.add_argument("--n", type=_SIZE, required=True)
@@ -330,9 +325,9 @@ def _build_parser():
     p.add_argument("--stats", action="store_true",
                    help="write one JSON line per level to stderr: labels "
                    "pushed and kept, push seconds, widest count in bits")
-    p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("series", help="functional-equation solutions")
+
+def _series_arguments(p):
     p.add_argument("--family", required=True,
                    choices=(*SERIES_FAMILIES, "permutations3"))
     p.add_argument("--k", type=_NESTING)
@@ -342,26 +337,26 @@ def _build_parser():
     p.add_argument("--stats", action="store_true",
                    help="write one JSON line per z-order to stderr: terms "
                    "built and kept, seconds in Phi")
-    p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("generate", help="stream all diagrams of size n")
+
+def _generate_arguments(p):
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--k", type=_NESTING)
     p.add_argument("--n", type=_SIZE, required=True)
     p.add_argument("--closed-only", action="store_true",
                    help="emit only diagrams without semi-arcs")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("oracle", help="brute-force count")
+
+def _oracle_arguments(p):
     p.add_argument("--family", required=True, choices=CONSTRAINED_FAMILIES)
     p.add_argument("--k", type=_NESTING, required=True)
     p.add_argument("--n", type=_SIZE, required=True)
     p.add_argument("--stats", action="store_true",
                    help="write one JSON line to stderr: objects walked, their "
                    "maximum-nesting histogram, seconds and objects per second")
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("verify", help="cross-check harness")
+
+def _verify_arguments(p):
     p.add_argument(
         "--suite",
         default="all",
@@ -369,17 +364,55 @@ def _build_parser():
     )
     p.add_argument("--max-n", type=_SIZE, default=12)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("refdata", help="dump an embedded reference sequence")
+
+def _refdata_arguments(p):
     p.add_argument(
         "--family",
         required=True,
         choices=("partitions", "partitions-enhanced", "permutations", "baxter"),
     )
     p.add_argument("--k", type=_NESTING, required=True)
-    p.set_defaults(func=_cmd_refdata)
 
+
+# each subcommand, in the order --help lists them: its help text, the
+# function that adds its arguments, and the function that runs it
+_COMMANDS = {
+    "count": ("generating-tree counts", _count_arguments, _cmd_count),
+    "series": ("functional-equation solutions", _series_arguments, _cmd_series),
+    "generate": ("stream all diagrams of size n", _generate_arguments,
+                 _cmd_generate),
+    "oracle": ("brute-force count", _oracle_arguments, _cmd_oracle),
+    "verify": ("cross-check harness", _verify_arguments, _cmd_verify),
+    "refdata": ("dump an embedded reference sequence", _refdata_arguments,
+                _cmd_refdata),
+}
+
+
+def _build_parser(command=None):
+    """The parser of every subcommand, or of `command` alone.
+
+    A parser with one subcommand reads that subcommand's argv exactly as
+    the full one does: the subcommand's own parser is the same, and its
+    metavar keeps every name in the top-level usage line that an error
+    prints.  Any other argv (--help, no command, an unknown one) needs the
+    full parser, whose messages name the subcommands as argparse lists
+    them."""
+    parser = argparse.ArgumentParser(
+        prog="nonnesting",
+        description="Enumerate set partitions and permutations with no k "
+        "mutually nested arcs.",
+    )
+    if command is None:
+        names, metavar = _COMMANDS, None
+    else:
+        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -401,8 +434,11 @@ def _exact_int_strings():
 
 
 def run(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the invoked subcommand's parser is built: the others' arguments
+    # are a fixed cost that no single command needs
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         with _exact_int_strings():
             return args.func(args)

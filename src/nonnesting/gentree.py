@@ -247,35 +247,30 @@ def _level_stream(pusher, root, n_max, max_labels, prune, stats=None):
     """Yield the coded label distributions of levels 0..n_max, holding one
     at a time; level 0 is the root code alone.
 
-    With `prune`, each level drops the labels with more semi-arcs than there
-    are levels left before n_max: a step closes at most one semi-arc, so
-    those labels can no longer return to the root label.  The semi-arc
-    count is the leading digit of a code, so that is one comparison.
-    `max_labels` bounds the number of labels kept per level; exceeding it
-    raises ResourceLimitError carrying the last level completed.  `stats`
-    is as in count_sequence; it is called before the label budget is
-    checked, so the level that trips the budget is reported too.
+    With `prune`, each level leaves out the labels with more semi-arcs than
+    there are levels left before n_max: a step closes at most one semi-arc,
+    so those labels can no longer return to the root label.  The semi-arc
+    count is the leading digit of a code, so the push is given the code
+    bound and builds no child at or past it.  `max_labels` bounds the
+    number of labels kept per level; exceeding it raises
+    ResourceLimitError carrying the last level completed.  `stats` is as
+    in count_sequence; it is called before the label budget is checked,
+    so the level that trips the budget is reported too.
     """
     push = pusher.push
     current = {root: 1}
     yield current
     for n in range(1, n_max + 1):
+        limit = (n_max - n + 1) * pusher.weight if prune else None
         if stats is None:
-            current = push(current)
+            current = push(current, limit)
         else:
             started = perf_counter()
-            current = push(current)
+            current = push(current, limit)
             push_s = perf_counter() - started
-            pushed = len(current)
-        if prune:
-            bound = (n_max - n + 1) * pusher.weight
-            current = {
-                code: count for code, count in current.items() if code < bound
-            }
-        if stats is not None:
             stats({
                 "level": n,
-                "labels_pushed": pushed,
+                "labels_pushed": len(current),
                 "labels_kept": len(current),
                 "push_s": round(push_s, 6),
                 "max_count_bits": max(
@@ -338,10 +333,15 @@ class _GenericPusher:
     def label_text(code):
         return f"[{code}]"
 
-    def push(self, current):
+    def push(self, current, limit=None):
+        """The next level.  With `limit` (a multiple of `weight`), only the
+        children whose codes are below it; every pusher's `push` takes it."""
         nxt = {}
         for label, count in current.items():
-            for child, mult in self.successors(label).items():
+            children = self.successors(label).items()
+            if limit is not None and label + 1 >= limit:  # its opener is past it
+                children = [(c, mult) for c, mult in children if c < limit]
+            for child, mult in children:
                 nxt[child] = nxt.get(child, 0) + count * mult
         return nxt
 
@@ -357,6 +357,8 @@ class _DigitCodec:
         self.base = n_max + 1
         self.weights = [self.base ** (width - 1 - j) for j in range(width)]
         self.weight = self.weights[0]
+        # past every child of a level < n_max: no push bound when none is given
+        self.unbounded = (n_max + 2) * self.weight
 
     def encode_digits(self, digits):
         code = 0
@@ -389,6 +391,11 @@ class _RangeSumPusher(_DigitCodec):
     its smallest start to its end (digit j - 1 of the line, plus one unless
     j = 1) with a running sum.  A push then costs the distinct children
     plus one entry per label and rule, not the sum of the range lengths.
+
+    Under a `limit` (a multiple of w_0), a label one semi-arc below it
+    makes no semi-opener, and a label at it makes only its closers: its
+    lines are past the limit, so their sweep adds only the closer
+    children.  A label past it makes nothing.
     """
 
     def __init__(self, family, k, n_max):
@@ -412,13 +419,27 @@ class _RangeSumPusher(_DigitCodec):
     def label_text(self, code):
         return str(self.decode_digits(code))  # a list of ints prints as JSON
 
-    def push(self, current):
+    def push(self, current, limit=None):
         nxt = {}
         w0 = self.weight
+        if limit is None:
+            limit = self.unbounded
+        top = limit - w0  # a label below it makes every child
         rules = self.rules
         lines = [{} for _ in rules]
         enhanced, w1, dec = self.enhanced, self.w1, self.dec
+        # labels at the limit, which make only their closers; they get their
+        # own pass so that the main one tests one bound per label
+        at_limit = []
         for code, count in current.items():
+            if code < top:
+                opener = code + w0
+            elif code >= limit:
+                if code < limit + w0:
+                    at_limit.append((code, count))
+                continue
+            else:
+                opener = None  # it would be at the limit
             s0, rest = divmod(code, w0)
             # (1) fixed point, s_1 set to s_0 if enhanced
             if not enhanced:
@@ -430,7 +451,8 @@ class _RangeSumPusher(_DigitCodec):
             if fp is not None:
                 nxt[fp] = nxt.get(fp, 0) + count
             # (2) semi-opener
-            nxt[code + w0] = nxt.get(code + w0, 0) + count
+            if opener is not None:
+                nxt[opener] = nxt.get(opener, 0) + count
             # (3) and (4), the ranged closings: one line entry per rule
             prev = s0
             for line_starts, (w, below) in zip(lines, rules):
@@ -449,6 +471,22 @@ class _RangeSumPusher(_DigitCodec):
                 nxt[child] = nxt.get(child, 0) + count
                 child -= w0
                 nxt[child] = nxt.get(child, 0) + count
+        for code, count in at_limit:
+            # (4) alone: line entries, and the top semi-arc's closer
+            prev, rest = divmod(code, w0)
+            for line_starts, (w, below) in zip(lines, rules):
+                d, rest = divmod(rest, w)
+                if d < prev:
+                    line = code - d * w - below
+                    starts = line_starts.get(line)
+                    if starts is None:
+                        line_starts[line] = {d: count}
+                    else:
+                        starts[d] = starts.get(d, 0) + count
+                prev = d
+            if prev > 0:
+                child = code - dec - w0
+                nxt[child] = nxt.get(child, 0) + count
         base, weights = self.base, self.weights
         for j, (line_starts, (w, _)) in enumerate(zip(lines, rules), 1):
             end_weight, past_top = weights[j - 1], j > 1
@@ -457,11 +495,18 @@ class _RangeSumPusher(_DigitCodec):
                 total = 0
                 start = min(starts)
                 child = line + start * w
+                if line < limit:
+                    for i in range(start, end):
+                        total += starts.get(i, 0)
+                        nxt[child] = nxt.get(child, 0) + total
+                        low = child - w0
+                        nxt[low] = nxt.get(low, 0) + total
+                        child += w
+                    continue
+                child -= w0  # the line's labels are at the limit: (4) only
                 for i in range(start, end):
                     total += starts.get(i, 0)
                     nxt[child] = nxt.get(child, 0) + total
-                    low = child - w0
-                    nxt[low] = nxt.get(low, 0) + total
                     child += w
         return nxt
 
@@ -487,6 +532,11 @@ class _PermutationPusher(_DigitCodec):
     The upper closings are pushed into `half_closed` only; its pass adds
     each half-closed label once to the level as the upper semi-transitory
     child, then closes one of its lower semi-arcs for the closer.
+
+    Under a `limit` (a multiple of w_h), a label one semi-arc below it
+    makes no semi-opener, and a label at it makes only its closers: its
+    upper closings go to `closing` instead, whose pass makes only the
+    closer.  A label past it makes nothing.
 
     The closings stay one child per option, not summed along lines as in
     `_RangeSumPusher`.  A ranged form of this push gave equal levels but
@@ -549,14 +599,30 @@ class _PermutationPusher(_DigitCodec):
             self.options[hv] = deltas
         return deltas
 
-    def push(self, current):
+    def push(self, current, limit=None):
         nxt = {}
         half_closed = {}
+        # half-closed labels at the limit, which make only (5); kept apart
+        # from half_closed so that its pass tests no bound per label
+        closing = {}
         vector, wh = self.vector, self.weight
+        if limit is None:
+            limit = self.unbounded
+        top = limit - wh  # a label below it makes every child
         r1_weight, r1_unit = self.r1_weight, self.r1_unit
         options, closings = self.options, self._closings
         for code, count in current.items():
             hr, s = divmod(code, vector)
+            if code < top:
+                opener = code + wh
+            elif code >= limit:
+                if code < limit + wh:  # at the limit: the first half of (5)
+                    for d in (options.get(hr) or closings(hr))[1]:
+                        child = code + d
+                        closing[child] = closing.get(child, 0) + count
+                continue
+            else:
+                opener = None  # it would be at the limit
             h, r = divmod(hr, vector)
             # (1) fixed point, r_1 set to h
             if r1_weight:
@@ -565,7 +631,8 @@ class _PermutationPusher(_DigitCodec):
             elif h == 0:
                 nxt[code] = nxt.get(code, 0) + count
             # (2) semi-opener
-            nxt[code + wh] = nxt.get(code + wh, 0) + count
+            if opener is not None:
+                nxt[opener] = nxt.get(opener, 0) + count
             # close an upper semi-arc: (3) and the first half of (5)
             for d in (options.get(hr) or closings(hr))[1]:
                 child = code + d
@@ -579,6 +646,14 @@ class _PermutationPusher(_DigitCodec):
             # (3) upper semi-transitory
             nxt[code] = nxt.get(code, 0) + count
             # (5) closer: close a lower semi-arc of the half-closed label
+            hr, s = divmod(code, vector)
+            hs = hr // vector * vector + s
+            low = code - wh
+            for d in (options.get(hs) or closings(hs))[0]:
+                child = low + d
+                nxt[child] = nxt.get(child, 0) + count
+        for code, count in closing.items():
+            # (5) alone
             hr, s = divmod(code, vector)
             hs = hr // vector * vector + s
             low = code - wh
@@ -642,13 +717,15 @@ CONSTRAINED_FAMILIES = tuple(f for f in FAMILIES if _FAMILY_TABLE[f].takes_k)
 def count_sequence(spec, n_max, max_labels=None, stats=None):
     """a(1..n_max): closed objects (root label) per level.
 
-    Labels that can no longer return to the root by level n_max are pruned
-    as the levels are pushed, so `max_labels` bounds the pruned label set.
-    `stats`, if given, is called with one dict per level 1..n_max: its
-    `level`, the labels the push produced (`labels_pushed`) and kept after
-    pruning (`labels_kept`), the push's seconds (`push_s`) and the bit
-    length of the largest kept count (`max_count_bits`).  Without it no
-    timing call is made.
+    Labels that can no longer return to the root by level n_max are never
+    built: each push is given the horizon, so `max_labels` bounds the
+    pruned label set.  `stats`, if given, is called with one dict per level
+    1..n_max: its `level`, the labels the push produced (`labels_pushed`)
+    and kept (`labels_kept`), the push's seconds (`push_s`) and the bit
+    length of the largest kept count (`max_count_bits`).  The push builds
+    only labels under the horizon, so `labels_pushed` equals `labels_kept`;
+    both keys stay, as `level_distribution` reports them too.  Without
+    `stats` no timing call is made.
     """
     pusher = _pusher(spec, n_max)
     root = pusher.encode(spec.root_label())

@@ -1,5 +1,6 @@
 """Command-line interface: output formats and exit codes."""
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -7,20 +8,22 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
 from math import factorial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonnesting import cli, closedform, oracle
+from nonnesting import cli, closedform, gentree, oracle
 from nonnesting.cli import run
 from nonnesting.gentree import FamilySpec, count_levels
-from nonnesting.series import TruncatedSeries
+from nonnesting.series import SERIES_FAMILIES, TruncatedSeries
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -573,6 +576,159 @@ def test_fuzzed_argv_keeps_exit_codes(data):
             contextlib.redirect_stderr(io.StringIO()):
         rc = exit_code(argv)
     assert rc in (0, 1, 2, 3)
+
+
+def _all_subcommand_parser(command=None):
+    """The plain path `run` replaced: a copy of the parser it built for
+    every argv, with all six subcommands, whatever the command."""
+    parser = argparse.ArgumentParser(
+        prog="nonnesting",
+        description="Enumerate set partitions and permutations with no k "
+        "mutually nested arcs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("count", help="generating-tree counts")
+    p.add_argument("--family", required=True, choices=gentree.FAMILIES)
+    p.add_argument("--k", type=cli._NESTING, help="forbidden nesting size")
+    p.add_argument("--n", type=cli._SIZE, required=True)
+    p.add_argument("--all-labels", action="store_true",
+                   help="dump the full label distribution at level n")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--max-labels", type=cli._BUDGET, help="distinct-label budget")
+    p.add_argument("--stats", action="store_true",
+                   help="write one JSON line per level to stderr: labels "
+                   "pushed and kept, push seconds, widest count in bits")
+    p.set_defaults(func=cli._cmd_count)
+
+    p = sub.add_parser("series", help="functional-equation solutions")
+    p.add_argument("--family", required=True,
+                   choices=(*SERIES_FAMILIES, "permutations3"))
+    p.add_argument("--k", type=cli._NESTING)
+    p.add_argument("--n", type=cli._SIZE, required=True)
+    p.add_argument("--full", action="store_true",
+                   help="dump every coefficient, not just the counting terms")
+    p.add_argument("--stats", action="store_true",
+                   help="write one JSON line per z-order to stderr: terms "
+                   "built and kept, seconds in Phi")
+    p.set_defaults(func=cli._cmd_series)
+
+    p = sub.add_parser("generate", help="stream all diagrams of size n")
+    p.add_argument("--family", required=True, choices=gentree.FAMILIES)
+    p.add_argument("--k", type=cli._NESTING)
+    p.add_argument("--n", type=cli._SIZE, required=True)
+    p.add_argument("--closed-only", action="store_true",
+                   help="emit only diagrams without semi-arcs")
+    p.set_defaults(func=cli._cmd_generate)
+
+    p = sub.add_parser("oracle", help="brute-force count")
+    p.add_argument("--family", required=True,
+                   choices=gentree.CONSTRAINED_FAMILIES)
+    p.add_argument("--k", type=cli._NESTING, required=True)
+    p.add_argument("--n", type=cli._SIZE, required=True)
+    p.add_argument("--stats", action="store_true",
+                   help="write one JSON line to stderr: objects walked, their "
+                   "maximum-nesting histogram, seconds and objects per second")
+    p.set_defaults(func=cli._cmd_oracle)
+
+    p = sub.add_parser("verify", help="cross-check harness")
+    p.add_argument(
+        "--suite",
+        default="all",
+        choices=(*dict.fromkeys(c.suite for c in cli.CHECKS), "all"),
+    )
+    p.add_argument("--max-n", type=cli._SIZE, default=12)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cli._cmd_verify)
+
+    p = sub.add_parser("refdata", help="dump an embedded reference sequence")
+    p.add_argument(
+        "--family",
+        required=True,
+        choices=("partitions", "partitions-enhanced", "permutations", "baxter"),
+    )
+    p.add_argument("--k", type=cli._NESTING, required=True)
+    p.set_defaults(func=cli._cmd_refdata)
+
+    return parser
+
+
+# the times that `verify` prints, in text and in JSON, and that --stats
+# writes to stderr (push_s, phi_s, seconds, objects_per_s)
+_TIMES = re.compile(r"\[\d+\.\d+s\]|\"(runtime|seconds|\w+_s)\": [\d.e+-]+")
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of `run(argv)`, times masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(argv)
+    return code, _TIMES.sub("<t>", out.getvalue()), _TIMES.sub("<t>", err.getvalue())
+
+
+def _outcome_of_all_subcommand_parser(argv):
+    with mock.patch.object(cli, "_build_parser", _all_subcommand_parser):
+        return _outcome(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["bogus"], ["--", "count"], ["cou"],
+    "count --family partitions --k 3 --n 4 --zz".split(),
+    *([command, "--help"] for command in _FLAGS),
+    *([command] for command in _FLAGS),
+    *([command, "bogus"] for command in _FLAGS),
+    *(argv.split() for argv in [
+        "count --family partitions --k 3 --n -1",
+        "count --family partitions --k 1 --n 4",
+        "oracle --family partitions --k 3 --n -2",
+        "series --family baxter --k 5 --n 4",
+        "series --family permutations --n 4",
+        "series --family partitions-enhanced --n 4",
+        "series --family permutations3 --k 4 --n 4",
+        "count --family partitions --k 3 --n 4 --max-labels 0",
+        "count --family partitions --k 3 --n 4 --max-labels -3",
+    ]),
+], ids=" ".join)
+def test_parser_equals_all_subcommand_parser(argv):
+    """`run` builds only the invoked subcommand's parser; its exit code,
+    stdout and stderr are those of the full parser it replaced."""
+    assert _outcome(argv) == _outcome_of_all_subcommand_parser(argv)
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    """The argvs `test_fuzzed_argv_keeps_exit_codes` draws."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag in _FLAGS[command]:
+        if flag not in _VALUES:
+            if draw(st.booleans()):
+                argv.append(flag)
+            continue
+        values = _VALUES[flag]
+        value = draw(values if flag == "--max-n" else st.none() | values)
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fuzzed_argv())
+def test_fuzzed_parser_equals_all_subcommand_parser(argv):
+    assert _outcome(argv) == _outcome_of_all_subcommand_parser(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["count", "--help"],
+    "count --family partitions --k 3 --n 6".split(),
+    "refdata --family baxter --k 2 --zz".split(),
+])
+def test_parser_reads_the_command_from_sys_argv(monkeypatch, argv):
+    """`run(None)` reads the subcommand from sys.argv before it builds
+    the parser, and parses the same argv as the full parser."""
+    monkeypatch.setattr(sys, "argv", ["nonnesting", *argv])
+    assert _outcome(None) == _outcome_of_all_subcommand_parser(None)
+    assert _outcome(None) == _outcome(argv)
 
 
 @pytest.mark.parametrize("module", ["nonnesting", "nonnesting.cli"])

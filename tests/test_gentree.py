@@ -297,6 +297,28 @@ def test_pusher_equals_rule_on_random_labels(data):
     assert push(level) == expected  # a cache filled by the first push
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_push_under_a_limit_equals_filtered_push(family, data):
+    """The push that `count_sequence` makes under the horizon against the
+    plain path it replaces: the full push, then every code at or past the
+    limit dropped.  The labels reach past the limit as well as below it."""
+    k = data.draw(st.integers(2, 6)) if family in CONSTRAINED_FAMILIES else None
+    pusher = _pusher(FamilySpec(family, k), 16)
+    labels = data.draw(st.lists(_labels(family, k), min_size=1, max_size=8,
+                                unique=True))
+    counts = data.draw(st.lists(st.integers(1, 2**300), min_size=len(labels),
+                                max_size=len(labels)))
+    level = {pusher.encode(label): count for label, count in zip(labels, counts)}
+    # one past the largest semi-arc count of a child: 16, or 41 when open
+    top = 17 if family in CONSTRAINED_FAMILIES else 42
+    limit = data.draw(st.integers(0, top)) * pusher.weight
+    assert pusher.push(level, limit) == {
+        c: v for c, v in pusher.push(level).items() if c < limit
+    }
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_codes_round_trip_in_label_order(data):
@@ -425,6 +447,8 @@ class TestLevelStats:
         ]
         assert records[0]["labels_pushed"] == sizes[0]
         assert [r["labels_kept"] for r in records] == kept
+        # the push builds no label past the horizon, so none is dropped
+        assert [r["labels_pushed"] for r in records] == kept
         assert kept[-1] == 1 < max(kept)
 
 
