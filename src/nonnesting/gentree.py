@@ -19,12 +19,13 @@ in base n_max + 1.  No digit of a label at a level <= n_max exceeds n_max,
 so codes are distinct, code order is label order, and the semi-arc count
 is the leading digit.  The open families' labels are already ints and are
 their own codes.  Only the pushers know the codes: each is built for one
-n_max and owns its encode, its decode and the JSON text of a label.
-`count_sequence` looks up the root's code.  `count_levels` and
+n_max and owns its encode, its decode and `json_rows`, the JSON rows of
+a level.  `count_sequence` looks up the root's code.  `count_levels` and
 `level_distribution` return each level as a `LevelDistribution` that keeps
 its codes and its pusher: `entries` (the tuple labels above, in label
-order) is decoded on first read, and the JSON dump is written straight
-from the codes, in code order, without building a label.
+order) is decoded on first read, and the JSON dump is the pusher's
+`json_rows`, written straight from the codes, in code order, without
+building a label.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ class LevelDistribution:
     The level is held as the DP left it: a count per label code, with the
     pusher that owns the codes.  `entries` (label -> count, in label order)
     is decoded from the codes on first read and then kept; `total()` sums
-    the counts without decoding, and `to_json()` writes each row from its
-    code, so a JSON dump decodes nothing.
+    the counts without decoding, and `to_json()` takes its rows from the
+    pusher's `json_rows`, which writes them from the codes, so a JSON dump
+    decodes nothing.
     """
 
     def __init__(self, level, codes, pusher):
@@ -119,11 +121,9 @@ class LevelDistribution:
         """The level as one line of JSON, as `json.dumps` writes it:
         {"n": level, "labels": [{"label": [...], "count": "..."}, ...]},
         each label a list (a permutation's r and s nested lists), in label
-        order.  Rows are written from the codes in sorted-code order, which
-        is label order, each label's text coming from its pusher."""
-        text, codes = self._pusher.label_text, self._codes
-        row = '{"label": %s, "count": "%d"}'
-        rows = ", ".join([row % (text(c), codes[c]) for c in sorted(codes)])
+        order.  The rows come from the pusher's `json_rows`, which writes
+        them from the codes in sorted-code order, which is label order."""
+        rows = self._pusher.json_rows(self._codes)
         return '{"n": %d, "labels": [%s]}' % (self.level, rows)
 
     def __eq__(self, other):
@@ -330,8 +330,10 @@ class _GenericPusher:
     decode = encode
 
     @staticmethod
-    def label_text(code):
-        return f"[{code}]"
+    def json_rows(codes):
+        """The level's JSON rows, in code order, joined by ", "."""
+        row = '{"label": [%d], "count": "%d"}'
+        return ", ".join([row % (c, codes[c]) for c in sorted(codes)])
 
     def push(self, current, limit=None):
         """The next level.  With `limit` (a multiple of `weight`), only the
@@ -416,8 +418,10 @@ class _RangeSumPusher(_DigitCodec):
     def decode(self, code):
         return tuple(self.decode_digits(code))
 
-    def label_text(self, code):
-        return str(self.decode_digits(code))  # a list of ints prints as JSON
+    def json_rows(self, codes):
+        row, digits = '{"label": %s, "count": "%d"}', self.decode_digits
+        # a list of ints prints as JSON
+        return ", ".join([row % (digits(c), codes[c]) for c in sorted(codes)])
 
     def push(self, current, limit=None):
         nxt = {}
@@ -531,21 +535,38 @@ class _PermutationPusher(_DigitCodec):
 
     The upper closings are pushed into `half_closed` only; its pass adds
     each half-closed label once to the level as the upper semi-transitory
-    child, then closes one of its lower semi-arcs for the closer.
+    child, and the closer then closes one of its lower semi-arcs.
+
+    The lower closings are applied once, for (4) and (5) together.  For
+    either side, `_closing_options(h, v)` is `_closing_options(h - 1, v)`
+    and one option more: v with v_1 set to h - 1, present when v_1 < h
+    (k = 2, v empty: the option () when h = 1).  So the closers of a
+    half-closed label (h, r', s) are the lower semi-transitory children
+    of (h - 1, r', s) and that one extra child.  The push gathers in
+    `lowered` the labels below the limit (the labels of (4)) and every
+    half-closed label moved down one semi-arc, summed where two meet, adds
+    the extra child from the half-closed pass, and then closes one lower
+    semi-arc of each label of `lowered`.  A moved-down label can have
+    s_1 = h > h - 1: no label of a level, but its code is still distinct,
+    it lives only in `lowered` and as a key of the option cache, and each
+    of its lower closings (none from rule j = 1) is a valid child.
 
     Under a `limit` (a multiple of w_h), a label one semi-arc below it
     makes no semi-opener, and a label at it makes only its closers: its
-    upper closings go to `closing` instead, whose pass makes only the
-    closer.  A label past it makes nothing.
+    upper closings go to `closing` instead, whose pass moves them down
+    into `lowered` and adds their extra child, but no upper
+    semi-transitory.  A label at or past the limit is deleted from
+    `lowered`, and one past it makes nothing.
 
     The closings stay one child per option, not summed along lines as in
     `_RangeSumPusher`.  A ranged form of this push gave equal levels but
     took 1.5 to 2 times as long on k = 3, 4 and 5 (n = 14, 13 and 11):
     the ranges are short (2.3 steps on average at k = 5, n = 11, and 40 %
     are one step), so building the line keys costs more than it saves.
-    The option cache keeps entries from every level pushed so far.  A
-    label's JSON text is built from the texts of its two vectors, cached
-    per vector code.
+    The option cache keeps entries from every level pushed so far.  The
+    JSON rows are written in code order, (h, r) group by group: a group's
+    row head is built once, and each vector's text is cached per vector
+    code.
     """
 
     def __init__(self, family, k, n_max):
@@ -567,13 +588,21 @@ class _PermutationPusher(_DigitCodec):
         h, r = divmod(hr, self.vector)
         return h, self._vector(r), self._vector(s)
 
-    def label_text(self, code):
-        hr, s = divmod(code, self.vector)
-        h, r = divmod(hr, self.vector)
-        texts = self.texts
-        r_text = texts.get(r) or self._text(r)
-        s_text = texts.get(s) or self._text(s)
-        return f"[{h}, {r_text}, {s_text}]"
+    def json_rows(self, codes):
+        """The rows in code order, which keeps each (h, r) group together:
+        a group's row head, up to r's text, is built once."""
+        vector, texts = self.vector, self.texts
+        rows = []
+        group = None
+        for code in sorted(codes):
+            hr, s = divmod(code, vector)
+            if hr != group:
+                group = hr
+                h, r = divmod(hr, vector)
+                head = '{"label": [%d, %s, ' % (h, texts.get(r) or self._text(r))
+            s_text = texts.get(s) or self._text(s)
+            rows.append(f'{head}{s_text}], "count": "{codes[code]}"}}')
+        return ", ".join(rows)
 
     def _vector(self, v):
         vec = self.vectors.get(v)
@@ -603,8 +632,11 @@ class _PermutationPusher(_DigitCodec):
         nxt = {}
         half_closed = {}
         # half-closed labels at the limit, which make only (5); kept apart
-        # from half_closed so that its pass tests no bound per label
+        # from half_closed so that the (3) pass tests no bound per label
         closing = {}
+        # the labels whose lower closings make children: (4)'s labels, and
+        # (5)'s half-closed labels one semi-arc down
+        lowered = dict(current)
         vector, wh = self.vector, self.weight
         if limit is None:
             limit = self.unbounded
@@ -612,10 +644,11 @@ class _PermutationPusher(_DigitCodec):
         r1_weight, r1_unit = self.r1_weight, self.r1_unit
         options, closings = self.options, self._closings
         for code, count in current.items():
-            hr, s = divmod(code, vector)
+            hr = code // vector
             if code < top:
                 opener = code + wh
             elif code >= limit:
+                del lowered[code]  # it makes no (4)
                 if code < limit + wh:  # at the limit: the first half of (5)
                     for d in (options.get(hr) or closings(hr))[1]:
                         child = code + d
@@ -637,28 +670,33 @@ class _PermutationPusher(_DigitCodec):
             for d in (options.get(hr) or closings(hr))[1]:
                 child = code + d
                 half_closed[child] = half_closed.get(child, 0) + count
-            # (4) lower semi-transitory
-            hs = h * vector + s
-            for d in (options.get(hs) or closings(hs))[0]:
-                child = code + d
-                nxt[child] = nxt.get(child, 0) + count
         for code, count in half_closed.items():
             # (3) upper semi-transitory
             nxt[code] = nxt.get(code, 0) + count
-            # (5) closer: close a lower semi-arc of the half-closed label
+        # (5) closer: its lower closings from the half-closed label's h are
+        # those from h - 1, made by the `lowered` pass, and the extra one
+        # that sets s_1 to h - 1 (k = 2: none unless h = 1)
+        s1_unit = r1_unit
+        for source in (half_closed, closing):
+            for code, count in source.items():
+                low = code - wh
+                lowered[low] = lowered.get(low, 0) + count
+                h = code // wh
+                if s1_unit:
+                    s1 = code % vector // s1_unit
+                    if s1 < h:
+                        child = low + (h - 1 - s1) * s1_unit
+                        nxt[child] = nxt.get(child, 0) + count
+                elif h == 1:
+                    nxt[low] = nxt.get(low, 0) + count
+        # `lowered` holds their labels now; freed before the widest pass
+        del half_closed, closing
+        # (4) lower semi-transitory, and (5)'s closings from h - 1
+        for code, count in lowered.items():
             hr, s = divmod(code, vector)
             hs = hr // vector * vector + s
-            low = code - wh
             for d in (options.get(hs) or closings(hs))[0]:
-                child = low + d
-                nxt[child] = nxt.get(child, 0) + count
-        for code, count in closing.items():
-            # (5) alone
-            hr, s = divmod(code, vector)
-            hs = hr // vector * vector + s
-            low = code - wh
-            for d in (options.get(hs) or closings(hs))[0]:
-                child = low + d
+                child = code + d
                 nxt[child] = nxt.get(child, 0) + count
         return nxt
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import (
+    _closing_options,
     _pusher,
     CONSTRAINED_FAMILIES,
     FAMILIES,
@@ -317,6 +318,108 @@ def test_push_under_a_limit_equals_filtered_push(family, data):
     assert pusher.push(level, limit) == {
         c: v for c, v in pusher.push(level).items() if c < limit
     }
+
+
+def _two_pass_permutation_push(pusher, current, limit=None):
+    """The push `_PermutationPusher` made before it applied the lower
+    closings in one pass: (4) closes a lower semi-arc of each label, and
+    (5) closes one again of each half-closed label, from its own h."""
+    nxt = {}
+    half_closed = {}
+    closing = {}
+    vector, wh = pusher.vector, pusher.weight
+    if limit is None:
+        limit = pusher.unbounded
+    top = limit - wh
+    r1_weight, r1_unit = pusher.r1_weight, pusher.r1_unit
+    closings = pusher._closings
+    for code, count in current.items():
+        hr, s = divmod(code, vector)
+        if code < top:
+            opener = code + wh
+        elif code >= limit:
+            if code < limit + wh:
+                for d in closings(hr)[1]:
+                    child = code + d
+                    closing[child] = closing.get(child, 0) + count
+            continue
+        else:
+            opener = None
+        h, r = divmod(hr, vector)
+        if r1_weight:
+            fp = code + (h - r // r1_unit) * r1_weight
+            nxt[fp] = nxt.get(fp, 0) + count
+        elif h == 0:
+            nxt[code] = nxt.get(code, 0) + count
+        if opener is not None:
+            nxt[opener] = nxt.get(opener, 0) + count
+        for d in closings(hr)[1]:
+            child = code + d
+            half_closed[child] = half_closed.get(child, 0) + count
+        for d in closings(h * vector + s)[0]:
+            child = code + d
+            nxt[child] = nxt.get(child, 0) + count
+    for code, count in half_closed.items():
+        nxt[code] = nxt.get(code, 0) + count
+    for code, count in (*half_closed.items(), *closing.items()):
+        hr, s = divmod(code, vector)
+        low = code - wh
+        for d in closings(hr // vector * vector + s)[0]:
+            child = low + d
+            nxt[child] = nxt.get(child, 0) + count
+    return nxt
+
+
+@pytest.mark.parametrize("k,n_max", list(zip(range(2, 8), (13, 13, 11, 9, 8, 7))))
+def test_permutation_push_equals_two_pass_push(k, n_max):
+    """The one lower-closing pass against the two-pass push it replaced,
+    on every full level up to n_max and under every limit from none to
+    past every child; each has its own pusher and option cache."""
+    spec = FamilySpec("permutations", k)
+    pusher, reference = _pusher(spec, n_max), _pusher(spec, n_max)
+    level = {pusher.encode(spec.root_label()): 1}
+    for n in range(n_max):
+        for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
+            assert pusher.push(level, limit) == (
+                _two_pass_permutation_push(reference, level, limit)
+            ), (n, limit)
+        level = pusher.push(level)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_permutation_push_equals_two_pass_push_on_signed_counts(data):
+    """As above, on random labels with counts of either sign or zero."""
+    k = data.draw(st.integers(2, 7))
+    spec = FamilySpec("permutations", k)
+    pusher, reference = _pusher(spec, 16), _pusher(spec, 16)
+    labels = data.draw(st.lists(_labels("permutations", k), min_size=1,
+                                max_size=8, unique=True))
+    counts = data.draw(st.lists(st.integers(-2**300, 2**300),
+                                min_size=len(labels), max_size=len(labels)))
+    level = {pusher.encode(label): count for label, count in zip(labels, counts)}
+    limit = data.draw(st.none() | st.integers(0, 17).map(
+        lambda h: h * pusher.weight))
+    assert pusher.push(level, limit) == (
+        _two_pass_permutation_push(reference, level, limit)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_closing_options_from_h_are_those_from_h_less_one_and_one_more(data):
+    """The identity the permutation push's one lower pass rests on: the
+    options from h are those from h - 1 plus the vector with v_1 set to
+    h - 1 when v_1 < h; for an empty vector (k = 2), () when h = 1."""
+    h = data.draw(st.integers(1, 15))
+    vec = data.draw(st.integers(0, 5).flatmap(lambda m: _non_increasing(h, m)))
+    if vec:
+        extra = [(h - 1,) + vec[1:]] if vec[0] < h else []
+    else:
+        extra = [()] if h == 1 else []
+    assert sorted(_closing_options(h, vec)) == sorted(
+        _closing_options(h - 1, vec) + extra
+    )
 
 
 @settings(max_examples=300, deadline=None)
