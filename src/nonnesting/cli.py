@@ -86,10 +86,7 @@ def _cmd_count(args):
         if args.format == "json":
             print(level.to_json())
         elif args.format == "csv":
-            _print_csv(
-                ["label", "count"],
-                [[json.dumps(l), str(c)] for l, c in level.entries.items()],
-            )
+            _print_csv(["label", "count"], _label_rows(level.entries))
         else:
             for label, count in level.entries.items():
                 print(f"{label}: {count}")
@@ -105,6 +102,17 @@ def _cmd_count(args):
     else:
         print(",".join(str(c) for c in seq))
     return 0
+
+
+def _label_rows(entries):
+    """CSV rows [label, count], each label (an int, or a tuple of ints and
+    tuples of ints) as `json.dumps` writes it: `str` writes the same text
+    but for a tuple's round brackets and a one-element tuple's trailing
+    comma."""
+    return [
+        [str(l).replace("(", "[").replace(")", "]").replace(",]", "]"), str(c)]
+        for l, c in entries.items()
+    ]
 
 
 def _print_csv(header, rows):

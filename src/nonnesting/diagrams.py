@@ -366,11 +366,12 @@ def walk_state(diagram, k, enhanced=False):
     """A mutable copy of `diagram` for a depth-first walk of the k-nonnesting
     tree (arguments as in `legal_steps`).
 
-    Its `steps()` are the legal step tuples, in `legal_steps` order.
-    `apply(step)` adds one vertex in place, appending arcs in the order
-    `apply_step` does, and `undo(step)` removes it again, so the state is
-    the diagram it was; `freeze()` builds the immutable diagram the state
-    holds.
+    Its `steps()` are the legal step tuples, in `legal_steps` order, and
+    `closing_step()` is the one step that closes a state with at most one
+    semi-arc.  `apply(step)` adds one vertex in place, appending arcs in
+    the order `apply_step` does, and `undo(step)` removes it again, so the
+    state is the diagram it was; `freeze()` builds the immutable diagram
+    the state holds.
     """
     if isinstance(diagram, OpenPartitionDiagram):
         return _PartitionState(diagram, k, enhanced)
@@ -414,6 +415,13 @@ class _PartitionState:
             steps += [(SEMI_TRANSITORY, pos) for pos in closable]
             steps += [(CLOSER, pos) for pos in closable]
         return steps
+
+    def closing_step(self):
+        """The step that closes a state with at most one semi-arc: the
+        fixed point, or the closer of that semi-arc.  For such a state it is
+        the only legal step that leaves no semi-arc (`_closable` always
+        allows position 0)."""
+        return (CLOSER, 0) if self.opens else (FIXED_POINT, None)
 
     def apply(self, step):
         kind, index = step
@@ -474,6 +482,11 @@ class _PermutationState:
             steps += [(LOWER_SEMI_TRANSITORY, None, pl) for pl in lo]
             steps += [(CLOSER, pu, pl) for pu in up for pl in lo]
         return steps
+
+    def closing_step(self):
+        """As `_PartitionState.closing_step`: the fixed point, or the closer
+        of the one semi-arc on each layer."""
+        return (CLOSER, 0, 0) if self.upper_open else (FIXED_POINT, None, None)
 
     def apply(self, step):
         kind, pu, pl = step

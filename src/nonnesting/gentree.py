@@ -784,7 +784,9 @@ def generate_diagrams(spec, n, closed_only=False):
     walked: a step that would leave more semi-arcs than vertices remain
     before n is skipped before it is applied, since each step closes at
     most one semi-arc.  The cost then follows the closed diagrams, not all
-    open ones.  The walk keeps an explicit stack, so n is not bounded by
+    open ones.  A node at level n - 1 then has at most one semi-arc and one
+    legal step, its `closing_step()`, which is taken directly, with no
+    steps listed.  The walk keeps an explicit stack, so n is not bounded by
     the recursion limit.
     """
     if n < 0:
@@ -815,6 +817,13 @@ def generate_diagrams(spec, n, closed_only=False):
             state.apply(step)
             if state.n == n:
                 yield state.freeze()  # closed if closed_only: steps filtered
+                state.undo(step)
+            elif closed_only and state.n == n - 1:
+                # at most one semi-arc is open, and closing it is forced
+                last = state.closing_step()
+                state.apply(last)
+                yield state.freeze()
+                state.undo(last)
                 state.undo(step)
             else:
                 path.append(step)

@@ -12,7 +12,10 @@ strictly decreasing run of one endpoint, so the walk keeps the
 patience-sort tails of the longest chain (the tails that `max_nesting`
 builds for a whole diagram), updates them with one `bisect_left` per arc
 and undoes the update when it backtracks.  The work done for a prefix is
-shared by every object that extends it.
+shared by every object that extends it.  The last element gets no call of
+its own: the last arc can only lengthen the chain by one, which one
+comparison with the last tail decides, so each object is counted where
+its last element is chosen, with no tail update to undo.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ def _partition_walk(n, enhanced):
     second element.  Every earlier arc ends before p, so none fits inside
     (p, p): it can only start a chain, as the innermost arc.  A branch with
     more open promises than elements left is cut, so every leaf is a
-    partition.
+    partition.  The choices for the last element n are counted in the loop
+    that makes them.
     """
     counts = [0] * (n + 2)
     last = []  # last element of each block that may still grow
@@ -131,8 +135,23 @@ def _partition_walk(n, enhanced):
     tails = [0] * (n + 1)
 
     def place(p, depth, promised):
-        if p > n:
-            counts[depth] += 1
+        if p == n:
+            # the last element: each choice is counted where it is made.
+            # Joining the block that ends at q adds the arc (q, n), which
+            # extends the chain iff q is below the left end that the last
+            # tail holds (any q does when there is no chain yet)
+            top = -tails[depth - 1] if depth else n
+            if promised:
+                # only the block still owed its second element may take n
+                for q, r in zip(last, promise):
+                    if q == r:
+                        counts[depth + (q < top)] += 1
+            else:
+                for q in last:
+                    counts[depth + (q < top)] += 1
+                # a new block adds no arc, and a singleton's (n, n) can
+                # only start a chain
+                counts[depth + (enhanced and not depth)] += 1
             return
         left_after = n - p
         for b, q in enumerate(last):
@@ -161,7 +180,10 @@ def _partition_walk(n, enhanced):
             promise.pop()
             last.pop()
 
-    place(1, 0, 0)
+    if n:
+        place(1, 0, 0)
+    else:
+        counts[0] = 1
     return counts
 
 
@@ -180,7 +202,8 @@ def _permutation_walk(n):
       end, so a chain is a strictly decreasing run of left ends; the tails
       hold -v.
 
-    A permutation's nesting is the larger of the two chains.
+    A permutation's nesting is the larger of the two chains.  At i = n one
+    value is left; it is placed and the permutation counted in one step.
     """
     counts = [0] * (n + 2)
     free = list(range(1, n + 1))
@@ -188,8 +211,14 @@ def _permutation_walk(n):
     lower = [0] * (n + 1)
 
     def place(i, up, low):
-        if i > n:
-            counts[max(up, low)] += 1
+        if i == n:
+            # one value is left: place it and count the permutation
+            v = free[i - 1]
+            if v == n:
+                # the fixed point (n, n) can only start an upper chain
+                counts[max(up + (not up), low)] += 1
+            else:
+                counts[max(up, low + (not low or lower[low - 1] < -v))] += 1
             return
         for j in range(i - 1, n):
             v = free[j]
@@ -210,7 +239,10 @@ def _permutation_walk(n):
             free[i - 1] = free[j]
             free[j] = v
 
-    place(1, 0, 0)
+    if n:
+        place(1, 0, 0)
+    else:
+        counts[0] = 1
     return counts
 
 

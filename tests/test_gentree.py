@@ -649,3 +649,70 @@ def test_walk_equals_object_walk(family, k, n_max, closed_only):
     for d in walked:
         assert replace(d) == d
         assert d.to_json() == json.dumps(d.to_json_dict())
+
+
+def _filtered_closed_walk(spec, n, last_level=None):
+    """`generate_diagrams(spec, n, closed_only=True)` as it was before the
+    last step was taken directly: every node, those at level n - 1 too,
+    takes `state.steps()` filtered by `SEMI_ARC_CHANGE`.  With a list
+    `last_level`, each node at level n - 1 appends its filtered steps and
+    its `closing_step()`."""
+    root, enhanced = spec.walk_start()
+    if n == 0:
+        yield root
+        return
+    state = dg.walk_state(root, spec.k, enhanced)
+    change = dg.SEMI_ARC_CHANGE
+
+    def steps():
+        room = n - state.n - 1 - state.semi_arcs()
+        legal = [s for s in state.steps() if change[s[0]] <= room]
+        if last_level is not None and state.n == n - 1:
+            last_level.append((legal, state.closing_step()))
+        return legal
+
+    frames = [iter(steps())]
+    path = []
+    while frames:
+        step = next(frames[-1], None)
+        if step is None:
+            frames.pop()
+            if path:
+                state.undo(path.pop())
+            continue
+        state.apply(step)
+        if state.n == n:
+            yield state.freeze()
+            state.undo(step)
+        else:
+            path.append(step)
+            frames.append(iter(steps()))
+
+
+def _every_family(n_max):
+    for family in FAMILIES:
+        for k in range(2, 6) if family in CONSTRAINED_FAMILIES else (None,):
+            for n in range(n_max + 1):
+                yield family, k, n
+
+
+@pytest.mark.parametrize("family,k,n", list(_every_family(7)))
+def test_closed_walk_equals_filtered_closed_walk(family, k, n):
+    """Taking the forced last step directly streams the same JSON lines as
+    filtering every node's legal steps."""
+    spec = FamilySpec(family, k)
+    walked = [d.to_json() for d in generate_diagrams(spec, n, closed_only=True)]
+    assert walked == [d.to_json() for d in _filtered_closed_walk(spec, n)]
+
+
+@pytest.mark.parametrize("family,k,n", list(_every_family(7)))
+def test_last_level_steps_are_the_closing_step(family, k, n):
+    """At level n - 1 of a closed-only walk the filtered legal steps are
+    exactly the closing step."""
+    last_level = []
+    list(_filtered_closed_walk(FamilySpec(family, k), n, last_level))
+    assert len(last_level) == (n > 0) * len(
+        list(generate_diagrams(FamilySpec(family, k), n, closed_only=True))
+    )
+    for legal, closing in last_level:
+        assert legal == [closing]

@@ -1,5 +1,6 @@
 """Brute-force enumeration and the definitional nesting check."""
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import permutations
 from math import factorial
@@ -11,6 +12,8 @@ from nonnesting.diagrams import max_nesting, permutation_arcs
 from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import FamilySpec, count_sequence
 from nonnesting.oracle import (
+    _partition_walk,
+    _permutation_walk,
     contains_knesting,
     nesting_histogram,
     oracle_count,
@@ -169,6 +172,102 @@ class TestWalk:
     ])
     def test_histogram_equals_plain_enumeration(self, family, n):
         assert nesting_histogram(family, n) == _plain_histogram(family, n)
+
+
+def _frame_per_object_partition_walk(n, enhanced):
+    """`oracle._partition_walk` as it was before the last element was
+    counted in its parent's loop: every partition is a leaf call of its
+    own, counted at p > n."""
+    counts = [0] * (n + 2)
+    last = []
+    promise = []
+    tails = [0] * (n + 1)
+
+    def place(p, depth, promised):
+        if p > n:
+            counts[depth] += 1
+            return
+        left_after = n - p
+        for b, q in enumerate(last):
+            fulfils = q == promise[b]
+            if promised - fulfils > left_after:
+                continue
+            pos = bisect_left(tails, -q, 0, depth)
+            old = tails[pos]
+            tails[pos] = -q
+            last[b] = p
+            place(p + 1, depth + (pos == depth), promised - fulfils)
+            last[b] = q
+            tails[pos] = old
+        if enhanced and promised <= left_after:
+            pos = bisect_left(tails, -p, 0, depth)
+            old = tails[pos]
+            tails[pos] = -p
+            place(p + 1, depth + (pos == depth), promised)
+            tails[pos] = old
+        if promised < left_after or not enhanced:
+            last.append(p)
+            promise.append(p if enhanced else 0)
+            place(p + 1, depth, promised + enhanced)
+            promise.pop()
+            last.pop()
+
+    place(1, 0, 0)
+    return counts
+
+
+def _frame_per_object_permutation_walk(n):
+    """`oracle._permutation_walk` as it was before the last value was
+    placed and counted in one step: the last value goes through the loop
+    and bisect of every other, and each permutation is a leaf call."""
+    counts = [0] * (n + 2)
+    free = list(range(1, n + 1))
+    upper = [0] * (n + 1)
+    lower = [0] * (n + 1)
+
+    def place(i, up, low):
+        if i > n:
+            counts[max(up, low)] += 1
+            return
+        for j in range(i - 1, n):
+            v = free[j]
+            free[j] = free[i - 1]
+            free[i - 1] = v
+            if v >= i:
+                pos = bisect_left(upper, -v, 0, up)
+                old = upper[pos]
+                upper[pos] = -v
+                place(i + 1, up + (pos == up), low)
+                upper[pos] = old
+            else:
+                pos = bisect_left(lower, -v, 0, low)
+                old = lower[pos]
+                lower[pos] = -v
+                place(i + 1, up, low + (pos == low))
+                lower[pos] = old
+            free[i - 1] = free[j]
+            free[j] = v
+
+    place(1, 0, 0)
+    return counts
+
+
+class TestLastElementInPlace:
+    """The walks count their last element in the parent's loop; the
+    frame-per-object walks they replaced are the reference."""
+
+    @pytest.mark.parametrize("enhanced", [False, True])
+    @pytest.mark.parametrize("n", range(11))
+    def test_partition_walk_equals_frame_per_object_walk(self, n, enhanced):
+        counts = _partition_walk(n, enhanced)
+        assert counts == _frame_per_object_partition_walk(n, enhanced)
+        assert sum(counts) == bell(n)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_permutation_walk_equals_frame_per_object_walk(self, n):
+        counts = _permutation_walk(n)
+        assert counts == _frame_per_object_permutation_walk(n)
+        assert sum(counts) == factorial(n)
 
 
 class TestContainsKNesting:
