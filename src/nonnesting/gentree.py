@@ -389,15 +389,17 @@ class _RangeSumPusher(_DigitCodec):
     line + i * w_j - w_0 for s_j <= i < s_{j-1}, where
     `line` is the label's code less s_j * w_j and w_1 + ... + w_{j-1} (digit
     j zeroed, digits 1..j-1 decremented).  The first pass adds the label's
-    count once, at s_j, to line j's starts; the second walks each line from
+    count once, at s_j, to line j's starts; the sweep walks each line from
     its smallest start to its end (digit j - 1 of the line, plus one unless
     j = 1) with a running sum.  A push then costs the distinct children
     plus one entry per label and rule, not the sum of the range lengths.
 
-    Under a `limit` (a multiple of w_0), a label one semi-arc below it
-    makes no semi-opener, and a label at it makes only its closers: its
-    lines are past the limit, so their sweep adds only the closer
-    children.  A label past it makes nothing.
+    Every closing of one semi-arc, the top one and each line's, adds its
+    semi-transitory code to `closed`, and the pass over `closed` applies
+    the horizon: under a `limit` (a multiple of w_0) it adds the
+    semi-transitory child only below the limit, and always its closer,
+    w_0 lower.  A label one semi-arc below the limit makes no semi-opener,
+    a label at it makes no fixed point, and one past it makes nothing.
     """
 
     def __init__(self, family, k, n_max):
@@ -425,38 +427,32 @@ class _RangeSumPusher(_DigitCodec):
 
     def push(self, current, limit=None):
         nxt = {}
+        closed = {}  # semi-transitory codes; each also makes a closer
         w0 = self.weight
         if limit is None:
             limit = self.unbounded
-        top = limit - w0  # a label below it makes every child
+        top = limit - w0  # a label below it makes an opener
         rules = self.rules
         lines = [{} for _ in rules]
         enhanced, w1, dec = self.enhanced, self.w1, self.dec
-        # labels at the limit, which make only their closers; they get their
-        # own pass so that the main one tests one bound per label
-        at_limit = []
         for code, count in current.items():
-            if code < top:
-                opener = code + w0
-            elif code >= limit:
-                if code < limit + w0:
-                    at_limit.append((code, count))
-                continue
-            else:
-                opener = None  # it would be at the limit
             s0, rest = divmod(code, w0)
-            # (1) fixed point, s_1 set to s_0 if enhanced
-            if not enhanced:
-                fp = code
-            elif w1:
-                fp = code + (s0 - rest // w1) * w1
-            else:
-                fp = code if s0 == 0 else None
-            if fp is not None:
-                nxt[fp] = nxt.get(fp, 0) + count
-            # (2) semi-opener
-            if opener is not None:
-                nxt[opener] = nxt.get(opener, 0) + count
+            if code < limit:
+                # (1) fixed point, s_1 set to s_0 if enhanced
+                if not enhanced:
+                    fp = code
+                elif w1:
+                    fp = code + (s0 - rest // w1) * w1
+                else:
+                    fp = code if s0 == 0 else None
+                if fp is not None:
+                    nxt[fp] = nxt.get(fp, 0) + count
+                # (2) semi-opener
+                if code < top:
+                    opener = code + w0
+                    nxt[opener] = nxt.get(opener, 0) + count
+            elif code >= limit + w0:
+                continue  # past the limit: every child would be at or past it
             # (3) and (4), the ranged closings: one line entry per rule
             prev = s0
             for line_starts, (w, below) in zip(lines, rules):
@@ -472,25 +468,7 @@ class _RangeSumPusher(_DigitCodec):
             # (3) and (4), closing the top semi-arc of a future k-nesting
             if prev > 0:
                 child = code - dec
-                nxt[child] = nxt.get(child, 0) + count
-                child -= w0
-                nxt[child] = nxt.get(child, 0) + count
-        for code, count in at_limit:
-            # (4) alone: line entries, and the top semi-arc's closer
-            prev, rest = divmod(code, w0)
-            for line_starts, (w, below) in zip(lines, rules):
-                d, rest = divmod(rest, w)
-                if d < prev:
-                    line = code - d * w - below
-                    starts = line_starts.get(line)
-                    if starts is None:
-                        line_starts[line] = {d: count}
-                    else:
-                        starts[d] = starts.get(d, 0) + count
-                prev = d
-            if prev > 0:
-                child = code - dec - w0
-                nxt[child] = nxt.get(child, 0) + count
+                closed[child] = closed.get(child, 0) + count
         base, weights = self.base, self.weights
         for j, (line_starts, (w, _)) in enumerate(zip(lines, rules), 1):
             end_weight, past_top = weights[j - 1], j > 1
@@ -499,19 +477,15 @@ class _RangeSumPusher(_DigitCodec):
                 total = 0
                 start = min(starts)
                 child = line + start * w
-                if line < limit:
-                    for i in range(start, end):
-                        total += starts.get(i, 0)
-                        nxt[child] = nxt.get(child, 0) + total
-                        low = child - w0
-                        nxt[low] = nxt.get(low, 0) + total
-                        child += w
-                    continue
-                child -= w0  # the line's labels are at the limit: (4) only
                 for i in range(start, end):
                     total += starts.get(i, 0)
-                    nxt[child] = nxt.get(child, 0) + total
+                    closed[child] = closed.get(child, 0) + total
                     child += w
+        for code, count in closed.items():
+            if code < limit:  # (3) semi-transitory
+                nxt[code] = nxt.get(code, 0) + count
+            low = code - w0  # (4) closer
+            nxt[low] = nxt.get(low, 0) + count
         return nxt
 
 
@@ -534,8 +508,8 @@ class _PermutationPusher(_DigitCodec):
     makes the deeper permutation tables tractable.
 
     The upper closings are pushed into `half_closed` only; its pass adds
-    each half-closed label once to the level as the upper semi-transitory
-    child, and the closer then closes one of its lower semi-arcs.
+    each half-closed label to the level as the upper semi-transitory child,
+    and the closer then closes one of its lower semi-arcs.
 
     The lower closings are applied once, for (4) and (5) together.  For
     either side, `_closing_options(h, v)` is `_closing_options(h - 1, v)`
@@ -551,12 +525,12 @@ class _PermutationPusher(_DigitCodec):
     it lives only in `lowered` and as a key of the option cache, and each
     of its lower closings (none from rule j = 1) is a valid child.
 
-    Under a `limit` (a multiple of w_h), a label one semi-arc below it
-    makes no semi-opener, and a label at it makes only its closers: its
-    upper closings go to `closing` instead, whose pass moves them down
-    into `lowered` and adds their extra child, but no upper
-    semi-transitory.  A label at or past the limit is deleted from
-    `lowered`, and one past it makes nothing.
+    The half-closed pass applies the horizon: under a `limit` (a multiple
+    of w_h) it adds the upper semi-transitory child only below the limit,
+    and always moves the label down into `lowered`.  A label one semi-arc
+    below the limit makes no semi-opener, a label at it makes only its
+    upper closings and is deleted from `lowered`, and one past it makes
+    nothing.
 
     The closings stay one child per option, not summed along lines as in
     `_RangeSumPusher`.  A ranged form of this push gave equal levels but
@@ -631,66 +605,56 @@ class _PermutationPusher(_DigitCodec):
     def push(self, current, limit=None):
         nxt = {}
         half_closed = {}
-        # half-closed labels at the limit, which make only (5); kept apart
-        # from half_closed so that the (3) pass tests no bound per label
-        closing = {}
         # the labels whose lower closings make children: (4)'s labels, and
         # (5)'s half-closed labels one semi-arc down
         lowered = dict(current)
         vector, wh = self.vector, self.weight
         if limit is None:
             limit = self.unbounded
-        top = limit - wh  # a label below it makes every child
+        top = limit - wh  # a label below it makes an opener
         r1_weight, r1_unit = self.r1_weight, self.r1_unit
         options, closings = self.options, self._closings
         for code, count in current.items():
             hr = code // vector
-            if code < top:
-                opener = code + wh
-            elif code >= limit:
-                del lowered[code]  # it makes no (4)
-                if code < limit + wh:  # at the limit: the first half of (5)
-                    for d in (options.get(hr) or closings(hr))[1]:
-                        child = code + d
-                        closing[child] = closing.get(child, 0) + count
-                continue
+            if code < limit:
+                h, r = divmod(hr, vector)
+                # (1) fixed point, r_1 set to h
+                if r1_weight:
+                    fp = code + (h - r // r1_unit) * r1_weight
+                    nxt[fp] = nxt.get(fp, 0) + count
+                elif h == 0:
+                    nxt[code] = nxt.get(code, 0) + count
+                # (2) semi-opener
+                if code < top:
+                    opener = code + wh
+                    nxt[opener] = nxt.get(opener, 0) + count
             else:
-                opener = None  # it would be at the limit
-            h, r = divmod(hr, vector)
-            # (1) fixed point, r_1 set to h
-            if r1_weight:
-                fp = code + (h - r // r1_unit) * r1_weight
-                nxt[fp] = nxt.get(fp, 0) + count
-            elif h == 0:
-                nxt[code] = nxt.get(code, 0) + count
-            # (2) semi-opener
-            if opener is not None:
-                nxt[opener] = nxt.get(opener, 0) + count
+                del lowered[code]  # it makes no (4)
+                if code >= limit + wh:
+                    continue  # past the limit
             # close an upper semi-arc: (3) and the first half of (5)
             for d in (options.get(hr) or closings(hr))[1]:
                 child = code + d
                 half_closed[child] = half_closed.get(child, 0) + count
-        for code, count in half_closed.items():
-            # (3) upper semi-transitory
-            nxt[code] = nxt.get(code, 0) + count
         # (5) closer: its lower closings from the half-closed label's h are
         # those from h - 1, made by the `lowered` pass, and the extra one
         # that sets s_1 to h - 1 (k = 2: none unless h = 1)
         s1_unit = r1_unit
-        for source in (half_closed, closing):
-            for code, count in source.items():
-                low = code - wh
-                lowered[low] = lowered.get(low, 0) + count
-                h = code // wh
-                if s1_unit:
-                    s1 = code % vector // s1_unit
-                    if s1 < h:
-                        child = low + (h - 1 - s1) * s1_unit
-                        nxt[child] = nxt.get(child, 0) + count
-                elif h == 1:
-                    nxt[low] = nxt.get(low, 0) + count
+        for code, count in half_closed.items():
+            if code < limit:  # (3) upper semi-transitory
+                nxt[code] = nxt.get(code, 0) + count
+            low = code - wh
+            lowered[low] = lowered.get(low, 0) + count
+            h = code // wh
+            if s1_unit:
+                s1 = code % vector // s1_unit
+                if s1 < h:
+                    child = low + (h - 1 - s1) * s1_unit
+                    nxt[child] = nxt.get(child, 0) + count
+            elif h == 1:
+                nxt[low] = nxt.get(low, 0) + count
         # `lowered` holds their labels now; freed before the widest pass
-        del half_closed, closing
+        del half_closed
         # (4) lower semi-transitory, and (5)'s closings from h - 1
         for code, count in lowered.items():
             hr, s = divmod(code, vector)

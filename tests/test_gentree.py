@@ -320,6 +320,31 @@ def test_push_under_a_limit_equals_filtered_push(family, data):
     }
 
 
+@pytest.mark.parametrize("family", ["partitions", "partitions-enhanced"])
+@pytest.mark.parametrize("k", range(2, 8))
+def test_partition_push_under_every_limit_equals_filtered_push(family, k):
+    """The range-sum push under every limit from none to past every child,
+    on every full level up to n_max, against a second pusher's unlimited
+    push with every code at or past the limit dropped.  Some labels sit
+    exactly at a limit, where they make only their closers."""
+    n_max = 14
+    spec = FamilySpec(family, k)
+    pusher, reference = _pusher(spec, n_max), _pusher(spec, n_max)
+    w0 = pusher.weight
+    level = {pusher.encode(spec.root_label()): 1}
+    at_a_limit = False
+    for n in range(n_max):
+        full = reference.push(level)
+        assert pusher.push(level, None) == full, n
+        for limit in (h * w0 for h in range(n + 3)):
+            at_a_limit |= any(limit <= code < limit + w0 for code in level)
+            assert pusher.push(level, limit) == {
+                c: v for c, v in full.items() if c < limit
+            }, (n, limit)
+        level = full
+    assert at_a_limit
+
+
 def _two_pass_permutation_push(pusher, current, limit=None):
     """The push `_PermutationPusher` made before it applied the lower
     closings in one pass: (4) closes a lower semi-arc of each label, and
