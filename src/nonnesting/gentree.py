@@ -114,9 +114,6 @@ class LevelDistribution:
     def total(self):
         return sum(self._codes.values())
 
-    def count_of(self, label):
-        return self.entries.get(label, 0)
-
     def to_json(self):
         """The level as one line of JSON, as `json.dumps` writes it:
         {"n": level, "labels": [{"label": [...], "count": "..."}, ...]},

@@ -208,7 +208,7 @@ def test_pruned_sequence_equals_unpruned_levels(family, k, n_max):
     spec = FamilySpec(family, k)
     root = spec.root_label()
     levels = count_levels(spec, n_max)
-    unpruned = [level.count_of(root) for level in levels[1:]]
+    unpruned = [level.entries.get(root, 0) for level in levels[1:]]
     for n in range(n_max + 1):
         assert count_sequence(spec, n) == unpruned[:n]
     assert level_distribution(spec, n_max) == levels[n_max]
@@ -527,7 +527,7 @@ def _too_open(spec, n):
 def test_json_from_codes_equals_dumped_entries(family, k):
     """to_json() writes from the label codes and entries is decoded on first
     read: the dump equals json.dumps of the dict built from entries whether
-    entries is read before or after it, and total() and count_of() agree
+    entries is read before or after it, and total() and entries.get() agree
     with the decoded entries."""
     spec = FamilySpec(family, k)
     for n in (0, 1, 5, 8):
@@ -542,8 +542,8 @@ def test_json_from_codes_equals_dumped_entries(family, k):
             total = level.total()
             assert total == sum(level.entries.values()) > 0
             for label, count in level.entries.items():
-                assert level.count_of(label) == count
-            assert level.count_of(_too_open(spec, n)) == 0
+                assert level.entries.get(label, 0) == count
+            assert level.entries.get(_too_open(spec, n), 0) == 0
 
 
 class TestLevelStats:

@@ -1,6 +1,7 @@
 """gentree, series and oracle are the three independent counters: none of
 them may import another, directly or through another module of the
-package, or their agreement stops being evidence."""
+package, or their agreement stops being evidence.  Nor may the test-only
+reference that the oracle's walks are checked against import any of them."""
 
 import ast
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nonnesting"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 COUNTERS = ("gentree", "series", "oracle")
 
 
@@ -42,6 +44,13 @@ def _imported_counters(source):
 def test_counters_do_not_import_each_other(module):
     imported = _imported_counters((PACKAGE / f"{module}.py").read_text())
     assert imported <= {module}, f"{module} imports {sorted(imported - {module})}"
+
+
+def test_reference_imports_no_counter():
+    # the walks are tested against tests/reference.py, which must not be
+    # able to reuse them or either counter they are checked against
+    imported = _imported_counters(REFERENCE.read_text())
+    assert not imported, f"reference.py imports {sorted(imported)}"
 
 
 @pytest.mark.parametrize("source", [

@@ -14,9 +14,11 @@ from nonnesting.gentree import FamilySpec, count_sequence
 from nonnesting.oracle import (
     _partition_walk,
     _permutation_walk,
-    contains_knesting,
     nesting_histogram,
     oracle_count,
+)
+from reference import (
+    contains_knesting,
     partition_to_arcs,
     restricted_growth_strings,
     rgs_arcs,

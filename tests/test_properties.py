@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonnesting.diagrams import _nesting_indices, max_nesting
-from nonnesting.oracle import _is_nesting, contains_knesting
+from reference import _is_nesting, contains_knesting
 
 
 def arc_sets(max_point=12, max_arcs=7, allow_degenerate=False):
