@@ -521,13 +521,11 @@ def _fixed_point_iterate(variables, n_max, phi):
 
 
 def _differential_cases():
-    def case(family, k, n, name=None):
-        name = name or f"{PAPER_NAME[family]}-{k}"
-        return pytest.param(family, k, n, id=f"{name}-{n}")
+    def case(family, k, n):
+        return pytest.param(family, k, n, id=f"{PAPER_NAME[family]}-{k}-{n}")
 
     for n in range(10):
-        yield case("partitions", 3, n, "A-None")
-        yield case("permutations", 3, n, "F-None")
+        yield case("permutations", 3, n)
         yield case("baxter", None, n)
         for k in range(2, 7):
             yield case("partitions", k, n)
@@ -535,7 +533,7 @@ def _differential_cases():
         for k in (2, 4, 5):
             yield case("permutations", k, n)
     yield case("baxter", None, 25)
-    yield case("permutations", 3, 12, "F-None")
+    yield case("permutations", 3, 12)
     yield case("permutations", 2, 12)
 
 
