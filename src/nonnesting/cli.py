@@ -23,7 +23,7 @@ import sys
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 from . import closedform, oracle, refdata
@@ -185,17 +185,7 @@ def _cmd_refdata(args):
     except KeyError as exc:
         # str() of a KeyError is the repr of its message
         raise SystemExit2(exc.args[0]) from None
-    print(
-        json.dumps(
-            {
-                "oeis_id": seq.oeis_id,
-                "family": seq.family,
-                "k": seq.k,
-                "offset": seq.offset,
-                "terms": list(seq.terms),
-            }
-        )
-    )
+    print(json.dumps(asdict(seq)))
     return 0
 
 
@@ -332,7 +322,7 @@ def _count_arguments(p):
     p.add_argument("--max-labels", type=_BUDGET, help="distinct-label budget")
     p.add_argument("--stats", action="store_true",
                    help="write one JSON line per level to stderr: labels "
-                   "pushed and kept, push seconds, widest count in bits")
+                   "kept, push seconds, widest count in bits")
 
 
 def _series_arguments(p):
@@ -378,7 +368,7 @@ def _refdata_arguments(p):
     p.add_argument(
         "--family",
         required=True,
-        choices=("partitions", "partitions-enhanced", "permutations", "baxter"),
+        choices=tuple(dict.fromkeys(f for f, _ in refdata.all_sequences())),
     )
     p.add_argument("--k", type=_NESTING, required=True)
 

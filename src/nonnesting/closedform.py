@@ -63,10 +63,8 @@ def baxter(n):
 def _stirling2_row(n):
     row = [1]
     for _ in range(n):
-        nxt = [0]
+        nxt = [0] * (len(row) + 1)
         for m, value in enumerate(row):
-            if m + 1 > len(nxt) - 1:
-                nxt.append(0)
             nxt[m] += m * value
             nxt[m + 1] += value
         row = nxt

@@ -68,34 +68,15 @@ def max_nesting(arcs, enhanced=False):
     are rejected.  In enhanced mode the condition is i < i' <= j' < j, which
     admits a single degenerate arc as the innermost element of a chain.
 
-    Runs in O(m log m): sort by (left, right) ascending, then take the
-    longest strictly decreasing subsequence of right endpoints.  Arcs
-    sharing a left endpoint sort with rights ascending, so no two of them
-    can appear in one chain.
+    It is the `_nesting_indices` sweep read at an origin left of every arc,
+    so it runs in O(m log m).
     """
     for left, right in arcs:
         if left > right:
             raise ValueError(f"arc ({left}, {right}) has left > right")
         if left == right and not enhanced:
             raise ValueError(f"degenerate arc ({left}, {right}) in plain mode")
-    # longest strictly increasing subsequence of negated rights
-    tails = []
-    for _, right in sorted(arcs):
-        x = -right
-        pos = bisect_left(tails, x)
-        if pos == len(tails):
-            tails.append(x)
-        else:
-            tails[pos] = x
-    return len(tails)
-
-
-def _chain_arcs(arcs, cutoff, enhanced, fixed_points=()):
-    """Arcs (plus degenerate fixed-point arcs when enhanced) with left > cutoff."""
-    out = [a for a in arcs if a[0] > cutoff]
-    if enhanced:
-        out.extend((f, f) for f in fixed_points if f > cutoff)
-    return out
+    return _nesting_indices(arcs, (float("-inf"),))[0]
 
 
 @dataclass(frozen=True)
@@ -246,6 +227,15 @@ def _json_arcs(arcs):
     return "[%s]" % ", ".join(["[%d, %d]" % arc for arc in sorted(arcs)])
 
 
+def _partition_arcs(diagram, enhanced):
+    """The closed arcs of a partition diagram, plus each fixed point as a
+    degenerate arc (f, f) when enhanced."""
+    arcs = list(diagram.closed_arcs)
+    if enhanced:
+        arcs += [(f, f) for f in diagram.fixed_points()]
+    return arcs
+
+
 def nesting_index(diagram, semi_arc_origin, enhanced=False):
     """Largest j such that a j-nesting lies entirely right of the semi-arc.
 
@@ -255,22 +245,21 @@ def nesting_index(diagram, semi_arc_origin, enhanced=False):
     """
     if semi_arc_origin not in diagram.open_arcs:
         raise ValueError(f"{semi_arc_origin} is not a semi-arc origin")
-    fps = diagram.fixed_points() if enhanced else ()
-    return max_nesting(
-        _chain_arcs(diagram.closed_arcs, semi_arc_origin, enhanced, fps),
-        enhanced=enhanced,
-    )
+    arcs = _partition_arcs(diagram, enhanced)
+    return _nesting_indices(arcs, (semi_arc_origin,))[0]
 
 
 def _nesting_indices(arcs, origins):
     """Nesting index of every semi-arc of one layer, in one sweep.
 
-    Entry p is `max_nesting` over the arcs with left > origins[p], which
-    must be ascending; degenerate arcs (f, f) count as in enhanced mode.
-    The arcs are sorted in descending order once and read from the right:
-    a chain is then a strictly increasing run of right ends, so the
-    patience-sort tails of rights grow while going down the origins, and
-    an origin's index is the number of tails when it is reached.
+    Entry p is the size of the largest nesting chain among the arcs with
+    left > origins[p], which must be ascending; degenerate arcs (f, f)
+    count as in enhanced mode.  The arcs are sorted in descending order
+    once and read from the right: a chain is then a strictly increasing run
+    of right ends, so the patience-sort tails of rights grow while going
+    down the origins, and an origin's index is the number of tails when it
+    is reached.  This is the module's one chain measure: `max_nesting`,
+    `nesting_index`, both labels and `_closable` all read it.
     """
     ordered = sorted(arcs, reverse=True)
     tails = []
@@ -290,6 +279,16 @@ def _nesting_indices(arcs, origins):
     return indices
 
 
+def _layer_indices(arcs, origins, k, layer):
+    """Nesting indices of one layer's semi-arcs, from one sweep whose first
+    origin, 0, lies left of every vertex: that entry is the layer's largest
+    nesting, and ConstraintViolation is raised if it exceeds k."""
+    largest, *indices = _nesting_indices(arcs, (0, *origins))
+    if largest > k:
+        raise ConstraintViolation(f"diagram contains {layer} (>{k})-nesting")
+    return indices
+
+
 def partition_label(diagram, k, enhanced=False):
     """Generating-tree label [s_0, ..., s_{k-1}] of an open partition diagram.
 
@@ -299,11 +298,9 @@ def partition_label(diagram, k, enhanced=False):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    fps = diagram.fixed_points() if enhanced else ()
-    closed = _chain_arcs(diagram.closed_arcs, 0, enhanced, fps)
-    if max_nesting(closed, enhanced=enhanced) > k:
-        raise ConstraintViolation(f"diagram contains a regular (>{k})-nesting")
-    indices = _nesting_indices(closed, diagram.open_arcs)
+    indices = _layer_indices(
+        _partition_arcs(diagram, enhanced), diagram.open_arcs, k, "a regular"
+    )
     if any(idx >= k for idx in indices):
         raise ConstraintViolation(f"diagram contains a future ({k + 1})-nesting")
     return tuple(sum(1 for idx in indices if idx >= i) for i in range(k))
@@ -320,12 +317,8 @@ def permutation_label(diagram, k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if max_nesting(diagram.upper_arcs, enhanced=True) > k:
-        raise ConstraintViolation(f"diagram contains an upper (>{k})-nesting")
-    if max_nesting(diagram.lower_arcs) > k:
-        raise ConstraintViolation(f"diagram contains a lower (>{k})-nesting")
-    up = _nesting_indices(diagram.upper_arcs, diagram.upper_open)
-    lo = _nesting_indices(diagram.lower_arcs, diagram.lower_open)
+    up = _layer_indices(diagram.upper_arcs, diagram.upper_open, k, "an upper")
+    lo = _layer_indices(diagram.lower_arcs, diagram.lower_open, k, "a lower")
     if any(idx >= k for idx in up) or any(idx >= k for idx in lo):
         raise ConstraintViolation(f"diagram contains a future ({k + 1})-nesting")
     r = tuple(sum(1 for idx in up if idx >= i) for i in range(1, k))

@@ -267,7 +267,6 @@ def _level_stream(pusher, root, n_max, max_labels, prune, stats=None):
             push_s = perf_counter() - started
             stats({
                 "level": n,
-                "labels_pushed": len(current),
                 "labels_kept": len(current),
                 "push_s": round(push_s, 6),
                 "max_count_bits": max(
@@ -719,12 +718,11 @@ def count_sequence(spec, n_max, max_labels=None, stats=None):
     Labels that can no longer return to the root by level n_max are never
     built: each push is given the horizon, so `max_labels` bounds the
     pruned label set.  `stats`, if given, is called with one dict per level
-    1..n_max: its `level`, the labels the push produced (`labels_pushed`)
-    and kept (`labels_kept`), the push's seconds (`push_s`) and the bit
-    length of the largest kept count (`max_count_bits`).  The push builds
-    only labels under the horizon, so `labels_pushed` equals `labels_kept`;
-    both keys stay, as `level_distribution` reports them too.  Without
-    `stats` no timing call is made.
+    1..n_max: its `level`, the labels the push kept (`labels_kept`), the
+    push's seconds (`push_s`) and the bit length of the largest kept count
+    (`max_count_bits`).  The push builds only labels under the horizon, so
+    every label it produces is kept.  Without `stats` no timing call is
+    made.
     """
     pusher = _pusher(spec, n_max)
     root = pusher.encode(spec.root_label())

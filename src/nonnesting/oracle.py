@@ -9,13 +9,13 @@ against, so it shares no succession-rule code with them.
 that places one element at a time, and each placement adds at most one
 arc.  The arcs arrive in an order in which every nesting chain is a
 strictly decreasing run of one endpoint, so the walk keeps the
-patience-sort tails of the longest chain (the tails that `max_nesting`
-builds for a whole diagram), updates them with one `bisect_left` per arc
-and undoes the update when it backtracks.  The work done for a prefix is
-shared by every object that extends it.  The last element gets no call of
-its own: the last arc can only lengthen the chain by one, which one
-comparison with the last tail decides, so each object is counted where
-its last element is chosen, with no tail update to undo.
+patience-sort tails of the longest chain (`max_nesting` measures a whole
+diagram by the same kind of sweep), updates them with one `bisect_left`
+per arc and undoes the update when it backtracks.  The work done for a
+prefix is shared by every object that extends it.  The last element gets
+no call of its own: the last arc can only lengthen the chain by one, which
+one comparison with the last tail decides, so each object is counted
+where its last element is chosen, with no tail update to undo.
 
 The definitional list path that the walks replaced, and are tested
 against, lives in `tests/reference.py`.

@@ -109,7 +109,7 @@ class TestCount:
         assert out == plain
         records = [json.loads(line) for line in err.splitlines()]
         assert [r["level"] for r in records] == list(range(1, 11))
-        assert all(set(r) == {"level", "labels_pushed", "labels_kept", "push_s",
+        assert all(set(r) == {"level", "labels_kept", "push_s",
                               "max_count_bits"} for r in records)
         levels = count_levels(FamilySpec("partitions-enhanced", 3), 10)
         sizes = [len(level.entries) for level in levels[1:]]
@@ -598,7 +598,7 @@ def _all_subcommand_parser(command=None):
     p.add_argument("--max-labels", type=cli._BUDGET, help="distinct-label budget")
     p.add_argument("--stats", action="store_true",
                    help="write one JSON line per level to stderr: labels "
-                   "pushed and kept, push seconds, widest count in bits")
+                   "kept, push seconds, widest count in bits")
     p.set_defaults(func=cli._cmd_count)
 
     p = sub.add_parser("series", help="functional-equation solutions")

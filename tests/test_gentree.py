@@ -559,7 +559,6 @@ class TestLevelStats:
         assert level_distribution(spec, n, stats=records.append) == levels[n]
         assert [r["level"] for r in records] == list(range(1, n + 1))
         sizes = [len(level.entries) for level in levels[1:]]
-        assert [r["labels_pushed"] for r in records] == sizes
         assert [r["labels_kept"] for r in records] == sizes
         assert [r["max_count_bits"] for r in records] == [
             max(level.entries.values()).bit_length() for level in levels[1:]
@@ -573,10 +572,8 @@ class TestLevelStats:
                 if (label if isinstance(label, int) else label[0]) <= n - m)
             for m, level in enumerate(levels[1:], 1)
         ]
-        assert records[0]["labels_pushed"] == sizes[0]
+        assert records[0]["labels_kept"] == sizes[0]
         assert [r["labels_kept"] for r in records] == kept
-        # the push builds no label past the horizon, so none is dropped
-        assert [r["labels_pushed"] for r in records] == kept
         assert kept[-1] == 1 < max(kept)
 
 

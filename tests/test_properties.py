@@ -56,6 +56,25 @@ def test_nesting_index_sweep_matches_max_nesting(arcs, origins, enhanced):
     assert _nesting_indices(arcs, origins) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    arc_sets(allow_degenerate=True),
+    st.lists(st.integers(0, 13), max_size=6, unique=True).map(sorted),
+    st.booleans(),
+)
+def test_nesting_index_sweep_matches_subset_check(arcs, origins, enhanced):
+    """The sweep at every origin against the subset definition over the arcs
+    with left > origin: `max_nesting` is the sweep too, so this keeps the
+    definition as the sweep's own reference."""
+    if not enhanced:
+        arcs = [a for a in arcs if a[0] < a[1]]
+    expected = [
+        brute_max_nesting([a for a in arcs if a[0] > origin], enhanced)
+        for origin in origins
+    ]
+    assert _nesting_indices(arcs, origins) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.permutations(list(range(1, 8))), st.integers(2, 4))
 def test_witnesses_are_genuine(sigma, k):
