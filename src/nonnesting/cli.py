@@ -3,9 +3,12 @@
 Subcommands: count (generating-tree DP), series (functional-equation
 solver), generate (exhaustive diagram stream), oracle (brute force),
 verify (cross-check harness) and refdata (embedded sequences).  Each is one
-row of `_COMMANDS`: its help text, the function that adds its arguments and
-the function that runs it.  `run` builds the parser of the invoked
-subcommand alone, and the full parser only for any other argv.
+row of `_COMMANDS`: its help text, its option table and the function that
+runs it.  `run` reads a plain argv straight from the invoked subcommand's
+table (`_read`).  Any other argv goes to argparse, built from the same
+tables: help, usage errors and every other spelling print exactly what
+they always have.  Its parser holds the invoked subcommand alone, and
+every subcommand only when none is named.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard tripped.  Counts are always printed as exact decimal strings, however
@@ -14,7 +17,6 @@ many digits they have.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -25,6 +27,7 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
+from types import SimpleNamespace
 
 from . import closedform, oracle, refdata
 from .errors import ResourceLimitError
@@ -51,15 +54,17 @@ def _spec_from_args(args):
 
 
 class SystemExit2(Exception):
-    """Usage error discovered after argparse."""
+    """Usage error discovered after the argv is read."""
 
 
 def _int_at_least(minimum):
-    """argparse type: an integer no smaller than `minimum`."""
+    """Option type: an integer no smaller than `minimum`."""
 
     def parse(text):
         value = int(text)
         if value < minimum:
+            import argparse  # only the error needs it
+
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
 
@@ -312,79 +317,106 @@ def _cmd_verify(args):
     return 0 if overall == "pass" else 1
 
 
-def _count_arguments(p):
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--k", type=_NESTING, help="forbidden nesting size")
-    p.add_argument("--n", type=_SIZE, required=True)
-    p.add_argument("--all-labels", action="store_true",
-                   help="dump the full label distribution at level n")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--max-labels", type=_BUDGET, help="distinct-label budget")
-    p.add_argument("--stats", action="store_true",
-                   help="write one JSON line per level to stderr: labels "
-                   "kept, push seconds, widest count in bits")
-
-
-def _series_arguments(p):
-    p.add_argument("--family", required=True,
-                   choices=(*SERIES_FAMILIES, "permutations3"))
-    p.add_argument("--k", type=_NESTING)
-    p.add_argument("--n", type=_SIZE, required=True)
-    p.add_argument("--full", action="store_true",
-                   help="dump every coefficient, not just the counting terms")
-    p.add_argument("--stats", action="store_true",
-                   help="write one JSON line per z-order to stderr: terms "
-                   "built and kept, seconds in Phi")
-
-
-def _generate_arguments(p):
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--k", type=_NESTING)
-    p.add_argument("--n", type=_SIZE, required=True)
-    p.add_argument("--closed-only", action="store_true",
-                   help="emit only diagrams without semi-arcs")
-
-
-def _oracle_arguments(p):
-    p.add_argument("--family", required=True, choices=CONSTRAINED_FAMILIES)
-    p.add_argument("--k", type=_NESTING, required=True)
-    p.add_argument("--n", type=_SIZE, required=True)
-    p.add_argument("--stats", action="store_true",
-                   help="write one JSON line to stderr: objects walked, their "
-                   "maximum-nesting histogram, seconds and objects per second")
-
-
-def _verify_arguments(p):
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=(*dict.fromkeys(c.suite for c in CHECKS), "all"),
-    )
-    p.add_argument("--max-n", type=_SIZE, default=12)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _refdata_arguments(p):
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=tuple(dict.fromkeys(f for f, _ in refdata.all_sequences())),
-    )
-    p.add_argument("--k", type=_NESTING, required=True)
-
-
-# each subcommand, in the order --help lists them: its help text, the
-# function that adds its arguments, and the function that runs it
+# each subcommand, in the order --help lists them: its help text, its
+# options as (flag, add_argument keyword arguments), and the function that
+# runs it
 _COMMANDS = {
-    "count": ("generating-tree counts", _count_arguments, _cmd_count),
-    "series": ("functional-equation solutions", _series_arguments, _cmd_series),
-    "generate": ("stream all diagrams of size n", _generate_arguments,
-                 _cmd_generate),
-    "oracle": ("brute-force count", _oracle_arguments, _cmd_oracle),
-    "verify": ("cross-check harness", _verify_arguments, _cmd_verify),
-    "refdata": ("dump an embedded reference sequence", _refdata_arguments,
-                _cmd_refdata),
+    "count": ("generating-tree counts", (
+        ("--family", dict(required=True, choices=FAMILIES)),
+        ("--k", dict(type=_NESTING, help="forbidden nesting size")),
+        ("--n", dict(type=_SIZE, required=True)),
+        ("--all-labels", dict(action="store_true",
+                              help="dump the full label distribution at level n")),
+        ("--format", dict(choices=("text", "json", "csv"), default="text")),
+        ("--max-labels", dict(type=_BUDGET, help="distinct-label budget")),
+        ("--stats", dict(action="store_true",
+                         help="write one JSON line per level to stderr: labels "
+                         "kept, push seconds, widest count in bits")),
+    ), _cmd_count),
+    "series": ("functional-equation solutions", (
+        ("--family", dict(required=True,
+                          choices=(*SERIES_FAMILIES, "permutations3"))),
+        ("--k", dict(type=_NESTING)),
+        ("--n", dict(type=_SIZE, required=True)),
+        ("--full", dict(action="store_true",
+                        help="dump every coefficient, not just the counting terms")),
+        ("--stats", dict(action="store_true",
+                         help="write one JSON line per z-order to stderr: terms "
+                         "built and kept, seconds in Phi")),
+    ), _cmd_series),
+    "generate": ("stream all diagrams of size n", (
+        ("--family", dict(required=True, choices=FAMILIES)),
+        ("--k", dict(type=_NESTING)),
+        ("--n", dict(type=_SIZE, required=True)),
+        ("--closed-only", dict(action="store_true",
+                               help="emit only diagrams without semi-arcs")),
+    ), _cmd_generate),
+    "oracle": ("brute-force count", (
+        ("--family", dict(required=True, choices=CONSTRAINED_FAMILIES)),
+        ("--k", dict(type=_NESTING, required=True)),
+        ("--n", dict(type=_SIZE, required=True)),
+        ("--stats", dict(action="store_true",
+                         help="write one JSON line to stderr: objects walked, "
+                         "their maximum-nesting histogram, seconds and objects "
+                         "per second")),
+    ), _cmd_oracle),
+    "verify": ("cross-check harness", (
+        ("--suite", dict(default="all",
+                         choices=(*dict.fromkeys(c.suite for c in CHECKS), "all"))),
+        ("--max-n", dict(type=_SIZE, default=12)),
+        ("--format", dict(choices=("text", "json"), default="text")),
+    ), _cmd_verify),
+    "refdata": ("dump an embedded reference sequence", (
+        ("--family", dict(
+            required=True,
+            choices=tuple(dict.fromkeys(f for f, _ in refdata.all_sequences())),
+        )),
+        ("--k", dict(type=_NESTING, required=True)),
+    ), _cmd_refdata),
 }
+
+
+def _read(command, argv):
+    """The namespace argparse builds for `command` and its options `argv`,
+    read straight from the command's option table; None for any argv that
+    is not in the plain spelling, which is left to argparse.
+
+    In the plain spelling each token is an exact flag of the command, given
+    once; a switch stands alone, and any other flag is followed by a value
+    that does not start with "-" and that the option's type and choices
+    accept; and every required option is given.  Help, usage errors,
+    abbreviations, "--flag=value", "--" and values that look like options
+    all fail one of these, so argparse reads them and prints what it
+    always has."""
+    _, options, func = _COMMANDS[command]
+    table = dict(options)
+    given = {}
+    tokens = iter(argv)
+    for flag in tokens:
+        spec = table.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads as a flag
+        if text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except Exception:  # argparse reports the rejected value, or raises
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    if any(spec.get("required") and flag not in given for flag, spec in options):
+        return None
+    args = SimpleNamespace(command=command, func=func)
+    for flag, spec in options:
+        switch = spec.get("action") == "store_true"
+        default = spec.get("default", False if switch else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def _build_parser(command=None):
@@ -396,6 +428,8 @@ def _build_parser(command=None):
     prints.  Any other argv (--help, no command, an unknown one) needs the
     full parser, whose messages name the subcommands as argparse lists
     them."""
+    import argparse  # only help, usage errors and unusual spellings need it
+
     parser = argparse.ArgumentParser(
         prog="nonnesting",
         description="Enumerate set partitions and permutations with no k "
@@ -407,9 +441,10 @@ def _build_parser(command=None):
         names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, add_arguments, func = _COMMANDS[name]
+        help_text, options, func = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
         p.set_defaults(func=func)
     return parser
 
@@ -433,10 +468,13 @@ def _exact_int_strings():
 
 def run(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only the invoked subcommand's parser is built: the others' arguments
-    # are a fixed cost that no single command needs
+    # a plain argv is read from the command's option table; argparse reads
+    # any other, building only the invoked subcommand's parser, since the
+    # others' arguments are a fixed cost that no single command needs
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    args = _read(command, argv[1:]) if command else None
+    if args is None:
+        args = _build_parser(command).parse_args(argv)
     try:
         with _exact_int_strings():
             return args.func(args)

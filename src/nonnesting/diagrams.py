@@ -69,8 +69,9 @@ def max_nesting(arcs, enhanced=False):
     admits a single degenerate arc as the innermost element of a chain.
 
     It is the `_nesting_indices` sweep read at an origin left of every arc,
-    so it runs in O(m log m).
+    so it runs in O(m log m).  `arcs` may be any iterable, read once.
     """
+    arcs = list(arcs)
     for left, right in arcs:
         if left > right:
             raise ValueError(f"arc ({left}, {right}) has left > right")
@@ -243,6 +244,8 @@ def nesting_index(diagram, semi_arc_origin, enhanced=False):
     (j+1)-nesting.  In enhanced mode, fixed points of the diagram count as
     degenerate arcs.
     """
+    if not isinstance(diagram, OpenPartitionDiagram):
+        raise TypeError(f"not a partition diagram: {type(diagram).__name__}")
     if semi_arc_origin not in diagram.open_arcs:
         raise ValueError(f"{semi_arc_origin} is not a semi-arc origin")
     arcs = _partition_arcs(diagram, enhanced)

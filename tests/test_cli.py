@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -26,6 +27,12 @@ from nonnesting.gentree import FamilySpec, count_levels
 from nonnesting.series import SERIES_FAMILIES, TruncatedSeries
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_workloads():
+    """bench/workloads.py's WORKLOADS: each workload's argvs."""
+    return runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
 
 
 def output(capsys):
@@ -667,7 +674,10 @@ def _outcome(argv):
 
 
 def _outcome_of_all_subcommand_parser(argv):
-    with mock.patch.object(cli, "_build_parser", _all_subcommand_parser):
+    """`_outcome` with argparse alone reading every argv, through the full
+    parser."""
+    with mock.patch.object(cli, "_build_parser", _all_subcommand_parser), \
+            mock.patch.object(cli, "_read", lambda command, argv: None):
         return _outcome(argv)
 
 
@@ -687,7 +697,22 @@ def _outcome_of_all_subcommand_parser(argv):
         "series --family permutations3 --k 4 --n 4",
         "count --family partitions --k 3 --n 4 --max-labels 0",
         "count --family partitions --k 3 --n 4 --max-labels -3",
+        # spellings that `_read` leaves to argparse
+        "count --fam partitions --k 3 --n 4",
+        "count --family=partitions --k 3 --n 4",
+        "count --family partitions --k 3 --n 4 --n 5",
+        "count --family partitions --k 3 --stats --stats --n 4",
+        "count --family partitions --k 3 -- --n 4",
+        "count --family partitions --k 3 --n -0",
+        "count --family partitions --k 3 --n +4",
+        "oracle --family partitions --k 3 --n ٣",
+        "oracle --family partitions --k x --n 4",
+        "series --family baxter --n 4 --full 1",
+        "series --family baxter --n 4 --suite all",
+        "refdata --family baxter --k 3 -h",
+        "refdata --family baxter --k",
     ]),
+    ["count", "--family", "partitions", "--k", "3", "--n", " 3"],
 ], ids=" ".join)
 def test_parser_equals_all_subcommand_parser(argv):
     """`run` builds only the invoked subcommand's parser; its exit code,
@@ -716,6 +741,109 @@ def _fuzzed_argv(draw):
 @given(_fuzzed_argv())
 def test_fuzzed_parser_equals_all_subcommand_parser(argv):
     assert _outcome(argv) == _outcome_of_all_subcommand_parser(argv)
+
+
+_SWITCHES = ("--all-labels", "--full", "--stats", "--closed-only")
+# values that argparse reads as values and `_read` does not, or that no
+# option's type or choices accept
+_ODD_VALUES = st.sampled_from(["-0", "+4", " 3", "\u0663", "x"])
+_SPELLINGS = ("abbreviation", "equals", "repeat", "double dash", "odd value",
+              "switch value", "foreign flag", "help")
+
+
+@st.composite
+def _respelled_argv(draw):
+    """A subcommand's options in the plain spelling, in any order (required
+    ones always, and verify's --max-n, whose default takes seconds), with up
+    to three spellings that `_read` leaves to argparse, or whose value it
+    may reject: an abbreviated flag, "--flag=value", a repeated flag, "--",
+    an odd value, a switch given a value, a flag of another subcommand, or
+    -h after other options."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    groups = []  # each option with its value, if it takes one
+    for flag, spec in cli._COMMANDS[command][1]:
+        if spec.get("required") or flag == "--max-n" or draw(st.booleans()):
+            if flag in _SWITCHES:
+                groups.append([flag])
+            else:
+                values = st.sampled_from(spec["choices"]) if "choices" in spec \
+                    else st.integers(0, 5).map(str)
+                groups.append([flag, draw(values)])
+    groups = draw(st.permutations(groups))
+    for _ in range(draw(st.integers(0, 3))):
+        spelling = draw(st.sampled_from(_SPELLINGS))
+        valued = [g for g in groups if len(g) == 2]
+        at = draw(st.integers(0, len(groups)))
+        if spelling == "abbreviation" and groups:
+            group = draw(st.sampled_from(groups))
+            if len(group[0]) > 4:
+                group[0] = group[0][: draw(st.integers(3, len(group[0]) - 1))]
+        elif spelling == "equals" and valued:
+            group = draw(st.sampled_from(valued))
+            group[:] = ["=".join(group)]
+        elif spelling == "repeat" and groups:
+            groups.insert(at, list(draw(st.sampled_from(groups))))
+        elif spelling == "double dash":
+            groups.insert(at, ["--"])
+        elif spelling == "odd value" and valued:
+            draw(st.sampled_from(valued))[1] = draw(_ODD_VALUES)
+        elif spelling == "switch value":
+            switch = draw(st.sampled_from(_SWITCHES))
+            groups.insert(at, [switch, draw(_ODD_VALUES | st.just("1"))])
+        elif spelling == "foreign flag":
+            other = draw(st.sampled_from(sorted(_FLAGS)))
+            flag = draw(st.sampled_from(_FLAGS[other]))
+            groups.insert(at, [flag] if flag in _SWITCHES
+                          else [flag, draw(_VALUES[flag])])
+        elif spelling == "help":
+            groups.append([draw(st.sampled_from(["-h", "--help"]))])
+    return [command, *(token for group in groups for token in group)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_respelled_argv())
+def test_reader_equals_argparse_on_every_spelling(argv):
+    """`_read` returns None or argparse's namespace, and `run` prints and
+    exits as argparse alone makes it."""
+    args = cli._read(argv[0], argv[1:])
+    if args is not None:
+        assert vars(args) == vars(_all_subcommand_parser().parse_args(argv))
+    assert _outcome(argv) == _outcome_of_all_subcommand_parser(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    "count --family partitions --k 3 --n 4",
+    "count --n 4 --stats --all-labels --format csv --max-labels 9 "
+    "--family partitions --k 3",
+    "series --family permutations3 --n 4 --full --stats",
+    "generate --family open-partitions --n 3 --closed-only",
+    "oracle --stats --family permutations --k 3 --n 4",
+    "verify",
+    "verify --suite egf --max-n 3 --format json",
+    "refdata --family baxter --k 3",
+    *(op for ops in _bench_workloads().values() for op in ops),
+])
+def test_reader_reads_plain_argvs(argv):
+    """Every benchmark operation, and each option of every subcommand in
+    the plain spelling, is read without argparse, as argparse reads it."""
+    command, *rest = argv.split()
+    args = cli._read(command, rest)
+    assert args is not None
+    assert vars(args) == vars(_all_subcommand_parser().parse_args(argv.split()))
+
+
+def test_plain_run_imports_no_argparse():
+    """A plain argv runs in a fresh interpreter without importing argparse,
+    or gettext, which argparse imports."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from nonnesting import cli; "
+        "rc = cli.run('count --family partitions --k 3 --n 8'.split()); "
+        "print(rc, 'argparse' in sys.modules, 'gettext' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.stdout, proc.stderr) == ("1,2,5,15,52,202,859,3930\n0 False False\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -43,6 +43,15 @@ class TestMaxNesting:
         with pytest.raises(ValueError):
             dg.max_nesting([(5, 3)])
 
+    def test_one_shot_iterator(self):
+        # the input checks and the sweep read the same arcs
+        assert dg.max_nesting(iter([(1, 3), (2, 2)]), enhanced=True) == 2
+        assert dg.max_nesting(arc for arc in [(1, 6), (2, 5), (3, 4)]) == 3
+
+    def test_degenerate_rejected_from_an_iterator(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            dg.max_nesting(iter([(1, 3), (2, 2)]))
+
 
 class TestPartitionDiagram:
     def test_validation_degree(self):
@@ -91,6 +100,11 @@ class TestNestingIndex:
         expected = {3: 3, 7: 2, 10: 1, 11: 1, 14: 0}
         for origin, idx in expected.items():
             assert dg.nesting_index(EXAMPLE_14, origin) == idx
+
+    def test_rejects_a_permutation_diagram(self):
+        d = dg.OpenPermutationDiagram(2, (), (), (1,), (2,))
+        with pytest.raises(TypeError, match="OpenPermutationDiagram"):
+            dg.nesting_index(d, 1)
 
     def test_label_of_worked_example(self):
         assert dg.partition_label(EXAMPLE_14, 4) == (5, 4, 2, 1)
