@@ -161,8 +161,22 @@ def _cmd_series(args):
 
 def _cmd_generate(args):
     spec = _spec_from_args(args)
-    for diagram in generate_diagrams(spec, args.n, closed_only=args.closed_only):
-        print(diagram.to_json())
+    started = time.perf_counter()
+    walk = generate_diagrams(spec, args.n, closed_only=args.closed_only)
+    write = sys.stdout.write  # one call per line, where print makes two
+    if not args.stats:
+        for diagram in walk:
+            write(diagram.to_json() + "\n")
+        return 0
+    emitted = 0
+    for emitted, diagram in enumerate(walk, 1):
+        write(diagram.to_json() + "\n")
+    seconds = time.perf_counter() - started
+    _print_stats({
+        "family": spec.family, "k": spec.k, "n": args.n,
+        "closed_only": args.closed_only, "diagrams": emitted, "seconds": seconds,
+        "diagrams_per_s": emitted / seconds if seconds > 0 else None,
+    })
     return 0
 
 
@@ -350,6 +364,10 @@ _COMMANDS = {
         ("--n", dict(type=_SIZE, required=True)),
         ("--closed-only", dict(action="store_true",
                                help="emit only diagrams without semi-arcs")),
+        ("--stats", dict(action="store_true",
+                         help="write one JSON line to stderr after the stream: "
+                         "family, k, n, closed_only, diagrams written, seconds "
+                         "and diagrams per second")),
     ), _cmd_generate),
     "oracle": ("brute-force count", (
         ("--family", dict(required=True, choices=CONSTRAINED_FAMILIES)),

@@ -11,16 +11,19 @@ Vertices are 1-based.  A step, which adds one vertex, is a plain tuple
 (see `legal_steps`).  Diagrams are immutable values: `apply_step` returns a
 new diagram.  Exhaustive generation does not build one per tree node: it
 grows one mutable copy (`walk_state`), applying each step in place and
-undoing it on backtrack, and builds an immutable diagram, through its
-validating constructor, only for the ones it yields.  That state belongs
-to the walk that made it and is never handed out; what callers get are
-immutable diagrams.
+undoing it on backtrack, and builds an immutable diagram only for the ones
+it yields.  It builds that diagram from the state's fields, which are
+already in canonical form (`_canonical`): nothing is copied or sorted
+again, and the diagram is validated as the public constructor validates
+it.  The state belongs to the walk that made it and is never handed out;
+what callers get are immutable diagrams.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import lt
 
 from .errors import ConstraintViolation
 
@@ -97,21 +100,33 @@ class OpenPartitionDiagram:
         object.__setattr__(self, "open_arcs", tuple(sorted(self.open_arcs)))
         self._validate()
 
+    @classmethod
+    def _canonical(cls, n, closed_arcs, open_arcs):
+        """The diagram of fields already in the form `__post_init__` gives
+        them (a tuple of 2-tuples, ascending origins), set as they are and
+        validated as the public constructor validates."""
+        self = object.__new__(cls)
+        self.__dict__.update(n=n, closed_arcs=closed_arcs, open_arcs=open_arcs)
+        self._validate()
+        return self
+
     def _validate(self):
-        n = self.n
-        for left, right in self.closed_arcs:
+        n, closed, opens = self.n, self.closed_arcs, self.open_arcs
+        for left, right in closed:
             if not (1 <= left < right <= n):
                 raise ValueError(f"arc ({left}, {right}) out of range for n={n}")
-        seen = set()
-        for origin in self.open_arcs:
-            if not 1 <= origin <= n:
-                raise ValueError(f"semi-arc origin {origin} out of range")
-            if origin in seen:
-                raise ValueError(f"duplicate semi-arc origin {origin}")
-            seen.add(origin)
-        lefts = [left for left, _ in self.closed_arcs]
-        lefts += self.open_arcs
-        rights = [right for _, right in self.closed_arcs]
+        if opens and not _ascending_within(opens, n):
+            seen = set()
+            for origin in opens:
+                if not 1 <= origin <= n:
+                    raise ValueError(f"semi-arc origin {origin} out of range")
+                if origin in seen:
+                    raise ValueError(f"duplicate semi-arc origin {origin}")
+                seen.add(origin)
+            raise ValueError(f"semi-arc origins {list(opens)} are not ascending")
+        # the loop above unpacked each arc, so every arc is a pair
+        lefts, rights = zip(*closed) if closed else ((), ())
+        lefts += opens
         if len(set(lefts)) < len(lefts) or len(set(rights)) < len(rights):
             bad = {v for ends in (lefts, rights) for v in ends if ends.count(v) > 1}
             raise ValueError(f"vertex degree constraint violated at {sorted(bad)}")
@@ -169,6 +184,17 @@ class OpenPermutationDiagram:
         object.__setattr__(self, "lower_open", tuple(sorted(self.lower_open)))
         self._validate()
 
+    @classmethod
+    def _canonical(cls, n, upper_arcs, lower_arcs, upper_open, lower_open):
+        """As `OpenPartitionDiagram._canonical`."""
+        self = object.__new__(cls)
+        self.__dict__.update(
+            n=n, upper_arcs=upper_arcs, lower_arcs=lower_arcs,
+            upper_open=upper_open, lower_open=lower_open,
+        )
+        self._validate()
+        return self
+
     def _validate(self):
         n = self.n
         if len(self.upper_open) != len(self.lower_open):
@@ -179,21 +205,8 @@ class OpenPermutationDiagram:
         for left, right in self.lower_arcs:
             if not (1 <= left < right <= n):
                 raise ValueError(f"lower arc ({left}, {right}) out of range")
-        for layer, arcs, opens in (
-            ("upper", self.upper_arcs, self.upper_open),
-            ("lower", self.lower_arcs, self.lower_open),
-        ):
-            for origin in opens:
-                if not 1 <= origin <= n:
-                    raise ValueError(f"{layer} semi-arc origin {origin} out of range")
-            # each vertex is the left end of at most one arc or semi-arc of
-            # the layer, and the right end of at most one arc
-            lefts = {left for left, _ in arcs}
-            lefts.update(opens)
-            if len(lefts) < len(arcs) + len(opens) or len(
-                {right for _, right in arcs}
-            ) < len(arcs):
-                raise ValueError(f"{layer} layer degree constraint violated")
+        _check_layer("upper", self.upper_arcs, self.upper_open, n)
+        _check_layer("lower", self.lower_arcs, self.lower_open, n)
 
     def semi_arcs(self):
         """Number of upper semi-arcs (equal to the number of lower ones)."""
@@ -226,6 +239,31 @@ class OpenPermutationDiagram:
 def _json_arcs(arcs):
     """The arcs, sorted, as a JSON list of [left, right] lists."""
     return "[%s]" % ", ".join(["[%d, %d]" % arc for arc in sorted(arcs)])
+
+
+def _ascending_within(origins, n):
+    """True when the non-empty `origins` rise strictly, from 1 or more to n
+    or less."""
+    return 1 <= origins[0] and origins[-1] <= n and all(map(lt, origins, origins[1:]))
+
+
+def _check_layer(layer, arcs, opens, n):
+    """Raise ValueError unless the semi-arc origins `opens` of one layer of
+    a permutation diagram lie in 1..n and ascend, and each vertex is the
+    left end of at most one arc or semi-arc of the layer and the right end
+    of at most one arc.  A duplicated origin breaks the degree rule.  Each
+    arc must be a pair, as the caller's range check has unpacked it."""
+    ascending = not opens or _ascending_within(opens, n)
+    if not ascending:
+        for origin in opens:
+            if not 1 <= origin <= n:
+                raise ValueError(f"{layer} semi-arc origin {origin} out of range")
+    lefts, rights = zip(*arcs) if arcs else ((), ())
+    lefts += opens
+    if len(set(lefts)) < len(lefts) or len(set(rights)) < len(rights):
+        raise ValueError(f"{layer} layer degree constraint violated")
+    if not ascending:
+        raise ValueError(f"{layer} semi-arc origins {list(opens)} are not ascending")
 
 
 def _partition_arcs(diagram, enhanced):
@@ -444,7 +482,9 @@ class _PartitionState:
             self.opens.insert(index, self.closed.pop()[0])
 
     def freeze(self):
-        return OpenPartitionDiagram(self.n, tuple(self.closed), tuple(self.opens))
+        return OpenPartitionDiagram._canonical(
+            self.n, tuple(self.closed), tuple(self.opens)
+        )
 
 
 class _PermutationState:
@@ -521,7 +561,7 @@ class _PermutationState:
                 self.lower_open.insert(pl, self.lower.pop()[0])
 
     def freeze(self):
-        return OpenPermutationDiagram(
+        return OpenPermutationDiagram._canonical(
             self.n, tuple(self.upper), tuple(self.lower),
             tuple(self.upper_open), tuple(self.lower_open),
         )

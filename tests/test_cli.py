@@ -315,6 +315,74 @@ class TestGenerate:
         assert len(lines) == len(set(lines)) == 34
 
 
+    @pytest.mark.parametrize("argv,pinned", [
+        # sha256 of stdout, taken at the code before each frozen diagram was
+        # built from the walk state's fields: every family, open and
+        # closed-only, and two-digit vertices (n = 9, 10)
+        ("partitions --k 2 --n 7",
+         "836584802b2f51bd06d4d51a5e5463bc2a0964323c4527c8ee30b31db5557dff"),
+        ("partitions --k 3 --n 6",
+         "df826eff37eaa05b81709a6fdd2a1faccfa955a88d795b794836bbd90b2f3fb7"),
+        ("partitions --k 3 --n 8 --closed-only",
+         "36642ebcbd5b8f1ce08981f020361003df7d84604c8e943558a804dea419aac0"),
+        ("partitions --k 3 --n 10 --closed-only",
+         "bcd904e70ea4b496c7c9eb27442404a0221ac4769bd22e145119ba211ec95612"),
+        ("partitions-enhanced --k 3 --n 6",
+         "9de530cebb1d10c1f7a2902582e79bb34b8efb9888b435f3ba7796f941f8b9b1"),
+        ("partitions-enhanced --k 4 --n 8 --closed-only",
+         "ddeae8954537b20399e98e3e8c3eb2d4ecae576d88e85e3b4bd9da90125915e7"),
+        ("partitions-enhanced --k 2 --n 9 --closed-only",
+         "992a39fe93b0fdcc820e40e9a83094d500274c5d8f1df0f44d7577e7051e6ddc"),
+        ("permutations --k 3 --n 5",
+         "38f8fcf389e379c44cabe768be39b9146e093c3ff04b26108d9e3da3e98345a7"),
+        ("permutations --k 3 --n 7 --closed-only",
+         "6bfcc7aaee6f449e394114fadbab7ee6ecf46068858e2261d8e9f600ea284c64"),
+        ("permutations --k 4 --n 7 --closed-only",
+         "d10599169f8aa0aba7834a6a1d835c9d23fdcc90ff2366cbeda51c76153bf51a"),
+        ("permutations --k 2 --n 10 --closed-only",
+         "137a20c4bffec3d2debb758b5dfcc709e897f011365abca79fe3ca2fccc1cd63"),
+        ("open-partitions --n 5",
+         "ef529933b3e0582eedffa40a5679190dc4354ad75caa5636f5ee446bed6456e3"),
+        ("open-partitions --n 7 --closed-only",
+         "389e6099efeb9f4d2e69d68991523b0c39a262a4f87467525b66af15ba390056"),
+        ("open-permutations --n 4",
+         "2e9328c4586e363968b639f23b3fa3ebacfda7aad3a11ce0aa11b0d674a6b9a1"),
+        ("open-permutations --n 5 --closed-only",
+         "31be77e3672a1708160ae234836073e37336d96b2e5e5b768ed8e29f0ad540ac"),
+    ])
+    def test_stream_unchanged(self, capsys, argv, pinned):
+        assert run(["generate", "--family", *argv.split()]) == 0
+        out, _ = output(capsys)
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned
+
+    @pytest.mark.parametrize("argv", [
+        "partitions --k 3 --n 6",
+        "permutations --k 3 --n 5 --closed-only",
+        "open-permutations --n 3",
+        "partitions-enhanced --k 2 --n 0",
+    ])
+    def test_stats(self, capsys, argv):
+        argv = ["generate", "--family", *argv.split()]
+        assert run(argv) == 0
+        plain, err = output(capsys)
+        assert err == ""
+        assert run([*argv, "--stats"]) == 0
+        out, err = output(capsys)
+        assert out == plain
+        record = json.loads(err)
+        assert list(record) == ["family", "k", "n", "closed_only", "diagrams",
+                                "seconds", "diagrams_per_s"]
+        args = cli._read("generate", argv[1:])
+        assert record["family"] == args.family
+        assert record["k"] == args.k
+        assert record["n"] == args.n
+        assert record["closed_only"] is args.closed_only
+        assert record["diagrams"] == len(out.splitlines()) > 0
+        assert record["seconds"] > 0
+        assert record["diagrams_per_s"] == pytest.approx(
+            record["diagrams"] / record["seconds"]
+        )
+
     @pytest.mark.parametrize("argv,family", [
         ("generate --family partitions --n 3", "partitions"),
         ("generate --family open-permutations --k 3 --n 3", "open-permutations"),
@@ -557,7 +625,7 @@ _VALUES = {
 _FLAGS = {
     "count": ("--family", "--k", "--n", "--max-labels", "--format", "--all-labels"),
     "series": ("--family", "--k", "--n", "--full", "--stats"),
-    "generate": ("--family", "--k", "--n", "--closed-only"),
+    "generate": ("--family", "--k", "--n", "--closed-only", "--stats"),
     "oracle": ("--family", "--k", "--n"),
     "verify": ("--suite", "--max-n", "--format"),
     "refdata": ("--family", "--k"),
@@ -626,6 +694,10 @@ def _all_subcommand_parser(command=None):
     p.add_argument("--n", type=cli._SIZE, required=True)
     p.add_argument("--closed-only", action="store_true",
                    help="emit only diagrams without semi-arcs")
+    p.add_argument("--stats", action="store_true",
+                   help="write one JSON line to stderr after the stream: "
+                   "family, k, n, closed_only, diagrams written, seconds and "
+                   "diagrams per second")
     p.set_defaults(func=cli._cmd_generate)
 
     p = sub.add_parser("oracle", help="brute-force count")

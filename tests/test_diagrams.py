@@ -1,6 +1,10 @@
 """Diagram model: nesting detection, labels, legal vertex additions."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonnesting import diagrams as dg
 from nonnesting.errors import ConstraintViolation
@@ -70,6 +74,9 @@ class TestPartitionDiagram:
         ((3, ((1, 2), (1, 9)), (0,)), r"arc \(1, 9\) out of range"),
         ((3, ((1, 2), (1, 3)), (2, 2, 9)), "duplicate semi-arc origin 2"),
         ((3, ((1, 2), (1, 3)), (9,)), "semi-arc origin 9 out of range"),
+        # an arc that is not a pair, also after pairs
+        ((3, ((1, 2, 3),), ()), "unpack"),
+        ((3, ((1, 2), (2, 3, 3)), ()), "unpack"),
     ])
     def test_validation_messages(self, args, message):
         with pytest.raises(ValueError, match=message):
@@ -209,6 +216,7 @@ class TestPermutationDiagrams:
         ((3, (), ((3, 3),), (9,), (9,)), r"lower arc \(3, 3\)"),
         ((3, (), (), (1, 1), (0, 2)), "upper layer degree constraint violated"),
         ((3, ((1, 2), (1, 3)), (), (9,), (1,)), "upper semi-arc origin 9"),
+        ((3, ((1, 1),), ((1, 2), (2, 3, 3)), (), ()), "unpack"),
     ])
     def test_validation_messages(self, args, message):
         with pytest.raises(ValueError, match=message):
@@ -325,3 +333,20 @@ def test_apply_step_rejects_an_unused_index(diagram, step, message):
     else:
         fixed = (kind, None, indices[1])
     assert dg.apply_step(diagram, fixed).n == diagram.n + 1
+
+
+@st.composite
+def _diagrams(draw):
+    """A valid open diagram of either class with up to 15 vertices, grown
+    by unconstrained steps: semi-arcs, fixed points (degenerate upper arcs
+    of a permutation diagram) and two-digit vertices."""
+    d = draw(st.sampled_from([dg.OpenPartitionDiagram(0), dg.OpenPermutationDiagram(0)]))
+    for _ in range(draw(st.integers(0, 15))):
+        d = dg.apply_step(d, draw(st.sampled_from(dg.legal_steps(d, None))))
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_diagrams())
+def test_json_line_is_the_dumped_dict(d):
+    assert d.to_json() == json.dumps(d.to_json_dict())

@@ -661,16 +661,85 @@ def _reference_cases():
 @pytest.mark.parametrize("family,k,n_max", list(_reference_cases()))
 def test_walk_equals_object_walk(family, k, n_max, closed_only):
     """The in-place walk yields the object-per-node walk's diagrams, in its
-    order; each equals its copy rebuilt through the public constructor,
-    and its direct JSON is json.dumps of its dict."""
+    order.  `freeze()` sets the walk state's fields as they are: each
+    diagram equals its copy rebuilt through the public constructor, by
+    value, hash, repr, attribute dict and JSON line, and its direct JSON is
+    json.dumps of its dict."""
     spec = FamilySpec(family, k)
     for n in range(n_max + 1):
         walked = list(generate_diagrams(spec, n, closed_only=closed_only))
         assert walked == list(_object_walk(spec, n, closed_only))
+        for d in walked:
+            rebuilt = replace(d)
+            assert rebuilt == d
+            assert hash(rebuilt) == hash(d)
+            assert repr(rebuilt) == repr(d)
+            assert list(vars(rebuilt).items()) == list(vars(d).items())
+            assert rebuilt.to_json() == d.to_json() == json.dumps(d.to_json_dict())
     assert len(walked) > 20
-    for d in walked:
-        assert replace(d) == d
-        assert d.to_json() == json.dumps(d.to_json_dict())
+
+
+_PARTITION_ROOT = dg.OpenPartitionDiagram(0)
+_PERMUTATION_ROOT = dg.OpenPermutationDiagram(0)
+
+# walk states broken on purpose, as (root, state fields, the public
+# constructor's arguments for the same fields)
+_BROKEN_STATES = {
+    "duplicate partition semi-arc origin": (
+        _PARTITION_ROOT, dict(n=4, closed=[(1, 3)], opens=[2, 2]),
+        (4, ((1, 3),), (2, 2)),
+    ),
+    "partition arc past n": (
+        _PARTITION_ROOT, dict(n=3, closed=[(1, 2), (2, 4)], opens=[]),
+        (3, ((1, 2), (2, 4)), ()),
+    ),
+    "duplicate permutation semi-arc origin": (
+        _PERMUTATION_ROOT,
+        dict(n=4, upper=[(1, 1)], lower=[], upper_open=[2, 2], lower_open=[3, 4]),
+        (4, ((1, 1),), (), (2, 2), (3, 4)),
+    ),
+    "permutation arc past n": (
+        _PERMUTATION_ROOT,
+        dict(n=3, upper=[(1, 1)], lower=[(2, 4)], upper_open=[], lower_open=[]),
+        (3, ((1, 1),), ((2, 4),), (), ()),
+    ),
+    "unequal semi-arc counts": (
+        _PERMUTATION_ROOT,
+        dict(n=3, upper=[(1, 2)], lower=[], upper_open=[3], lower_open=[]),
+        (3, ((1, 2),), (), (3,), ()),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_BROKEN_STATES))
+def test_freeze_validates_as_the_constructor(fault):
+    """Every frozen diagram is validated: a broken walk state raises the
+    public constructor's ValueError, with its message."""
+    root, fields, arguments = _BROKEN_STATES[fault]
+    state = dg.walk_state(root, 3)
+    for name, value in fields.items():
+        setattr(state, name, value)
+    with pytest.raises(ValueError) as public:
+        type(root)(*arguments)
+    with pytest.raises(ValueError) as frozen:
+        state.freeze()
+    assert str(frozen.value) == str(public.value)
+
+
+@pytest.mark.parametrize("root,fields,message", [
+    (_PARTITION_ROOT, dict(n=3, opens=[3, 1]),
+     r"^semi-arc origins \[3, 1\] are not ascending$"),
+    (_PERMUTATION_ROOT, dict(n=3, upper_open=[3, 1], lower_open=[1, 2]),
+     r"^upper semi-arc origins \[3, 1\] are not ascending$"),
+])
+def test_freeze_rejects_origins_out_of_order(root, fields, message):
+    """`freeze()` does not sort the origins, so it checks that they
+    ascend; the public constructor sorts them first."""
+    state = dg.walk_state(root, 3)
+    for name, value in fields.items():
+        setattr(state, name, value)
+    with pytest.raises(ValueError, match=message):
+        state.freeze()
 
 
 def _filtered_closed_walk(spec, n, last_level=None):

@@ -1,7 +1,12 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example and command-line examples run and print
+what their comments say."""
 
 import ast
+import contextlib
+import io
 from pathlib import Path
+
+from nonnesting.cli import run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +31,29 @@ def test_library_example_results():
         else:
             exec(compile(ast.Module([node], []), "README", "exec"), namespace)
     assert checked == sum(line.startswith("# [") for line in lines) > 0
+
+
+def _command_lines():
+    """(argv, expected stdout or None) for each `nonnesting ...` line of the
+    "Command line" block; a comment line right after a command is its
+    stdout."""
+    section = README.read_text().split("## Command line", 1)[1]
+    lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    following = lines[1:] + [""]
+    return [
+        (line.split()[1:], after[2:] if after.startswith("# ") else None)
+        for line, after in zip(lines, following)
+        if line.startswith("nonnesting ")
+    ]
+
+
+def test_command_line_examples_run():
+    examples = _command_lines()
+    assert any(argv[0] == "generate" and "--stats" in argv for argv, _ in examples)
+    assert sum(expected is not None for _, expected in examples) >= 1
+    for argv, expected in examples:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert run(argv) == 0, argv
+        if expected is not None:
+            assert out.getvalue() == expected + "\n", argv
