@@ -164,13 +164,11 @@ def _cmd_generate(args):
     started = time.perf_counter()
     walk = generate_diagrams(spec, args.n, closed_only=args.closed_only)
     write = sys.stdout.write  # one call per line, where print makes two
-    if not args.stats:
-        for diagram in walk:
-            write(diagram.to_json() + "\n")
-        return 0
     emitted = 0
     for emitted, diagram in enumerate(walk, 1):
         write(diagram.to_json() + "\n")
+    if not args.stats:
+        return 0
     seconds = time.perf_counter() - started
     _print_stats({
         "family": spec.family, "k": spec.k, "n": args.n,

@@ -115,16 +115,16 @@ class OpenPartitionDiagram:
         for left, right in closed:
             if not (1 <= left < right <= n):
                 raise ValueError(f"arc ({left}, {right}) out of range for n={n}")
-        if opens and not _ascending_within(opens, n):
-            seen = set()
-            for origin in opens:
-                if not 1 <= origin <= n:
-                    raise ValueError(f"semi-arc origin {origin} out of range")
-                if origin in seen:
-                    raise ValueError(f"duplicate semi-arc origin {origin}")
-                seen.add(origin)
+        seen = set()
+        for origin in opens:
+            if not 1 <= origin <= n:
+                raise ValueError(f"semi-arc origin {origin} out of range")
+            if origin in seen:
+                raise ValueError(f"duplicate semi-arc origin {origin}")
+            seen.add(origin)
+        if not all(map(lt, opens, opens[1:])):
             raise ValueError(f"semi-arc origins {list(opens)} are not ascending")
-        # the loop above unpacked each arc, so every arc is a pair
+        # the range loop above unpacked each arc, so every arc is a pair
         lefts, rights = zip(*closed) if closed else ((), ())
         lefts += opens
         if len(set(lefts)) < len(lefts) or len(set(rights)) < len(rights):
@@ -205,8 +205,24 @@ class OpenPermutationDiagram:
         for left, right in self.lower_arcs:
             if not (1 <= left < right <= n):
                 raise ValueError(f"lower arc ({left}, {right}) out of range")
-        _check_layer("upper", self.upper_arcs, self.upper_open, n)
-        _check_layer("lower", self.lower_arcs, self.lower_open, n)
+        for layer, arcs, opens in (
+            ("upper", self.upper_arcs, self.upper_open),
+            ("lower", self.lower_arcs, self.lower_open),
+        ):
+            for origin in opens:
+                if not 1 <= origin <= n:
+                    raise ValueError(f"{layer} semi-arc origin {origin} out of range")
+            # each vertex is the left end of at most one arc or semi-arc of
+            # the layer, and the right end of at most one arc; the range
+            # loops above unpacked each arc, so every arc is a pair
+            lefts, rights = zip(*arcs) if arcs else ((), ())
+            lefts += opens
+            if len(set(lefts)) < len(lefts) or len(set(rights)) < len(rights):
+                raise ValueError(f"{layer} layer degree constraint violated")
+            if not all(map(lt, opens, opens[1:])):
+                raise ValueError(
+                    f"{layer} semi-arc origins {list(opens)} are not ascending"
+                )
 
     def semi_arcs(self):
         """Number of upper semi-arcs (equal to the number of lower ones)."""
@@ -239,31 +255,6 @@ class OpenPermutationDiagram:
 def _json_arcs(arcs):
     """The arcs, sorted, as a JSON list of [left, right] lists."""
     return "[%s]" % ", ".join(["[%d, %d]" % arc for arc in sorted(arcs)])
-
-
-def _ascending_within(origins, n):
-    """True when the non-empty `origins` rise strictly, from 1 or more to n
-    or less."""
-    return 1 <= origins[0] and origins[-1] <= n and all(map(lt, origins, origins[1:]))
-
-
-def _check_layer(layer, arcs, opens, n):
-    """Raise ValueError unless the semi-arc origins `opens` of one layer of
-    a permutation diagram lie in 1..n and ascend, and each vertex is the
-    left end of at most one arc or semi-arc of the layer and the right end
-    of at most one arc.  A duplicated origin breaks the degree rule.  Each
-    arc must be a pair, as the caller's range check has unpacked it."""
-    ascending = not opens or _ascending_within(opens, n)
-    if not ascending:
-        for origin in opens:
-            if not 1 <= origin <= n:
-                raise ValueError(f"{layer} semi-arc origin {origin} out of range")
-    lefts, rights = zip(*arcs) if arcs else ((), ())
-    lefts += opens
-    if len(set(lefts)) < len(lefts) or len(set(rights)) < len(rights):
-        raise ValueError(f"{layer} layer degree constraint violated")
-    if not ascending:
-        raise ValueError(f"{layer} semi-arc origins {list(opens)} are not ascending")
 
 
 def _partition_arcs(diagram, enhanced):

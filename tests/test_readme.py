@@ -33,24 +33,34 @@ def test_library_example_results():
     assert checked == sum(line.startswith("# [") for line in lines) > 0
 
 
-def _command_lines():
-    """(argv, expected stdout or None) for each `nonnesting ...` line of the
-    "Command line" block; a comment line right after a command is its
-    stdout."""
+OUTPUT = "# => "  # marks the line right after a command as its stdout
+
+
+def _command_block():
+    """The lines of the "Command line" block."""
     section = README.read_text().split("## Command line", 1)[1]
-    lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    return section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def _command_lines(lines):
+    """(argv, expected stdout or None) for each `nonnesting ...` line of
+    `lines`; only a `# => ` line right after a command is its stdout, and
+    every other comment is prose."""
     following = lines[1:] + [""]
     return [
-        (line.split()[1:], after[2:] if after.startswith("# ") else None)
+        (line.split()[1:], after[len(OUTPUT):] if after.startswith(OUTPUT) else None)
         for line, after in zip(lines, following)
         if line.startswith("nonnesting ")
     ]
 
 
 def test_command_line_examples_run():
-    examples = _command_lines()
+    lines = _command_block()
+    examples = _command_lines(lines)
     assert any(argv[0] == "generate" and "--stats" in argv for argv, _ in examples)
-    assert sum(expected is not None for _, expected in examples) >= 1
+    # every output marker sits right after a command, so none goes unchecked
+    markers = sum(line.startswith(OUTPUT) for line in lines)
+    assert sum(expected is not None for _, expected in examples) == markers == 3
     for argv, expected in examples:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
