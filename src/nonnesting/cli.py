@@ -88,13 +88,7 @@ def _cmd_count(args):
         level = level_distribution(
             spec, args.n, max_labels=args.max_labels, stats=stats
         )
-        if args.format == "json":
-            print(level.to_json())
-        elif args.format == "csv":
-            _print_csv(["label", "count"], _label_rows(level.entries))
-        else:
-            for label, count in level.entries.items():
-                print(f"{label}: {count}")
+        level.dump(sys.stdout.write, args.format)
         return 0
     seq = count_sequence(spec, args.n, max_labels=args.max_labels, stats=stats)
     if args.format == "json":
@@ -107,17 +101,6 @@ def _cmd_count(args):
     else:
         print(",".join(str(c) for c in seq))
     return 0
-
-
-def _label_rows(entries):
-    """CSV rows [label, count], each label (an int, or a tuple of ints and
-    tuples of ints) as `json.dumps` writes it: `str` writes the same text
-    but for a tuple's round brackets and a one-element tuple's trailing
-    comma."""
-    return [
-        [str(l).replace("(", "[").replace(")", "]").replace(",]", "]"), str(c)]
-        for l, c in entries.items()
-    ]
 
 
 def _print_csv(header, rows):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from operator import lt
 
 from .errors import ConstraintViolation
@@ -83,6 +84,17 @@ def max_nesting(arcs, enhanced=False):
     return _nesting_indices(arcs, (float("-inf"),))[0]
 
 
+def _require_ints(n, arcs, opens):
+    """Raise ValueError unless n and every end of `arcs` and `opens` is an
+    int.  A bool or another int subclass is refused as well: `to_json`
+    writes each vertex as Python prints it, which is JSON only for an int."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
+    for vertex in chain(chain.from_iterable(arcs), opens):
+        if type(vertex) is not int:
+            raise ValueError(f"vertex {vertex!r} is not an int")
+
+
 @dataclass(frozen=True)
 class OpenPartitionDiagram:
     """Partition diagram with closed arcs and open semi-arcs.
@@ -96,8 +108,10 @@ class OpenPartitionDiagram:
     open_arcs: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "closed_arcs", tuple(map(tuple, self.closed_arcs)))
-        object.__setattr__(self, "open_arcs", tuple(sorted(self.open_arcs)))
+        closed, opens = tuple(map(tuple, self.closed_arcs)), tuple(self.open_arcs)
+        _require_ints(self.n, closed, opens)
+        object.__setattr__(self, "closed_arcs", closed)
+        object.__setattr__(self, "open_arcs", tuple(sorted(opens)))
         self._validate()
 
     @classmethod
@@ -178,10 +192,14 @@ class OpenPermutationDiagram:
     lower_open: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "upper_arcs", tuple(map(tuple, self.upper_arcs)))
-        object.__setattr__(self, "lower_arcs", tuple(map(tuple, self.lower_arcs)))
-        object.__setattr__(self, "upper_open", tuple(sorted(self.upper_open)))
-        object.__setattr__(self, "lower_open", tuple(sorted(self.lower_open)))
+        upper = tuple(map(tuple, self.upper_arcs))
+        lower = tuple(map(tuple, self.lower_arcs))
+        upper_open, lower_open = tuple(self.upper_open), tuple(self.lower_open)
+        _require_ints(self.n, upper + lower, upper_open + lower_open)
+        object.__setattr__(self, "upper_arcs", upper)
+        object.__setattr__(self, "lower_arcs", lower)
+        object.__setattr__(self, "upper_open", tuple(sorted(upper_open)))
+        object.__setattr__(self, "lower_open", tuple(sorted(lower_open)))
         self._validate()
 
     @classmethod

@@ -20,16 +20,19 @@ so codes are distinct, code order is label order, and the semi-arc count
 is the leading digit.  The open families' labels are already ints and are
 their own codes.  Only the pushers know the codes: each is built for one
 n_max and owns its encode, its decode and `json_rows`, the JSON rows of
-a level.  `count_sequence` looks up the root's code.  `count_levels` and
-`level_distribution` return each level as a `LevelDistribution` that keeps
-its codes and its pusher: `entries` (the tuple labels above, in label
-order) is decoded on first read, and the JSON dump is the pusher's
-`json_rows`, written straight from the codes, in code order, without
-building a label.
+a run of sorted codes.  `count_sequence` looks up the root's code.
+`count_levels` and `level_distribution` return each level as a
+`LevelDistribution` that keeps its codes and its pusher: `entries` (the
+tuple labels above, in label order) is decoded on first read, and `dump`
+writes the level in code order, which is label order, one chunk of
+`DUMP_CHUNK` labels at a time: its JSON rows come from `json_rows`,
+straight from the codes, and its text and CSV lines decode one chunk.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -87,15 +90,19 @@ class FamilySpec:
         return entry.diagram(0), entry.enhanced
 
 
+# labels per piece of a level dump: a dump holds one chunk's text at a time
+DUMP_CHUNK = 1024
+
+
 class LevelDistribution:
     """Exact multiset of labels at one level of a generating tree.
 
     The level is held as the DP left it: a count per label code, with the
     pusher that owns the codes.  `entries` (label -> count, in label order)
     is decoded from the codes on first read and then kept; `total()` sums
-    the counts without decoding, and `to_json()` takes its rows from the
-    pusher's `json_rows`, which writes them from the codes, so a JSON dump
-    decodes nothing.
+    the counts without decoding.  `dump` writes the level in any format of
+    `count --all-labels` without reading `entries`, and `to_json()` is its
+    JSON line, so a JSON dump decodes nothing.
     """
 
     def __init__(self, level, codes, pusher):
@@ -114,14 +121,55 @@ class LevelDistribution:
     def total(self):
         return sum(self._codes.values())
 
+    def dump(self, write, fmt):
+        """Write the level as `count --all-labels --format fmt` prints it,
+        newline included, passing `write` one chunk of at most `DUMP_CHUNK`
+        labels at a time, in label order.
+
+        "json" is one line, {"n": level, "labels": [{"label": [...],
+        "count": "..."}, ...]}, as `json.dumps` writes it, each label a
+        list (a permutation's r and s nested lists); the pusher's
+        `json_rows` writes each chunk's rows from the codes.  "csv" is a
+        "label,count" header and one row per label, the label as JSON;
+        "text" is one "label: count" line per label, the label as Python
+        prints it.  Both decode one chunk of labels at a time.
+        """
+        codes, pusher = self._codes, self._pusher
+        order = sorted(codes)
+        chunks = (
+            order[i : i + DUMP_CHUNK] for i in range(0, len(order), DUMP_CHUNK)
+        )
+        if fmt == "json":
+            write('{"n": %d, "labels": [' % self.level)
+            sep = ""
+            for chunk in chunks:
+                write(sep + pusher.json_rows(codes, chunk))
+                sep = ", "
+            write("]}")
+            write("\n")
+        elif fmt == "csv":
+            decode, buf = pusher.decode, io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["label", "count"])
+            for chunk in chunks:
+                writer.writerows([_json_label(decode(c)), codes[c]] for c in chunk)
+                write(buf.getvalue())
+                buf.seek(0)
+                buf.truncate()
+        elif fmt == "text":
+            decode = pusher.decode
+            for chunk in chunks:
+                write("".join([f"{decode(c)}: {codes[c]}\n" for c in chunk]))
+        else:
+            raise ValueError(f"unknown dump format {fmt!r}")
+
     def to_json(self):
-        """The level as one line of JSON, as `json.dumps` writes it:
-        {"n": level, "labels": [{"label": [...], "count": "..."}, ...]},
-        each label a list (a permutation's r and s nested lists), in label
-        order.  The rows come from the pusher's `json_rows`, which writes
-        them from the codes in sorted-code order, which is label order."""
-        rows = self._pusher.json_rows(self._codes)
-        return '{"n": %d, "labels": [%s]}' % (self.level, rows)
+        """The level as one line of JSON: `dump`'s "json" line, without
+        its newline."""
+        pieces = []
+        self.dump(pieces.append, "json")
+        pieces.pop()  # the newline
+        return "".join(pieces)
 
     def __eq__(self, other):
         if not isinstance(other, LevelDistribution):
@@ -130,6 +178,13 @@ class LevelDistribution:
 
     def __repr__(self):
         return f"LevelDistribution(level={self.level!r}, entries={self.entries!r})"
+
+
+def _json_label(label):
+    """A label (an int, or a tuple of ints and tuples of ints) as
+    `json.dumps` writes it: `str` writes the same text but for a tuple's
+    round brackets and a one-element tuple's trailing comma."""
+    return str(label).replace("(", "[").replace(")", "]").replace(",]", "]")
 
 
 def successors_partition(label, enhanced=False):
@@ -326,10 +381,11 @@ class _GenericPusher:
     decode = encode
 
     @staticmethod
-    def json_rows(codes):
-        """The level's JSON rows, in code order, joined by ", "."""
+    def json_rows(codes, chunk):
+        """The JSON rows of the sorted codes `chunk`, with their counts in
+        `codes`, joined by ", "."""
         row = '{"label": [%d], "count": "%d"}'
-        return ", ".join([row % (c, codes[c]) for c in sorted(codes)])
+        return ", ".join([row % (c, codes[c]) for c in chunk])
 
     def push(self, current, limit=None):
         """The next level.  With `limit` (a multiple of `weight`), only the
@@ -416,10 +472,10 @@ class _RangeSumPusher(_DigitCodec):
     def decode(self, code):
         return tuple(self.decode_digits(code))
 
-    def json_rows(self, codes):
+    def json_rows(self, codes, chunk):
         row, digits = '{"label": %s, "count": "%d"}', self.decode_digits
         # a list of ints prints as JSON
-        return ", ".join([row % (digits(c), codes[c]) for c in sorted(codes)])
+        return ", ".join([row % (digits(c), codes[c]) for c in chunk])
 
     def push(self, current, limit=None):
         nxt = {}
@@ -534,9 +590,9 @@ class _PermutationPusher(_DigitCodec):
     the ranges are short (2.3 steps on average at k = 5, n = 11, and 40 %
     are one step), so building the line keys costs more than it saves.
     The option cache keeps entries from every level pushed so far.  The
-    JSON rows are written in code order, (h, r) group by group: a group's
-    row head is built once, and each vector's text is cached per vector
-    code.
+    JSON rows of a chunk are written in code order, (h, r) group by group:
+    a group's row head is built once, and each vector's text is cached per
+    vector code.
     """
 
     def __init__(self, family, k, n_max):
@@ -558,13 +614,14 @@ class _PermutationPusher(_DigitCodec):
         h, r = divmod(hr, self.vector)
         return h, self._vector(r), self._vector(s)
 
-    def json_rows(self, codes):
-        """The rows in code order, which keeps each (h, r) group together:
-        a group's row head, up to r's text, is built once."""
+    def json_rows(self, codes, chunk):
+        """The rows of the sorted codes `chunk`, in which each (h, r) group
+        is together: a group's row head, up to r's text, is built once per
+        chunk it meets."""
         vector, texts = self.vector, self.texts
         rows = []
         group = None
-        for code in sorted(codes):
+        for code in chunk:
             hr, s = divmod(code, vector)
             if hr != group:
                 group = hr

@@ -214,12 +214,105 @@ class TestCount:
          "5604a94d7036f038b07dcc8548542de1b01ee2d2523d7cc120122e580d173c4b"),
         ("partitions-enhanced --k 3 --n 20", "csv",
          "a7616f41129cb1463158b245a16044fae11ecab4a170f6a84dc12ac2419f8c83"),
+        # 11,262 labels, so each dump spans several chunks
+        ("permutations --k 5 --n 11", "text",
+         "476602a25570ec82ddada9edd20f45cd76ca0c194fe73c179d8bbf5eb0fbfde0"),
+        ("permutations --k 5 --n 11", "json",
+         "817390efbf11c1b4f120f366bf59a6ee99fc024b71363ed02414469012e4aab2"),
+        ("permutations --k 5 --n 11", "csv",
+         "1b0252521f365ed79c91de472b08ec55d72fb2785cac7725b5c85137136c3b85"),
     ])
     def test_all_labels_dump_unchanged(self, capsys, argv, fmt, pinned):
         argv = ["count", "--family", *argv.split(), "--all-labels", "--format", fmt]
         assert run(argv) == 0
         out, _ = output(capsys)
         assert hashlib.sha256(out.encode()).hexdigest() == pinned
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_label_budget_trip_writes_no_dump(self, capsys, fmt):
+        # the DP finishes, or trips, before the dump's first byte
+        argv = ["count", "--family", "partitions", "--k", "4", "--n", "12",
+                "--max-labels", "43", "--all-labels", "--format", fmt]
+        assert run(argv) == 3
+        assert output(capsys) == (
+            "", "resource limit: label budget 43 exceeded at level 7 (50 labels)\n"
+        )
+
+    @pytest.mark.parametrize("family,k", [
+        *((family, k) for family in gentree.CONSTRAINED_FAMILIES
+          for k in range(2, 6)),
+        ("open-partitions", None), ("open-permutations", None),
+    ])
+    def test_all_labels_dump_equals_unchunked_dump(self, capsys, monkeypatch,
+                                                   family, k):
+        """Every format of the chunked dump against a copy of the code it
+        replaced, at the default chunk and at chunks of 1 and 7 labels.
+        Permutations at k = 4 and 5 have more than one default chunk of
+        labels at n = 9 (1,230 and 2,285), and k = 5 at n = 11 (11,262)."""
+        spec = FamilySpec(family, k)
+        chunks = (gentree.DUMP_CHUNK, 1, 7)
+        sizes = list(range(10))
+        if (family, k) == ("permutations", 5):
+            sizes.append(11)
+        for n in sizes:
+            level = gentree.level_distribution(spec, n)
+            argv = ["count", "--family", family, "--n", str(n), "--all-labels"]
+            if k is not None:
+                argv += ["--k", str(k)]
+            for fmt in ("text", "json", "csv"):
+                expected = _unchunked_dump(level, fmt)
+                for chunk in chunks:
+                    monkeypatch.setattr(gentree, "DUMP_CHUNK", chunk)
+                    assert run(argv + ["--format", fmt]) == 0
+                    assert output(capsys) == (expected, "")
+
+
+def _unchunked_dump(level, fmt):
+    """The stdout of `count --all-labels` for `level` before the dump was
+    written in chunks: `print(level.to_json())` with each pusher's rows of
+    the whole level, `_print_csv` of `_label_rows(level.entries)`, or one
+    print per entry, as the CLI and the pushers had them."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if fmt == "json":
+            rows = _unchunked_json_rows(level._pusher, level._codes)
+            print('{"n": %d, "labels": [%s]}' % (level.level, rows))
+        elif fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["label", "count"])
+            writer.writerows([
+                [str(l).replace("(", "[").replace(")", "]").replace(",]", "]"),
+                 str(c)]
+                for l, c in level.entries.items()
+            ])
+            sys.stdout.write(buf.getvalue())
+        else:
+            for label, count in level.entries.items():
+                print(f"{label}: {count}")
+    return out.getvalue()
+
+
+def _unchunked_json_rows(pusher, codes):
+    """Each pusher's `json_rows` of a whole level, as it was."""
+    if isinstance(pusher, gentree._PermutationPusher):
+        vector, texts = pusher.vector, pusher.texts
+        rows = []
+        group = None
+        for code in sorted(codes):
+            hr, s = divmod(code, vector)
+            if hr != group:
+                group = hr
+                h, r = divmod(hr, vector)
+                head = '{"label": [%d, %s, ' % (h, texts.get(r) or pusher._text(r))
+            s_text = texts.get(s) or pusher._text(s)
+            rows.append(f'{head}{s_text}], "count": "{codes[code]}"}}')
+        return ", ".join(rows)
+    if isinstance(pusher, gentree._RangeSumPusher):
+        row, digits = '{"label": %s, "count": "%d"}', pusher.decode_digits
+        return ", ".join([row % (digits(c), codes[c]) for c in sorted(codes)])
+    row = '{"label": [%d], "count": "%d"}'
+    return ", ".join([row % (c, codes[c]) for c in sorted(codes)])
 
 
 class TestSeries:
@@ -951,8 +1044,12 @@ def test_module_entry_points(module):
 @pytest.mark.parametrize("argv,lines_read", [
     # an endless stream: the reader takes one line and closes the pipe
     ("generate --family open-partitions --n 12", 1),
-    # one buffered write: the pipe is closed before it is flushed
+    # a dump shorter than one chunk and the pipe's buffer: the pipe is
+    # closed before it is flushed
     ("count --family partitions --k 3 --n 12 --all-labels", 0),
+    # 11,262 labels, a dump of many chunks and pipe buffers: the reader
+    # takes one line and closes the pipe while later chunks are written
+    ("count --family permutations --k 5 --n 11 --all-labels", 1),
 ])
 def test_closed_pipe_exits_quietly(argv, lines_read):
     proc = subprocess.Popen(

@@ -77,6 +77,13 @@ class TestPartitionDiagram:
         # an arc that is not a pair, also after pairs
         ((3, ((1, 2, 3),), ()), "unpack"),
         ((3, ((1, 2), (2, 3, 3)), ()), "unpack"),
+        # n and every vertex must be ints, before any other check; a bool
+        # would be written as True in to_json()
+        ((3, ((1.5, 2),), (True,)), "vertex 1.5 is not an int"),
+        ((3, (), (True,)), "vertex True is not an int"),
+        ((3, (), ("2", 1)), "vertex '2' is not an int"),
+        ((3.0, ((1, 2),), ()), "n must be an int, got 3.0"),
+        ((True, (), ()), "n must be an int, got True"),
     ])
     def test_validation_messages(self, args, message):
         with pytest.raises(ValueError, match=message):
@@ -217,10 +224,24 @@ class TestPermutationDiagrams:
         ((3, (), (), (1, 1), (0, 2)), "upper layer degree constraint violated"),
         ((3, ((1, 2), (1, 3)), (), (9,), (1,)), "upper semi-arc origin 9"),
         ((3, ((1, 1),), ((1, 2), (2, 3, 3)), (), ()), "unpack"),
+        # n and every vertex of both layers must be ints
+        ((3, ((1, 2.0),), (), (), ()), "vertex 2.0 is not an int"),
+        ((3, (), ((1, True),), (), ()), "vertex True is not an int"),
+        ((3, (), (), (False,), (1,)), "vertex False is not an int"),
+        ((3, (), (), (1,), (None,)), "vertex None is not an int"),
+        ((False, (), (), (), ()), "n must be an int, got False"),
     ])
     def test_validation_messages(self, args, message):
         with pytest.raises(ValueError, match=message):
             dg.OpenPermutationDiagram(*args)
+
+    def test_label_rejects_a_future_nesting(self):
+        # the upper semi-arc at 1 lies left of a 2-nesting: a future
+        # 3-nesting, which k = 2 forbids
+        d = dg.OpenPermutationDiagram(5, ((2, 5), (3, 4)), (), (1,), (1,))
+        with pytest.raises(ConstraintViolation) as info:
+            dg.permutation_label(d, 2)
+        assert str(info.value) == "diagram contains a future (3)-nesting"
 
     def test_perm_to_diagram(self):
         d = dg.perm_to_diagram((11, 6, 1, 5, 2, 4, 9, 8, 7, 10, 3))

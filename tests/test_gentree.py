@@ -14,6 +14,7 @@ from nonnesting.gentree import (
     _closing_options,
     _pusher,
     CONSTRAINED_FAMILIES,
+    DUMP_CHUNK,
     FAMILIES,
     FamilySpec,
     count_levels,
@@ -544,6 +545,34 @@ def test_json_from_codes_equals_dumped_entries(family, k):
             for label, count in level.entries.items():
                 assert level.entries.get(label, 0) == count
             assert level.entries.get(_too_open(spec, n), 0) == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_dump_writes_one_chunk_of_labels_at_a_time(fmt):
+    """A dump of 11,262 labels reaches `write` as pieces of at most one
+    chunk of labels each, all chunks full but the last, without decoding
+    `entries`; to_json() is the JSON dump's line."""
+    level = level_distribution(FamilySpec("permutations", 5), 11)
+    pieces = []
+    level.dump(pieces.append, fmt)
+    assert level._entries is None
+    if fmt == "json":
+        assert "".join(pieces) == level.to_json() + "\n"
+        sizes = [piece.count('{"label": ') for piece in pieces]
+    else:
+        sizes = [piece.count("\n") for piece in pieces]
+        if fmt == "csv":
+            sizes[0] -= 1  # the header line
+    labels = [size for size in sizes if size]
+    full, rest = divmod(len(level.entries), DUMP_CHUNK)
+    assert labels == [DUMP_CHUNK] * full + [rest] * (rest > 0)
+    assert len(labels) > 1
+
+
+def test_dump_rejects_an_unknown_format():
+    level = level_distribution(FamilySpec("partitions", 3), 2)
+    with pytest.raises(ValueError, match="unknown dump format 'xml'"):
+        level.dump(print, "xml")
 
 
 class TestLevelStats:
