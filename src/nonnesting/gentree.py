@@ -317,11 +317,13 @@ def _level_stream(pusher, root, n_max, max_labels, prune, stats=None):
         if stats is None:
             current = push(current, limit)
         else:
+            labels_in = len(current)
             started = perf_counter()
             current = push(current, limit)
             push_s = perf_counter() - started
             stats({
                 "level": n,
+                "labels_in": labels_in,
                 "labels_kept": len(current),
                 "push_s": round(push_s, 6),
                 "max_count_bits": max(
@@ -446,12 +448,25 @@ class _RangeSumPusher(_DigitCodec):
     j = 1) with a running sum.  A push then costs the distinct children
     plus one entry per label and rule, not the sum of the range lengths.
 
-    Every closing of one semi-arc, the top one and each line's, adds its
-    semi-transitory code to `closed`, and the pass over `closed` applies
-    the horizon: under a `limit` (a multiple of w_0) it adds the
-    semi-transitory child only below the limit, and always its closer,
-    w_0 lower.  A label one semi-arc below the limit makes no semi-opener,
-    a label at it makes no fixed point, and one past it makes nothing.
+    The last digit, j = k - 2 for k > 2, has weight 1, so its lines are
+    runs of consecutive codes: a label's `row` is its code with s_{k-2}
+    zeroed, and the codes row + i are the labels that differ only there.
+    Its rule is swept straight from the level, with the top closing
+    folded in: the first pass only adds to `rows` each row with a
+    closing (s_{k-3} > 0), and the sweep over i = 1..s_{k-3} of the row
+    gives the child row - (w_1 + ... + w_{k-3}) + i - 1 the row's counts
+    at 0..i - 1 (the ranged closing of those labels) plus its count at i
+    (the top closing of that label).  For k = 2, where the top closing
+    is the only one, it keeps its own entry.
+
+    Every other closing of one semi-arc adds its semi-transitory code to
+    `closed`.  The pass over `closed` and the row sweep apply the horizon:
+    under a `limit` (a multiple of w_0) they add the semi-transitory child
+    only below the limit, and always its closer, w_0 lower.  A row and
+    its children share its labels' s_0, so they fall on one side of the
+    limit together.  A label one semi-arc below the limit makes no
+    semi-opener, a label at it makes no fixed point, and one past it
+    makes nothing: its row is never added.
     """
 
     def __init__(self, family, k, n_max):
@@ -464,7 +479,9 @@ class _RangeSumPusher(_DigitCodec):
         for w in self.weights[1:]:
             self.rules.append((w, below))
             below += w
-        self.dec = below  # the top closing: every digit but s_0 less one
+        # k > 2: the last digit's rule, of step 1, is swept row by row with
+        # the top closing; k = 2 keeps the top closing alone
+        self.row_below = self.rules.pop()[1] if self.rules else None
 
     def encode(self, label):
         return self.encode_digits(label)
@@ -480,13 +497,15 @@ class _RangeSumPusher(_DigitCodec):
     def push(self, current, limit=None):
         nxt = {}
         closed = {}  # semi-transitory codes; each also makes a closer
+        rows = set()  # the last digit's rows that have a closing (k > 2)
         w0 = self.weight
         if limit is None:
             limit = self.unbounded
         top = limit - w0  # a label below it makes an opener
         rules = self.rules
         lines = [{} for _ in rules]
-        enhanced, w1, dec = self.enhanced, self.w1, self.dec
+        enhanced, w1 = self.enhanced, self.w1
+        row_below = self.row_below
         for code, count in current.items():
             s0, rest = divmod(code, w0)
             if code < limit:
@@ -505,7 +524,8 @@ class _RangeSumPusher(_DigitCodec):
                     nxt[opener] = nxt.get(opener, 0) + count
             elif code >= limit + w0:
                 continue  # past the limit: every child would be at or past it
-            # (3) and (4), the ranged closings: one line entry per rule
+            # (3) and (4), the ranged closings but the last digit's: one
+            # line entry per rule
             prev = s0
             for line_starts, (w, below) in zip(lines, rules):
                 d, rest = divmod(rest, w)
@@ -517,10 +537,13 @@ class _RangeSumPusher(_DigitCodec):
                     else:
                         starts[d] = starts.get(d, 0) + count
                 prev = d
-            # (3) and (4), closing the top semi-arc of a future k-nesting
+            # rest is the last digit now; some semi-arc can close unless
+            # prev = 0
             if prev > 0:
-                child = code - dec
-                closed[child] = closed.get(child, 0) + count
+                if row_below is not None:
+                    rows.add(code - rest)
+                else:  # k = 2: close the top semi-arc
+                    closed[code] = closed.get(code, 0) + count
         base, weights = self.base, self.weights
         for j, (line_starts, (w, _)) in enumerate(zip(lines, rules), 1):
             end_weight, past_top = weights[j - 1], j > 1
@@ -538,6 +561,25 @@ class _RangeSumPusher(_DigitCodec):
                 nxt[code] = nxt.get(code, 0) + count
             low = code - w0  # (4) closer
             nxt[low] = nxt.get(low, 0) + count
+        # (3) and (4) on the last digit, the top closing folded in: the
+        # closings at i = 1..end of a row give its child i - 1 the row's
+        # counts through i - 1 (ranged) and its count at i (top)
+        get = current.get
+        for row in rows:
+            end = row // base % base  # digit k - 3, the last digit's bound
+            child = row - row_below
+            total = get(row, 0)
+            semi = row < limit  # the row's s_0 is its children's
+            for code in range(row + 1, row + end + 1):
+                count = get(code, 0)
+                total_i = total + count
+                if total_i:
+                    if semi:
+                        nxt[child] = nxt.get(child, 0) + total_i
+                    low = child - w0
+                    nxt[low] = nxt.get(low, 0) + total_i
+                total = total_i
+                child += 1
         return nxt
 
 
@@ -775,8 +817,9 @@ def count_sequence(spec, n_max, max_labels=None, stats=None):
     Labels that can no longer return to the root by level n_max are never
     built: each push is given the horizon, so `max_labels` bounds the
     pruned label set.  `stats`, if given, is called with one dict per level
-    1..n_max: its `level`, the labels the push kept (`labels_kept`), the
-    push's seconds (`push_s`) and the bit length of the largest kept count
+    1..n_max: its `level`, the labels the push read (`labels_in`, those
+    the level before kept), the labels it kept (`labels_kept`), the push's
+    seconds (`push_s`) and the bit length of the largest kept count
     (`max_count_bits`).  The push builds only labels under the horizon, so
     every label it produces is kept.  Without `stats` no timing call is
     made.

@@ -116,7 +116,7 @@ class TestCount:
         assert out == plain
         records = [json.loads(line) for line in err.splitlines()]
         assert [r["level"] for r in records] == list(range(1, 11))
-        assert all(set(r) == {"level", "labels_kept", "push_s",
+        assert all(set(r) == {"level", "labels_in", "labels_kept", "push_s",
                               "max_count_bits"} for r in records)
         levels = count_levels(FamilySpec("partitions-enhanced", 3), 10)
         sizes = [len(level.entries) for level in levels[1:]]

@@ -26,6 +26,7 @@ from nonnesting.gentree import (
 )
 from nonnesting import diagrams as dg
 from nonnesting import refdata
+from nonnesting.closedform import a108304, a108307
 
 
 class TestSuccessionRules:
@@ -152,6 +153,17 @@ class TestCountSequence:
         with pytest.raises(ResourceLimitError) as exc:
             count_levels(spec, 12, max_labels=43)
         assert exc.value.reached == 6
+
+    @pytest.mark.parametrize("family,recurrence", [
+        ("partitions", a108304), ("partitions-enhanced", a108307),
+    ])
+    def test_k3_sequence_at_research_depth_satisfies_p_recurrence(
+        self, family, recurrence
+    ):
+        # the deepest terms of the pruned row-sweep DP, against the
+        # A108304 / A108307 P-recurrences
+        n = 200
+        assert [1] + count_sequence(FamilySpec(family, 3), n) == recurrence(n)
 
     def test_level_distribution_json(self):
         level = count_levels(FamilySpec("partitions", 3), 4)[4]
@@ -344,6 +356,130 @@ def test_partition_push_under_every_limit_equals_filtered_push(family, k):
             }, (n, limit)
         level = full
     assert at_a_limit
+
+
+def _line_sweep_partition_push(pusher, current, limit=None):
+    """The push `_RangeSumPusher` made before it swept the last digit's
+    rows straight from the level: every ranged closing j, the last digit's
+    too, adds each label's count to line j's starts, one running sum per
+    line gives its children, and the top closing has its own entry."""
+    nxt = {}
+    closed = {}
+    w0, base, weights = pusher.weight, pusher.base, pusher.weights
+    if limit is None:
+        limit = pusher.unbounded
+    top = limit - w0
+    rules = []
+    below = 0
+    for w in weights[1:]:
+        rules.append((w, below))
+        below += w
+    dec = below
+    lines = [{} for _ in rules]
+    enhanced, w1 = pusher.enhanced, pusher.w1
+    for code, count in current.items():
+        s0, rest = divmod(code, w0)
+        if code < limit:
+            if not enhanced:
+                fp = code
+            elif w1:
+                fp = code + (s0 - rest // w1) * w1
+            else:
+                fp = code if s0 == 0 else None
+            if fp is not None:
+                nxt[fp] = nxt.get(fp, 0) + count
+            if code < top:
+                opener = code + w0
+                nxt[opener] = nxt.get(opener, 0) + count
+        elif code >= limit + w0:
+            continue
+        prev = s0
+        for line_starts, (w, below) in zip(lines, rules):
+            d, rest = divmod(rest, w)
+            if d < prev:
+                line = code - d * w - below
+                starts = line_starts.setdefault(line, {})
+                starts[d] = starts.get(d, 0) + count
+            prev = d
+        if prev > 0:
+            child = code - dec
+            closed[child] = closed.get(child, 0) + count
+    for j, (line_starts, (w, _)) in enumerate(zip(lines, rules), 1):
+        end_weight, past_top = weights[j - 1], j > 1
+        for line, starts in line_starts.items():
+            end = line // end_weight % base + past_top
+            total = 0
+            start = min(starts)
+            child = line + start * w
+            for i in range(start, end):
+                total += starts.get(i, 0)
+                closed[child] = closed.get(child, 0) + total
+                child += w
+    for code, count in closed.items():
+        if code < limit:
+            nxt[code] = nxt.get(code, 0) + count
+        low = code - w0
+        nxt[low] = nxt.get(low, 0) + count
+    return nxt
+
+
+@pytest.mark.parametrize("family", ["partitions", "partitions-enhanced"])
+@pytest.mark.parametrize("k", range(2, 8))
+def test_partition_push_equals_line_sweep_push(family, k):
+    """The last-digit row sweep against the line sweep it replaced, on
+    every full level up to n_max and under every limit from none to past
+    every child; each has its own pusher."""
+    n_max = 13
+    spec = FamilySpec(family, k)
+    pusher, reference = _pusher(spec, n_max), _pusher(spec, n_max)
+    level = {pusher.encode(spec.root_label()): 1}
+    for n in range(n_max):
+        for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
+            assert pusher.push(level, limit) == (
+                _line_sweep_partition_push(reference, level, limit)
+            ), (n, limit)
+        level = pusher.push(level)
+    assert len(level) > n_max
+
+
+def _sparse_partition_level(k):
+    """Partition labels in few rows, each row (s_0, ..., s_{k-3}) holding
+    a random set of last digits s_{k-2} <= s_{k-3}, so rows have gaps;
+    for k = 2, random labels (s_0,)."""
+    if k == 2:
+        return st.sets(st.integers(0, 15), min_size=1, max_size=8).map(
+            lambda s0s: [(s0,) for s0 in s0s]
+        )
+    row = _non_increasing(15, k - 2).flatmap(
+        lambda prefix: st.sets(st.integers(0, prefix[-1]), min_size=1,
+                               max_size=6).map(
+            lambda digits: [prefix + (d,) for d in sorted(digits)]
+        )
+    )
+    return st.lists(row, min_size=1, max_size=4).map(
+        lambda rows: list(dict.fromkeys(label for r in rows for label in r))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_partition_push_equals_line_sweep_push_on_sparse_levels(data):
+    """As above, on levels of few rows with gaps in the last digit, under
+    no limit or one that some label sits at, one past or one below."""
+    family = data.draw(st.sampled_from(["partitions", "partitions-enhanced"]))
+    k = data.draw(st.integers(2, 7))
+    spec = FamilySpec(family, k)
+    pusher, reference = _pusher(spec, 16), _pusher(spec, 16)
+    labels = data.draw(_sparse_partition_level(k))
+    counts = data.draw(st.lists(st.integers(1, 2**300), min_size=len(labels),
+                                max_size=len(labels)))
+    level = {pusher.encode(label): count for label, count in zip(labels, counts)}
+    near = sorted({label[0] + d for label in labels for d in (-1, 0, 1)} - {-1})
+    limit = data.draw(st.none() | st.sampled_from(near).map(
+        lambda h: h * pusher.weight))
+    assert pusher.push(level, limit) == (
+        _line_sweep_partition_push(reference, level, limit)
+    )
 
 
 def _two_pass_permutation_push(pusher, current, limit=None):
@@ -604,6 +740,21 @@ class TestLevelStats:
         assert records[0]["labels_kept"] == sizes[0]
         assert [r["labels_kept"] for r in records] == kept
         assert kept[-1] == 1 < max(kept)
+
+
+    @pytest.mark.parametrize("family,k", [
+        ("partitions", 4), ("partitions-enhanced", 3), ("permutations", 3),
+        ("open-permutations", None),
+    ])
+    def test_labels_in_are_the_labels_pushed(self, family, k):
+        # each level reads the labels the level before kept, pruned or not
+        spec = FamilySpec(family, k)
+        n = 9
+        for count in (level_distribution, count_sequence):
+            records = []
+            count(spec, n, stats=records.append)
+            kept = [1] + [r["labels_kept"] for r in records[:-1]]
+            assert [r["labels_in"] for r in records] == kept
 
 
 class TestGenerateDiagrams:
