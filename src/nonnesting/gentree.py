@@ -74,6 +74,8 @@ class FamilySpec:
                 raise ValueError(f"--k is not accepted for family {self.family}")
         elif self.k is None:
             raise ValueError(f"--k is required for family {self.family}")
+        elif type(self.k) is not int:  # a bool or a float as well
+            raise ValueError(f"k must be an int, got {self.k!r}")
         elif self.k < 2:
             raise ValueError(f"family {self.family} needs k >= 2, got {self.k}")
         object.__setattr__(self, "_entry", entry)
@@ -289,6 +291,8 @@ def _successors_open_permutation(m):
 def _pusher(spec, n_max):
     """A fresh one-level pusher for spec whose codes hold every label of
     levels 0..n_max."""
+    if type(n_max) is not int:  # a bool or a float as well
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     entry = spec._entry
@@ -439,49 +443,43 @@ class _RangeSumPusher(_DigitCodec):
     The fixed point adds 0 (enhanced: (s_0 - s_1) * w_1, which sets s_1 to
     s_0), the opener w_0, and closing the top semi-arc subtracts
     w_1 + ... + w_{k-2}, then w_0 more for its closer.  The ranged closing
-    j of (3)/(4) gives a label the children line + i * w_j and
-    line + i * w_j - w_0 for s_j <= i < s_{j-1}, where
-    `line` is the label's code less s_j * w_j and w_1 + ... + w_{j-1} (digit
-    j zeroed, digits 1..j-1 decremented).  The first pass adds the label's
-    count once, at s_j, to line j's starts; the sweep walks each line from
-    its smallest start to its end (digit j - 1 of the line, plus one unless
-    j = 1) with a running sum.  A push then costs the distinct children
-    plus one entry per label and rule, not the sum of the range lengths.
+    j of (3)/(4) gives a label the children row - (w_1 + ... + w_{j-1}) +
+    i * w_j and that less w_0, for s_j <= i < s_{j-1}, where its `row` for
+    rule j is its code with digit j zeroed.  The codes row + i * w_j are
+    the labels that differ from it only in digit j, so child i gets the
+    running sum of the row's counts at 0..i.  The first pass only adds
+    each label's row to rule j's set when the label closes there
+    (s_j < s_{j-1}); one sweep per row then reads the row's counts straight
+    from the level, for i = 0..s_{j-1} - 1.  A push costs the distinct
+    children plus the rows' lengths, not the sum of the range lengths.
 
-    The last digit, j = k - 2 for k > 2, has weight 1, so its lines are
-    runs of consecutive codes: a label's `row` is its code with s_{k-2}
-    zeroed, and the codes row + i are the labels that differ only there.
-    Its rule is swept straight from the level, with the top closing
-    folded in: the first pass only adds to `rows` each row with a
-    closing (s_{k-3} > 0), and the sweep over i = 1..s_{k-3} of the row
-    gives the child row - (w_1 + ... + w_{k-3}) + i - 1 the row's counts
-    at 0..i - 1 (the ranged closing of those labels) plus its count at i
-    (the top closing of that label).  For k = 2, where the top closing
-    is the only one, it keeps its own entry.
+    The last digit, j = k - 2 for k > 2, has weight 1, and the top closing
+    of its label at i is the row's ranged child i - 1, so its sweep folds
+    the top closing in by reading the row one label ahead: child i - 1
+    gets the counts at 0..i, for i = 1..s_{k-3}.  A label adds this rule's
+    row when it has either closing (s_{k-3} > 0).  For k = 2 the top
+    closing is the only one, and the first pass adds its children.
 
-    Every other closing of one semi-arc adds its semi-transitory code to
-    `closed`.  The pass over `closed` and the row sweep apply the horizon:
-    under a `limit` (a multiple of w_0) they add the semi-transitory child
-    only below the limit, and always its closer, w_0 lower.  A row and
-    its children share its labels' s_0, so they fall on one side of the
-    limit together.  A label one semi-arc below the limit makes no
-    semi-opener, a label at it makes no fixed point, and one past it
-    makes nothing: its row is never added.
+    Every closing applies the horizon: under a `limit` (a multiple of w_0)
+    it adds the semi-transitory child only below the limit, and always its
+    closer, w_0 lower.  A row and its children share its labels' s_0, so
+    they fall on one side of the limit together.  A label one semi-arc
+    below the limit makes no semi-opener, a label at it makes no fixed
+    point, and one past it makes nothing: its rows are never added.
     """
 
     def __init__(self, family, k, n_max):
         super().__init__(k - 1, n_max)
         self.enhanced = family.enhanced
         self.w1 = self.weights[1] if k > 2 else 0
-        # rule j's step and what its line subtracts besides s_j * w_j
-        self.rules = []
-        below = 0
-        for w in self.weights[1:]:
-            self.rules.append((w, below))
-            below += w
-        # k > 2: the last digit's rule, of step 1, is swept row by row with
-        # the top closing; k = 2 keeps the top closing alone
-        self.row_below = self.rules.pop()[1] if self.rules else None
+        # rule j's step w_j, what its children subtract besides the row's
+        # digit j, the weight of its bound s_{j-1}, and whether it folds in
+        # the top closing (the last digit's, of step 1)
+        weights = self.weights
+        self.rules = tuple(
+            (weights[j], sum(weights[1:j]), weights[j - 1], int(j == k - 2))
+            for j in range(1, k - 1)
+        )
 
     def encode(self, label):
         return self.encode_digits(label)
@@ -496,16 +494,15 @@ class _RangeSumPusher(_DigitCodec):
 
     def push(self, current, limit=None):
         nxt = {}
-        closed = {}  # semi-transitory codes; each also makes a closer
-        rows = set()  # the last digit's rows that have a closing (k > 2)
         w0 = self.weight
         if limit is None:
             limit = self.unbounded
         top = limit - w0  # a label below it makes an opener
         rules = self.rules
-        lines = [{} for _ in rules]
+        rows = [set() for _ in rules]  # each rule's rows with a closing
+        *earlier, last = rows or [None]  # last: the last digit's (k > 2)
+        steps = list(zip(earlier, self.weights[1:]))
         enhanced, w1 = self.enhanced, self.w1
-        row_below = self.row_below
         for code, count in current.items():
             s0, rest = divmod(code, w0)
             if code < limit:
@@ -524,62 +521,40 @@ class _RangeSumPusher(_DigitCodec):
                     nxt[opener] = nxt.get(opener, 0) + count
             elif code >= limit + w0:
                 continue  # past the limit: every child would be at or past it
-            # (3) and (4), the ranged closings but the last digit's: one
-            # line entry per rule
+            # (3) and (4): the label's row for each ranged rule it closes on
             prev = s0
-            for line_starts, (w, below) in zip(lines, rules):
+            for rule_rows, w in steps:
                 d, rest = divmod(rest, w)
                 if d < prev:
-                    line = code - d * w - below
-                    starts = line_starts.get(line)
-                    if starts is None:
-                        line_starts[line] = {d: count}
-                    else:
-                        starts[d] = starts.get(d, 0) + count
+                    rule_rows.add(code - d * w)
                 prev = d
             # rest is the last digit now; some semi-arc can close unless
             # prev = 0
             if prev > 0:
-                if row_below is not None:
-                    rows.add(code - rest)
+                if last is not None:
+                    last.add(code - rest)
                 else:  # k = 2: close the top semi-arc
-                    closed[code] = closed.get(code, 0) + count
-        base, weights = self.base, self.weights
-        for j, (line_starts, (w, _)) in enumerate(zip(lines, rules), 1):
-            end_weight, past_top = weights[j - 1], j > 1
-            for line, starts in line_starts.items():
-                end = line // end_weight % base + past_top
-                total = 0
-                start = min(starts)
-                child = line + start * w
-                for i in range(start, end):
-                    total += starts.get(i, 0)
-                    closed[child] = closed.get(child, 0) + total
+                    if code < limit:
+                        nxt[code] = nxt.get(code, 0) + count
+                    low = code - w0
+                    nxt[low] = nxt.get(low, 0) + count
+        base, get = self.base, current.get
+        for rule_rows, (w, below, bound, fold) in zip(rows, rules):
+            for row in rule_rows:
+                # child i: the row's counts at 0..i (with `fold`, at
+                # 0..i + 1, the last one's top closing), for i < s_{j-1}
+                first = row + fold
+                total = get(row, 0) if fold else 0
+                child = row - below
+                semi = row < limit  # the row's s_0 is its children's
+                for code in range(first, first + row // bound % base * w, w):
+                    total += get(code, 0)
+                    if total:
+                        if semi:
+                            nxt[child] = nxt.get(child, 0) + total
+                        low = child - w0
+                        nxt[low] = nxt.get(low, 0) + total
                     child += w
-        for code, count in closed.items():
-            if code < limit:  # (3) semi-transitory
-                nxt[code] = nxt.get(code, 0) + count
-            low = code - w0  # (4) closer
-            nxt[low] = nxt.get(low, 0) + count
-        # (3) and (4) on the last digit, the top closing folded in: the
-        # closings at i = 1..end of a row give its child i - 1 the row's
-        # counts through i - 1 (ranged) and its count at i (top)
-        get = current.get
-        for row in rows:
-            end = row // base % base  # digit k - 3, the last digit's bound
-            child = row - row_below
-            total = get(row, 0)
-            semi = row < limit  # the row's s_0 is its children's
-            for code in range(row + 1, row + end + 1):
-                count = get(code, 0)
-                total_i = total + count
-                if total_i:
-                    if semi:
-                        nxt[child] = nxt.get(child, 0) + total_i
-                    low = child - w0
-                    nxt[low] = nxt.get(low, 0) + total_i
-                total = total_i
-                child += 1
         return nxt
 
 

@@ -4,7 +4,9 @@
 Every set partition is listed as a restricted growth string, its arcs are
 built from its blocks, and a nesting is found by the pairwise scan over arc
 subsets.  This is the list path that `oracle.nesting_histogram`'s walks
-replaced; it imports no counter, so the walks cannot reuse it.
+replaced; it imports no counter, so the walks cannot reuse it.  The
+maximum crossing, the statistic that k-nestings are symmetric with, is
+measured here too, by the same pairwise definition.
 """
 
 from itertools import combinations
@@ -110,3 +112,32 @@ def contains_knesting(sigma, k, all_witnesses=False):
                 if not all_witnesses:
                     return True, witnesses
     return bool(witnesses), witnesses
+
+
+def max_crossing(arcs, enhanced=False):
+    """Size of the largest set of mutually crossing arcs.
+
+    Two arcs (i, j) and (i', j') with i < i' cross when i < i' < j < j';
+    in the enhanced variant when i < i' <= j < j', so arcs that share an
+    end cross, and a degenerate arc (p, p), which is an arc only there, is
+    a crossing of one alone.  A set crosses when every pair of it does, so
+    the sets of s + 1 arcs are grown from those of s, each by one arc
+    after its last.
+    """
+    ordered = sorted(arc for arc in arcs if enhanced or arc[0] < arc[1])
+
+    def cross(a, b):
+        (i, j), (i2, j2) = ordered[a], ordered[b]
+        return i < i2 and j < j2 and (i2 <= j if enhanced else i2 < j)
+
+    best = 0
+    sets = [(a,) for a in range(len(ordered))]
+    while sets:
+        best += 1
+        sets = [
+            s + (b,)
+            for s in sets
+            for b in range(s[-1] + 1, len(ordered))
+            if all(cross(a, b) for a in s)
+        ]
+    return best

@@ -200,10 +200,20 @@ class TestCountSequence:
         ("partitions", None, "--k is required for family partitions"),
         ("open-permutations", 3, "--k is not accepted for family open-permutations"),
         ("permutations", 1, "family permutations needs k >= 2, got 1"),
+        ("partitions", 3.0, r"k must be an int, got 3\.0"),
+        ("partitions-enhanced", True, "k must be an int, got True"),
+        ("permutations", "3", "k must be an int, got '3'"),
     ])
     def test_k_rule_messages(self, family, k, message):
         with pytest.raises(ValueError, match=message):
             FamilySpec(family, k)
+
+    @pytest.mark.parametrize("count", [count_sequence, count_levels,
+                                       level_distribution])
+    @pytest.mark.parametrize("n_max", [5.0, True, "5"])
+    def test_n_max_must_be_an_int(self, count, n_max):
+        with pytest.raises(ValueError, match="n_max must be an int"):
+            count(FamilySpec("partitions", 3), n_max)
 
 
 def _differential_cases():
@@ -359,10 +369,10 @@ def test_partition_push_under_every_limit_equals_filtered_push(family, k):
 
 
 def _line_sweep_partition_push(pusher, current, limit=None):
-    """The push `_RangeSumPusher` made before it swept the last digit's
-    rows straight from the level: every ranged closing j, the last digit's
-    too, adds each label's count to line j's starts, one running sum per
-    line gives its children, and the top closing has its own entry."""
+    """The push `_RangeSumPusher` made before any row sweep read the level
+    straight: every ranged closing j, the last digit's too, adds each
+    label's count to line j's starts, one running sum per line gives its
+    children, and the top closing has its own entry."""
     nxt = {}
     closed = {}
     w0, base, weights = pusher.weight, pusher.base, pusher.weights
@@ -426,9 +436,9 @@ def _line_sweep_partition_push(pusher, current, limit=None):
 @pytest.mark.parametrize("family", ["partitions", "partitions-enhanced"])
 @pytest.mark.parametrize("k", range(2, 8))
 def test_partition_push_equals_line_sweep_push(family, k):
-    """The last-digit row sweep against the line sweep it replaced, on
-    every full level up to n_max and under every limit from none to past
-    every child; each has its own pusher."""
+    """The row sweep of every ranged rule against the line sweep from
+    before any row sweep, on every full level up to n_max and under every
+    limit from none to past every child; each has its own pusher."""
     n_max = 13
     spec = FamilySpec(family, k)
     pusher, reference = _pusher(spec, n_max), _pusher(spec, n_max)
@@ -461,16 +471,40 @@ def _sparse_partition_level(k):
     )
 
 
+def _sparse_earlier_digit_level(k):
+    """Partition labels in few rows of the digits before the last (k >= 4):
+    each row keeps every digit of a label but one digit j in 1..k-3 and
+    holds a random set of its values s_{j+1} <= s_j <= s_{j-1}, so the
+    rows of rule j have gaps."""
+
+    def row(label, j):
+        values = st.sets(st.integers(label[j + 1], label[j - 1]), min_size=1,
+                         max_size=6)
+        return values.map(
+            lambda ds: [label[:j] + (d,) + label[j + 1:] for d in sorted(ds)]
+        )
+
+    rows = st.tuples(_non_increasing(15, k - 1), st.integers(1, k - 3))
+    return st.lists(rows.flatmap(lambda lj: row(*lj)), min_size=1,
+                    max_size=4).map(
+        lambda rows: list(dict.fromkeys(label for r in rows for label in r))
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_partition_push_equals_line_sweep_push_on_sparse_levels(data):
-    """As above, on levels of few rows with gaps in the last digit, under
-    no limit or one that some label sits at, one past or one below."""
+    """As above, on levels of few rows with gaps in the last digit, or for
+    k >= 4 in an earlier one, under no limit or one that some label sits
+    at, one past or one below."""
     family = data.draw(st.sampled_from(["partitions", "partitions-enhanced"]))
     k = data.draw(st.integers(2, 7))
     spec = FamilySpec(family, k)
     pusher, reference = _pusher(spec, 16), _pusher(spec, 16)
-    labels = data.draw(_sparse_partition_level(k))
+    levels = [_sparse_partition_level(k)]
+    if k >= 4:
+        levels.append(_sparse_earlier_digit_level(k))
+    labels = data.draw(st.one_of(levels))
     counts = data.draw(st.lists(st.integers(1, 2**300), min_size=len(labels),
                                 max_size=len(labels)))
     level = {pusher.encode(label): count for label, count in zip(labels, counts)}

@@ -19,6 +19,7 @@ from nonnesting.oracle import (
 )
 from reference import (
     contains_knesting,
+    max_crossing,
     partition_to_arcs,
     restricted_growth_strings,
     rgs_arcs,
@@ -174,6 +175,42 @@ class TestWalk:
     ])
     def test_histogram_equals_plain_enumeration(self, family, n):
         assert nesting_histogram(family, n) == _plain_histogram(family, n)
+
+
+def _crossings_and_nestings(family, n):
+    """(maximum crossing, maximum nesting) of each size-n object: upper
+    arcs enhanced, with fixed points as loops, and lower arcs strict for
+    permutations; for partitions, the family's own variant."""
+    if family == "permutations":
+        for upper, lower in map(permutation_arcs, permutations(range(1, n + 1))):
+            yield (
+                max(max_crossing(upper, enhanced=True), max_crossing(lower)),
+                max(max_nesting(upper, enhanced=True), max_nesting(lower)),
+            )
+    else:
+        enhanced = family == "partitions-enhanced"
+        for rgs in restricted_growth_strings(n):
+            arcs = rgs_arcs(rgs, enhanced)
+            yield (max_crossing(arcs, enhanced), max_nesting(arcs, enhanced))
+
+
+@pytest.mark.parametrize("family,n_max", [
+    ("partitions", 9), ("partitions-enhanced", 9), ("permutations", 8),
+])
+def test_crossings_and_nestings_are_symmetric(family, n_max):
+    """The joint (crossing, nesting) histogram is symmetric (Chen et al.
+    for partitions, Burrill, Mishna and Post for permutations), and its
+    nesting marginal is the oracle's nesting histogram."""
+    for n in range(n_max + 1):
+        joint = Counter(_crossings_and_nestings(family, n))
+        assert joint == Counter({(ne, cr): c for (cr, ne), c in joint.items()}), n
+        nestings = Counter()
+        for (_, ne), c in joint.items():
+            nestings[ne] += c
+        depth = max(nestings)
+        assert tuple(nestings[m] for m in range(depth + 1)) == (
+            nesting_histogram(family, n)
+        ), n
 
 
 def _frame_per_object_partition_walk(n, enhanced):
