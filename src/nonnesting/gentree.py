@@ -12,19 +12,29 @@ Label conventions (k below is always the *forbidden* nesting size):
   * unconstrained open diagrams: the plain integer number of (upper)
     semi-arcs.
 
-Between levels the DP keys each label by one non-negative int, its code:
-the label's digits s_0, ..., s_{k-2} (partitions) or h, r_1, ..., r_{k-2},
-s_1, ..., s_{k-2} (permutations), most significant first, at a fixed width
-in base n_max + 1.  No digit of a label at a level <= n_max exceeds n_max,
-so codes are distinct, code order is label order, and the semi-arc count
-is the leading digit.  The open families' labels are already ints and are
+Each label has a code, one non-negative int: the label's digits s_0, ...,
+s_{k-2} (partitions) or h, r_1, ..., r_{k-2}, s_1, ..., s_{k-2}
+(permutations), most significant first, at a fixed width in base
+n_max + 1.  No digit of a label at a level <= n_max exceeds n_max, so
+codes are distinct, code order is label order, and the semi-arc count is
+the leading digit.  The open families' labels are already ints and are
 their own codes.  Only the pushers know the codes: each is built for one
-n_max and owns its encode, its decode and `json_rows`, the JSON rows of
-a run of sorted codes.  `count_sequence` looks up the root's code.
-`count_levels` and `level_distribution` return each level as a
-`LevelDistribution` that keeps its codes and its pusher: `entries` (the
-tuple labels above, in label order) is decoded on first read, and `dump`
-writes the level in code order, which is label order, one chunk of
+n_max and owns its encode, its decode and `json_rows`, the JSON rows of a
+run of sorted codes.
+
+Between levels the DP holds each level in its pusher's own form.  The
+permutation and open-family pushers hold a code dict (code -> count).  The
+partition pusher holds rows: a dict from the code of a label's prefix
+(s_0, ..., s_{k-3}) to the list of counts along its last digit, so that a
+push moves whole rows with list arithmetic.  Every pusher's `step` makes
+the next level in its form, and `push` makes it from a code dict to a code
+dict.  Each pusher turns a code dict into its form (`from_codes`) and back
+(`to_codes`), reads one label's count (`count_of`) and counts a level's
+labels (`labels`).  `count_sequence` reads the root's count from each
+level.  `count_levels` and `level_distribution` return each level as a
+`LevelDistribution` that keeps its code dict and its pusher: `entries`
+(the tuple labels above, in label order) is decoded on first read, and
+`dump` writes the level in code order, which is label order, one chunk of
 `DUMP_CHUNK` labels at a time: its JSON rows come from `json_rows`,
 straight from the codes, and its text and CSV lines decode one chunk.
 """
@@ -37,6 +47,8 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
+from operator import add
 from time import perf_counter
 
 from . import diagrams
@@ -99,10 +111,11 @@ DUMP_CHUNK = 1024
 class LevelDistribution:
     """Exact multiset of labels at one level of a generating tree.
 
-    The level is held as the DP left it: a count per label code, with the
-    pusher that owns the codes.  `entries` (label -> count, in label order)
-    is decoded from the codes on first read and then kept; `total()` sums
-    the counts without decoding.  `dump` writes the level in any format of
+    The level is held as a count per label code, which its pusher's
+    `to_codes` made from the DP's own form of the level, with the pusher
+    that owns the codes.  `entries` (label -> count, in label order) is
+    decoded from the codes on first read and then kept; `total()` sums the
+    counts without decoding.  `dump` writes the level in any format of
     `count --all-labels` without reading `entries`, and `to_json()` is its
     JSON line, so a JSON dump decodes nothing.
     """
@@ -300,8 +313,8 @@ def _pusher(spec, n_max):
 
 
 def _level_stream(pusher, root, n_max, max_labels, prune, stats=None):
-    """Yield the coded label distributions of levels 0..n_max, holding one
-    at a time; level 0 is the root code alone.
+    """Yield the label distributions of levels 0..n_max in the pusher's own
+    form, holding one at a time; level 0 is the root code alone.
 
     With `prune`, each level leaves out the labels with more semi-arcs than
     there are levels left before n_max: a step closes at most one semi-arc,
@@ -311,33 +324,39 @@ def _level_stream(pusher, root, n_max, max_labels, prune, stats=None):
     number of labels kept per level; exceeding it raises
     ResourceLimitError carrying the last level completed.  `stats` is as
     in count_sequence; it is called before the label budget is checked,
-    so the level that trips the budget is reported too.
+    so the level that trips the budget is reported too.  Labels are
+    counted only for `stats` and `max_labels`.
     """
-    push = pusher.push
-    current = {root: 1}
+    step, labels = pusher.step, pusher.labels
+    current = pusher.from_codes({root: 1})
+    kept = 1  # the labels of the level last yielded, when counted
     yield current
     for n in range(1, n_max + 1):
         limit = (n_max - n + 1) * pusher.weight if prune else None
         if stats is None:
-            current = push(current, limit)
+            current = step(current, limit)
+            if max_labels is not None:
+                kept = labels(current)
         else:
-            labels_in = len(current)
+            labels_in = kept
             started = perf_counter()
-            current = push(current, limit)
+            current = step(current, limit)
             push_s = perf_counter() - started
+            kept = labels(current)
             stats({
                 "level": n,
                 "labels_in": labels_in,
-                "labels_kept": len(current),
+                "labels_kept": kept,
                 "push_s": round(push_s, 6),
                 "max_count_bits": max(
-                    (c.bit_length() for c in current.values()), default=0
+                    (c.bit_length() for c in pusher.to_codes(current).values()),
+                    default=0,
                 ),
             })
-        if max_labels is not None and len(current) > max_labels:
+        if max_labels is not None and kept > max_labels:
             raise ResourceLimitError(
                 f"label budget {max_labels} exceeded at level {n} "
-                f"({len(current)} labels)",
+                f"({kept} labels)",
                 reached=n - 1,
             )
         yield current
@@ -354,7 +373,10 @@ def count_levels(spec, n_max, max_labels=None):
     pusher = _pusher(spec, n_max)
     root = pusher.encode(spec.root_label())
     stream = _level_stream(pusher, root, n_max, max_labels, prune=False)
-    return [LevelDistribution(n, codes, pusher) for n, codes in enumerate(stream)]
+    return [
+        LevelDistribution(n, pusher.to_codes(level), pusher)
+        for n, level in enumerate(stream)
+    ]
 
 
 def level_distribution(spec, n, max_labels=None, stats=None):
@@ -363,12 +385,31 @@ def level_distribution(spec, n, max_labels=None, stats=None):
     count_sequence (nothing is pruned, so each level keeps every label)."""
     pusher = _pusher(spec, n)
     root = pusher.encode(spec.root_label())
-    for codes in _level_stream(pusher, root, n, max_labels, False, stats):
+    for level in _level_stream(pusher, root, n, max_labels, False, stats):
         pass
-    return LevelDistribution(n, codes, pusher)
+    return LevelDistribution(n, pusher.to_codes(level), pusher)
 
 
-class _GenericPusher:
+class _CodeLevels:
+    """The level form of a pusher that holds a level as its code dict:
+    `from_codes` and `to_codes` are the identity, and `step` is `push`."""
+
+    @staticmethod
+    def from_codes(codes):
+        return codes
+
+    to_codes = from_codes
+    labels = staticmethod(len)
+
+    @staticmethod
+    def count_of(codes, code):
+        return codes.get(code, 0)
+
+    def step(self, codes, limit=None):
+        return self.push(codes, limit)
+
+
+class _GenericPusher(_CodeLevels):
     """One-level push for families whose rule is applied label by label.
 
     Their labels are already ints (the open families' semi-arc count), so
@@ -438,48 +479,71 @@ class _DigitCodec:
 
 class _RangeSumPusher(_DigitCodec):
     """One-level push for partition labels (s_0, ..., s_{k-2}), coded with
-    digit j = s_j, that sums each ranged rule once.
+    digit j = s_j, that holds a level as rows along its last digit and
+    moves whole rows.
 
-    The fixed point adds 0 (enhanced: (s_0 - s_1) * w_1, which sets s_1 to
-    s_0), the opener w_0, and closing the top semi-arc subtracts
-    w_1 + ... + w_{k-2}, then w_0 more for its closer.  The ranged closing
-    j of (3)/(4) gives a label the children row - (w_1 + ... + w_{j-1}) +
-    i * w_j and that less w_0, for s_j <= i < s_{j-1}, where its `row` for
-    rule j is its code with digit j zeroed.  The codes row + i * w_j are
-    the labels that differ from it only in digit j, so child i gets the
-    running sum of the row's counts at 0..i.  The first pass only adds
-    each label's row to rule j's set when the label closes there
-    (s_j < s_{j-1}); one sweep per row then reads the row's counts straight
-    from the level, for i = 0..s_{j-1} - 1.  A push costs the distinct
-    children plus the rows' lengths, not the sum of the range lengths.
+    A level is a dict from the code of a prefix (s_0, ..., s_{k-3}) (its
+    key) to its row: the counts of the labels (prefix, t) for t = 0..
+    s_{k-3}, a list of s_{k-3} + 1 slots, 0 where there is no label.  For
+    k = 2 the key is the whole label (s_0,) and the row has one slot.  A
+    label's code is key * `slots` + t.  Rows are shared, by the two levels
+    and by several keys of one level, so a row is never changed once a
+    level holds it: the push builds new lists.
 
-    The last digit, j = k - 2 for k > 2, has weight 1, and the top closing
-    of its label at i is the row's ranged child i - 1, so its sweep folds
-    the top closing in by reading the row one label ahead: child i - 1
-    gets the counts at 0..i, for i = 1..s_{k-3}.  A label adds this rule's
-    row when it has either closing (s_{k-3} > 0).  For k = 2 the top
-    closing is the only one, and the first pass adds its children.
+    The fixed point keeps the row (enhanced: s_1 set to s_0, which for
+    k = 3 gathers the row into slot s_0) and the opener moves it to
+    s_0 + 1; a row that meets another at its key is added to it slot by
+    slot.  The ranged closing j of (3)/(4) gives a label the children
+    (s_0, s_1 - 1, ..., s_{j-1} - 1, i, s_{j+1}, ...) and those with
+    s_0 - 1, for s_j <= i < s_{j-1}.
+
+    For the last digit, j = k - 2, the children of a row's labels share a
+    row, and the top closing of the label at t is its ranged child at
+    t - 1, so child c of the row gets the row's slots 0..c + 1: the row's
+    running sums, one `accumulate` per row.  For k = 2 the top closing is
+    the only one, and it moves the row to s_0 and s_0 - 1.
+
+    An earlier rule j < k - 2 moves whole rows.  Its children at i get the
+    running sum of a group's rows at 0..i, where a group is the rows that
+    differ only in digit j.  The first pass adds each group to rule j's
+    set when one of its rows closes there (s_j < s_{j-1}).  One sweep per
+    group then reads its rows straight from the level, for i from the
+    group's s_{j+1}, below which it has no row, to s_{j-1} - 1.  For
+    j = k - 3, s_{j+1} is the rows' own last digit: the sweep starts at
+    0, and its row i has i + 1 slots.  A push costs the rows it adds, not
+    the sum of the range lengths.
 
     Every closing applies the horizon: under a `limit` (a multiple of w_0)
     it adds the semi-transitory child only below the limit, and always its
-    closer, w_0 lower.  A row and its children share its labels' s_0, so
-    they fall on one side of the limit together.  A label one semi-arc
-    below the limit makes no semi-opener, a label at it makes no fixed
-    point, and one past it makes nothing: its rows are never added.
+    closer, one semi-arc lower.  A row and its children share its labels'
+    s_0, so they fall on one side of the limit together.  A row one
+    semi-arc below the limit makes no semi-opener, a row at it makes no
+    fixed point, and one past it makes nothing: its groups are never added.
+    `push` is the same push on a code dict.
     """
 
     def __init__(self, family, k, n_max):
         super().__init__(k - 1, n_max)
         self.enhanced = family.enhanced
         self.w1 = self.weights[1] if k > 2 else 0
-        # rule j's step w_j, what its children subtract besides the row's
-        # digit j, the weight of its bound s_{j-1}, and whether it folds in
-        # the top closing (the last digit's, of step 1)
-        weights = self.weights
+        m = self.m = k - 2  # the last digit
+        self.slots = self.base if m else 1
+        # the weights of the key's digits s_0, ..., s_{m-1} (k = 2: s_0)
+        keys = [w // self.slots for w in self.weights[: m or 1]]
+        self.p0 = keys[0]
+        self.p1 = keys[1] if m > 1 else 0
+        self.below = sum(keys[1:m])  # what the last digit's children lose
+        # earlier rule j's step, what its children lose besides the group's
+        # digit j, and the weights of its bound s_{j-1} and of s_{j+1}, where
+        # its sweep starts (None: the rows' own digit)
         self.rules = tuple(
-            (weights[j], sum(weights[1:j]), weights[j - 1], int(j == k - 2))
-            for j in range(1, k - 1)
+            (keys[j], sum(keys[1:j]), keys[j - 1], keys[j + 1] if j + 1 < m else None)
+            for j in range(1, m)
         )
+        # each earlier rule's groups, emptied at the start of each push, and
+        # its step
+        self.groups = [set() for _ in self.rules]
+        self.steps = list(zip(self.groups, keys[1:m]))
 
     def encode(self, label):
         return self.encode_digits(label)
@@ -492,73 +556,156 @@ class _RangeSumPusher(_DigitCodec):
         # a list of ints prints as JSON
         return ", ".join([row % (digits(c), codes[c]) for c in chunk])
 
-    def push(self, current, limit=None):
-        nxt = {}
-        w0 = self.weight
-        if limit is None:
-            limit = self.unbounded
-        top = limit - w0  # a label below it makes an opener
-        rules = self.rules
-        rows = [set() for _ in rules]  # each rule's rows with a closing
-        *earlier, last = rows or [None]  # last: the last digit's (k > 2)
-        steps = list(zip(earlier, self.weights[1:]))
-        enhanced, w1 = self.enhanced, self.w1
-        for code, count in current.items():
-            s0, rest = divmod(code, w0)
-            if code < limit:
-                # (1) fixed point, s_1 set to s_0 if enhanced
-                if not enhanced:
-                    fp = code
-                elif w1:
-                    fp = code + (s0 - rest // w1) * w1
-                else:
-                    fp = code if s0 == 0 else None
-                if fp is not None:
-                    nxt[fp] = nxt.get(fp, 0) + count
+    def from_codes(self, codes):
+        """The level of a code dict, as rows."""
+        rows, slots, base = {}, self.slots, self.base
+        for code, count in codes.items():
+            key, t = divmod(code, slots)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [0] * (key % base + 1 if self.m else 1)
+            row[t] += count
+        return rows
+
+    def to_codes(self, rows):
+        """The code dict of a level held as rows: its nonzero slots."""
+        slots = self.slots
+        return {
+            key * slots + t: count
+            for key, row in rows.items()
+            for t, count in enumerate(row)
+            if count
+        }
+
+    def count_of(self, rows, code):
+        key, t = divmod(code, self.slots)
+        row = rows.get(key)
+        return row[t] if row is not None and t < len(row) else 0
+
+    @staticmethod
+    def labels(rows):
+        """The labels of a level held as rows: its nonzero slots."""
+        return sum([len(row) - row.count(0) for row in rows.values()])
+
+    def push(self, codes, limit=None):
+        return self.to_codes(self.step(self.from_codes(codes), limit))
+
+    def step(self, rows, limit=None):
+        """The next level of a level held as rows, under `limit` as in
+        `push`."""
+        p0, p1, m, below = self.p0, self.p1, self.m, self.below
+        grow = m == 1  # k = 3: s_0 bounds the row, so the opener lengthens it
+        cap = self.base + 1 if limit is None else limit // self.weight
+        enhanced = self.enhanced
+        # (1) fixed point: each row stays, but those at or past the limit,
+        # which the first pass deletes
+        nxt = {} if enhanced else dict(rows)
+        get = nxt.get
+        rules, groups, steps = self.rules, self.groups, self.steps
+        for rule_groups in groups:
+            rule_groups.clear()
+        for key, row in rows.items():
+            s0, rest = divmod(key, p0)
+            if s0 < cap:
+                if enhanced:  # (1) fixed point, s_1 set to s_0
+                    low, child = key, row
+                    if p1:
+                        d1 = rest // p1
+                        if d1 < s0:
+                            low += (s0 - d1) * p1
+                            if m == 2:  # s_1 bounds the row
+                                child = row + [0] * (s0 - d1)
+                    elif m:  # k = 3: the row gathers into slot s_0
+                        child = [0] * s0 + [sum(row)]
+                    elif s0:  # k = 2: only the empty label has one
+                        low = None
+                    if low is not None:
+                        old = get(low)
+                        nxt[low] = child if old is None else (
+                            [old[0] + child[0]] if len(old) == 1 else _add(old, child))
                 # (2) semi-opener
-                if code < top:
-                    opener = code + w0
-                    nxt[opener] = nxt.get(opener, 0) + count
-            elif code >= limit + w0:
-                continue  # past the limit: every child would be at or past it
-            # (3) and (4): the label's row for each ranged rule it closes on
+                if s0 + 1 < cap:
+                    low = key + p0
+                    child = row + [0] if grow else row
+                    old = get(low)
+                    nxt[low] = child if old is None else (
+                        [old[0] + child[0]] if len(old) == 1 else _add(old, child))
+            else:
+                if not enhanced:
+                    del nxt[key]
+                if s0 > cap:
+                    continue  # past the limit: every child would be at or past it
+            # (3) and (4): the groups of the earlier rules the row closes on
             prev = s0
-            for rule_rows, w in steps:
+            for rule_groups, w in steps:
                 d, rest = divmod(rest, w)
                 if d < prev:
-                    rule_rows.add(code - d * w)
+                    rule_groups.add(key - d * w)
                 prev = d
-            # rest is the last digit now; some semi-arc can close unless
-            # prev = 0
-            if prev > 0:
-                if last is not None:
-                    last.add(code - rest)
-                else:  # k = 2: close the top semi-arc
-                    if code < limit:
-                        nxt[code] = nxt.get(code, 0) + count
-                    low = code - w0
-                    nxt[low] = nxt.get(low, 0) + count
-        base, get = self.base, current.get
-        for rule_rows, (w, below, bound, fold) in zip(rows, rules):
-            for row in rule_rows:
-                # child i: the row's counts at 0..i (with `fold`, at
-                # 0..i + 1, the last one's top closing), for i < s_{j-1}
-                first = row + fold
-                total = get(row, 0) if fold else 0
-                child = row - below
-                semi = row < limit  # the row's s_0 is its children's
-                for code in range(first, first + row // bound % base * w, w):
-                    total += get(code, 0)
-                    if total:
-                        if semi:
-                            nxt[child] = nxt.get(child, 0) + total
-                        low = child - w0
-                        nxt[low] = nxt.get(low, 0) + total
-                    child += w
+            # the last digit's closings, the top one folded in
+            if m:
+                if not prev:
+                    continue  # a row of one slot: no semi-arc closes
+                child = list(accumulate(row))
+                del child[0]
+            elif s0:
+                child = row
+            else:
+                continue
+            low = key - below
+            if s0 < cap:
+                semi = child + [0] if grow else child
+                old = get(low)
+                nxt[low] = semi if old is None else (
+                    [old[0] + semi[0]] if len(old) == 1 else _add(old, semi))
+            low -= p0
+            old = get(low)
+            nxt[low] = child if old is None else (
+                [old[0] + child[0]] if len(old) == 1 else _add(old, child))
+        level, base = rows.get, self.base
+        for rule_groups, (w, lose, bound, start) in zip(groups, rules):
+            for group in rule_groups:
+                # child i: the group's rows at 0..i summed, for i from its
+                # s_{j+1} (0 when that is the rows' own digit) to s_{j-1} - 1
+                semi = group // p0 < cap
+                first = group + (0 if start is None else group // start % base) * w
+                low = first - lose - p0  # the closer at i
+                total = None
+                for key in range(first, group + group // bound % base * w, w):
+                    row = level(key)
+                    if row is not None:
+                        if total is None:
+                            total = row
+                        elif start is None:  # row i has one slot more
+                            total = list(map(add, total, row))
+                            total.append(row[-1])
+                        elif len(row) == 1:
+                            total = [total[0] + row[0]]
+                        else:
+                            total = _add(total, row)
+                    elif total is None:
+                        low += w
+                        continue
+                    elif start is None:
+                        total = total + [0]
+                    if semi:
+                        old = get(low + p0)
+                        nxt[low + p0] = total if old is None else (
+                            [old[0] + total[0]] if len(old) == 1 else _add(old, total))
+                    old = get(low)
+                    nxt[low] = total if old is None else (
+                        [old[0] + total[0]] if len(old) == 1 else _add(old, total))
+                    low += w
         return nxt
 
 
-class _PermutationPusher(_DigitCodec):
+def _add(a, b):
+    """The slot-by-slot sum of two rows of one length, as a new row; the
+    push sums rows of one slot itself, without the call."""
+    return list(map(add, a, b))
+
+
+class _PermutationPusher(_CodeLevels, _DigitCodec):
     """One-level push for permutation labels (h, r, s), coded with the
     digits h, r_1, ..., r_{k-2}, s_1, ..., s_{k-2}.
 
@@ -601,11 +748,15 @@ class _PermutationPusher(_DigitCodec):
     upper closings and is deleted from `lowered`, and one past it makes
     nothing.
 
-    The closings stay one child per option, not summed along lines as in
-    `_RangeSumPusher`.  A ranged form of this push gave equal levels but
-    took 1.5 to 2 times as long on k = 3, 4 and 5 (n = 14, 13 and 11):
-    the ranges are short (2.3 steps on average at k = 5, n = 11, and 40 %
-    are one step), so building the line keys costs more than it saves.
+    The closings stay one child per option.  A ranged form of this push
+    gave equal levels: each side's ranged rules summed by one running sum
+    per row of codes read straight from the level, the top closing folded
+    into the last rule, as `_RangeSumPusher` summed them before it held
+    rows.  Against this push it took 1.05-1.07 times as long at k = 3,
+    n = 14, 1.2-1.4 at k = 4, n = 13 and 1.6 at k = 5, n = 11, where the
+    ranges are short (2.3 steps on average at k = 5, n = 11, and 40 % are
+    one step), but 0.56-0.62 at k = 3, n = 60 and 0.94-1.07 at k = 4,
+    n = 30 (best of 20 runs each, counting sequences, three rounds).
     The option cache keeps entries from every level pushed so far.  The
     JSON rows of a chunk are written in code order, (h, r) group by group:
     a group's row head is built once, and each vector's text is cached per
@@ -803,7 +954,8 @@ def count_sequence(spec, n_max, max_labels=None, stats=None):
     root = pusher.encode(spec.root_label())
     levels = _level_stream(pusher, root, n_max, max_labels, True, stats)
     next(levels)
-    return [codes.get(root, 0) for codes in levels]
+    count_of = pusher.count_of
+    return [count_of(level, root) for level in levels]
 
 
 def generate_diagrams(spec, n, closed_only=False):

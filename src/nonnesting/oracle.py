@@ -175,16 +175,27 @@ def _permutation_walk(n):
     return counts
 
 
-@lru_cache(maxsize=None)
+def _require_int(name, value):
+    # before the memo, where True and 3.0 would find the entries of 1 and 3
+    if type(value) is not int:  # a bool or a float as well
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def nesting_histogram(family, n):
     """Entry m counts the size-n objects whose maximum nesting is m, from
-    one walk over all of them.
+    one walk over all of them, memoised per (family, n).
 
     family is "partitions", "partitions-enhanced" or "permutations"; a
     permutation's nesting is the larger of its upper (enhanced) and lower
     ones.  Raises ResourceLimitError, before any walking, when the
-    enumeration would exceed the guard.
+    enumeration would exceed the guard.  `nesting_histogram.__wrapped__`
+    walks again, past the memo.
     """
+    _require_int("n", n)
+    return _memo(family, n)
+
+
+def _walk_histogram(family, n):
     if n < 0:
         raise ValueError("n must be >= 0")
     if family in ("partitions", "partitions-enhanced"):
@@ -203,9 +214,15 @@ def nesting_histogram(family, n):
     return tuple(counts)
 
 
+_memo = lru_cache(maxsize=None)(_walk_histogram)
+nesting_histogram.__wrapped__ = _walk_histogram
+
+
 def oracle_count(family, k, n):
     """Count size-n objects with no (enhanced) k-nesting, by brute force:
     the entries of `nesting_histogram(family, n)` below k."""
+    _require_int("k", k)
+    _require_int("n", n)
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < 0:

@@ -548,6 +548,8 @@ def solve_equation(family, n_max, k=None, *, full=True, stats=None):
     the default solve calls `_iterate(variables, n_max, phi)`."""
     if family not in _SOLVERS:
         raise ValueError(f"unknown series family {family!r}")
+    if type(n_max) is not int:  # a bool or a float as well
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     solver, takes_k, semi_arc = _SOLVERS[family]
@@ -560,6 +562,8 @@ def solve_equation(family, n_max, k=None, *, full=True, stats=None):
         return solver(n_max, **options)
     if k is None:
         raise ValueError(f"k is required for series family {family}")
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
     return solver(k, n_max, **options)
 
 

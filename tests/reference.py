@@ -7,6 +7,10 @@ subsets.  This is the list path that `oracle.nesting_histogram`'s walks
 replaced; it imports no counter, so the walks cannot reuse it.  The
 maximum crossing, the statistic that k-nestings are symmetric with, is
 measured here too, by the same pairwise definition.
+
+`row_sweep_partition_push` is the generating-tree push on label codes that
+the row push of `gentree._RangeSumPusher` replaced.  It takes the pusher
+as an argument and imports nothing from the package.
 """
 
 from itertools import combinations
@@ -141,3 +145,80 @@ def max_crossing(arcs, enhanced=False):
             if all(cross(a, b) for a in s)
         ]
     return best
+
+
+def row_sweep_partition_push(pusher, current, limit=None):
+    """`gentree._RangeSumPusher.push` as it was before a level was held as
+    rows along its last digit: the code dict `current` pushed one level,
+    each ranged rule summed by one sweep per row of codes, read straight
+    from the level.  `pusher` is a partition pusher of the current code
+    layout; only its digit weights and flags are read, and the rules are
+    built from them as its constructor built them."""
+    weights = pusher.weights
+    k = len(weights) + 1
+    rules = tuple(
+        (weights[j], sum(weights[1:j]), weights[j - 1], int(j == k - 2))
+        for j in range(1, k - 1)
+    )
+    nxt = {}
+    w0 = pusher.weight
+    if limit is None:
+        limit = pusher.unbounded
+    top = limit - w0  # a label below it makes an opener
+    rows = [set() for _ in rules]  # each rule's rows with a closing
+    *earlier, last = rows or [None]  # last: the last digit's (k > 2)
+    steps = list(zip(earlier, pusher.weights[1:]))
+    enhanced, w1 = pusher.enhanced, pusher.w1
+    for code, count in current.items():
+        s0, rest = divmod(code, w0)
+        if code < limit:
+            # (1) fixed point, s_1 set to s_0 if enhanced
+            if not enhanced:
+                fp = code
+            elif w1:
+                fp = code + (s0 - rest // w1) * w1
+            else:
+                fp = code if s0 == 0 else None
+            if fp is not None:
+                nxt[fp] = nxt.get(fp, 0) + count
+            # (2) semi-opener
+            if code < top:
+                opener = code + w0
+                nxt[opener] = nxt.get(opener, 0) + count
+        elif code >= limit + w0:
+            continue  # past the limit: every child would be at or past it
+        # (3) and (4): the label's row for each ranged rule it closes on
+        prev = s0
+        for rule_rows, w in steps:
+            d, rest = divmod(rest, w)
+            if d < prev:
+                rule_rows.add(code - d * w)
+            prev = d
+        # rest is the last digit now; some semi-arc can close unless
+        # prev = 0
+        if prev > 0:
+            if last is not None:
+                last.add(code - rest)
+            else:  # k = 2: close the top semi-arc
+                if code < limit:
+                    nxt[code] = nxt.get(code, 0) + count
+                low = code - w0
+                nxt[low] = nxt.get(low, 0) + count
+    base, get = pusher.base, current.get
+    for rule_rows, (w, below, bound, fold) in zip(rows, rules):
+        for row in rule_rows:
+            # child i: the row's counts at 0..i (with `fold`, at
+            # 0..i + 1, the last one's top closing), for i < s_{j-1}
+            first = row + fold
+            total = get(row, 0) if fold else 0
+            child = row - below
+            semi = row < limit  # the row's s_0 is its children's
+            for code in range(first, first + row // bound % base * w, w):
+                total += get(code, 0)
+                if total:
+                    if semi:
+                        nxt[child] = nxt.get(child, 0) + total
+                    low = child - w0
+                    nxt[low] = nxt.get(low, 0) + total
+                child += w
+    return nxt

@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 
 from nonnesting import cli, closedform, gentree, oracle
 from nonnesting.cli import run
+from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import FamilySpec, count_levels
 from nonnesting.series import SERIES_FAMILIES, TruncatedSeries
+from reference import row_sweep_partition_push
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -136,6 +138,40 @@ class TestCount:
         *lines, message = err.splitlines()
         assert json.loads(lines[-1])["labels_kept"] == 50
         assert message == "resource limit: label budget 43 exceeded at level 7 (50 labels)"
+
+    @pytest.mark.parametrize("family", ["partitions", "partitions-enhanced"])
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_stats_and_label_budget_equal_the_code_push(self, capsys, family, k):
+        """`count --stats` records and the level a `--max-labels` budget
+        trips at, pruned and with `--all-labels`, against the DP run with
+        the push on label codes that the row push replaced."""
+        n = 12
+        spec = FamilySpec(family, k)
+        for extra, prune in (([], True), (["--all-labels"], False)):
+            argv = ["count", "--family", family, "--k", str(k), "--n", str(n),
+                    "--stats"] + extra
+            expected = _code_push_stats(spec, n, prune)
+            assert run(argv) == 0
+            _, err = output(capsys)
+            assert _without_times(err.splitlines()) == expected
+            # the first level over a budget one below the widest trips it
+            budget = max(r["labels_kept"] for r in expected) - 1
+            over = next(r for r in expected if r["labels_kept"] > budget)
+            assert run(argv + ["--max-labels", str(budget)]) == 3
+            out, err = output(capsys)
+            *lines, message = err.splitlines()
+            assert out == ""
+            assert _without_times(lines) == expected[: over["level"]]
+            assert message == (
+                f"resource limit: label budget {budget} exceeded at level "
+                f"{over['level']} ({over['labels_kept']} labels)"
+            )
+            count = gentree.level_distribution if extra else gentree.count_sequence
+            with pytest.raises(ResourceLimitError) as trip:
+                count(spec, n, max_labels=budget)
+            assert trip.value.reached == over["level"] - 1
+            assert run(argv + ["--max-labels", str(budget + 1)]) == 0
+            output(capsys)
 
     def test_all_labels_same_order_in_every_format(self, capsys):
         # two-digit entries must sort numerically: (2, 0) before (10, 0)
@@ -265,6 +301,33 @@ class TestCount:
                     monkeypatch.setattr(gentree, "DUMP_CHUNK", chunk)
                     assert run(argv + ["--format", fmt]) == 0
                     assert output(capsys) == (expected, "")
+
+
+def _code_push_stats(spec, n_max, prune):
+    """The `count --stats` records, without `push_s`, of the DP run level
+    by level with `reference.row_sweep_partition_push` on code dicts."""
+    pusher = gentree._pusher(spec, n_max)
+    level = {pusher.encode(spec.root_label()): 1}
+    records = []
+    for n in range(1, n_max + 1):
+        limit = (n_max - n + 1) * pusher.weight if prune else None
+        pushed = row_sweep_partition_push(pusher, level, limit)
+        records.append({
+            "level": n,
+            "labels_in": len(level),
+            "labels_kept": len(pushed),
+            "max_count_bits": max(c.bit_length() for c in pushed.values()),
+        })
+        level = pushed
+    return records
+
+
+def _without_times(lines):
+    """The stats records of stderr `lines`, each without its `push_s`."""
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        del record["push_s"]
+    return records
 
 
 def _unchunked_dump(level, fmt):

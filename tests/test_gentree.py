@@ -27,6 +27,7 @@ from nonnesting.gentree import (
 from nonnesting import diagrams as dg
 from nonnesting import refdata
 from nonnesting.closedform import a108304, a108307
+from reference import row_sweep_partition_push
 
 
 class TestSuccessionRules:
@@ -514,6 +515,68 @@ def test_partition_push_equals_line_sweep_push_on_sparse_levels(data):
     assert pusher.push(level, limit) == (
         _line_sweep_partition_push(reference, level, limit)
     )
+
+
+def _well_formed(pusher, rows):
+    """Each row has one slot per last digit its key allows: s_{k-3} + 1
+    (one slot for k = 2)."""
+    return all(
+        len(row) == (key % pusher.base + 1 if pusher.slots > 1 else 1)
+        for key, row in rows.items()
+    )
+
+
+@pytest.mark.parametrize("family", ["partitions", "partitions-enhanced"])
+@pytest.mark.parametrize("k", range(2, 8))
+def test_row_push_equals_code_push(family, k):
+    """The push of whole rows against the push on label codes it replaced,
+    on every full level up to n_max and under every limit from none to
+    past every child.  The levels stay as rows from one push to the next,
+    as the DP keeps them, and a push leaves the level it reads unchanged."""
+    n_max = 13
+    spec = FamilySpec(family, k)
+    pusher = _pusher(spec, n_max)
+    level = {pusher.encode(spec.root_label()): 1}
+    rows = pusher.from_codes(level)
+    for n in range(n_max):
+        before = {key: list(row) for key, row in rows.items()}
+        for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
+            expected = row_sweep_partition_push(pusher, level, limit)
+            pushed = pusher.step(rows, limit)
+            assert _well_formed(pusher, pushed), (n, limit)
+            assert pusher.to_codes(pushed) == expected, (n, limit)
+            assert pusher.push(level, limit) == expected, (n, limit)
+        assert rows == before, n
+        level = row_sweep_partition_push(pusher, level)
+        rows = pusher.step(rows)
+        assert pusher.labels(rows) == len(level)
+    assert len(level) > n_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_push_equals_code_push_on_sparse_levels(data):
+    """As above, on the sparse levels of the sweep tests (rows with gaps
+    in the last digit, or for k >= 4 in an earlier one) with counts of
+    either sign or zero, under no limit or one that some label sits at,
+    one past or one below.  A zero count is no label, so the code push's
+    zero entries are left out."""
+    family = data.draw(st.sampled_from(["partitions", "partitions-enhanced"]))
+    k = data.draw(st.integers(2, 7))
+    spec = FamilySpec(family, k)
+    pusher = _pusher(spec, 16)
+    levels = [_sparse_partition_level(k)]
+    if k >= 4:
+        levels.append(_sparse_earlier_digit_level(k))
+    labels = data.draw(st.one_of(levels))
+    counts = data.draw(st.lists(st.integers(-2**300, 2**300),
+                                min_size=len(labels), max_size=len(labels)))
+    level = {pusher.encode(label): count for label, count in zip(labels, counts)}
+    near = sorted({label[0] + d for label in labels for d in (-1, 0, 1)} - {-1})
+    limit = data.draw(st.none() | st.sampled_from(near).map(
+        lambda h: h * pusher.weight))
+    expected = row_sweep_partition_push(pusher, level, limit)
+    assert pusher.push(level, limit) == {c: v for c, v in expected.items() if v}
 
 
 def _two_pass_permutation_push(pusher, current, limit=None):

@@ -110,6 +110,24 @@ class TestOracleCounts:
             oracle_count("trees", 3, 4)
 
 
+    @pytest.mark.parametrize("bad", [True, 3.0, "3"])
+    def test_non_int_k_and_n(self, bad):
+        """A k or n that is not an int (a bool, a float or a string) is
+        refused, also once the memo holds the int it equals or hashes as."""
+        for warm in (False, True):
+            if warm:
+                for n in (1, 3):
+                    nesting_histogram("partitions", n)
+            with pytest.raises(ValueError, match=f"n must be an int, got {bad!r}"):
+                nesting_histogram("partitions", bad)
+            with pytest.raises(ValueError, match=f"n must be an int, got {bad!r}"):
+                oracle_count("partitions", 3, bad)
+            with pytest.raises(ValueError, match=f"k must be an int, got {bad!r}"):
+                oracle_count("partitions", bad, 4)
+        assert nesting_histogram.__wrapped__("partitions", 3) == (
+            nesting_histogram("partitions", 3)
+        )
+
 def _reference_count(family, k, n):
     """The per-k enumeration that one histogram per size replaced: it
     enumerates every object again for each k."""

@@ -404,6 +404,19 @@ class TestSolvers:
         with pytest.raises(ValueError):
             solve_equation("baxter", -1)
 
+    @pytest.mark.parametrize("bad", [True, 3.0, "3"])
+    def test_non_int_order_and_k(self, bad):
+        """An n_max or k that is not an int (a bool, a float or a string)
+        is refused, also after a solve with the int it equals."""
+        solve_equation("partitions", 3, k=3)
+        for family in ("partitions", "partitions-enhanced", "permutations"):
+            with pytest.raises(ValueError, match=f"n_max must be an int, got {bad!r}"):
+                solve_equation(family, bad, k=3)
+            with pytest.raises(ValueError, match=f"k must be an int, got {bad!r}"):
+                solve_equation(family, 3, k=bad)
+        with pytest.raises(ValueError, match=f"n_max must be an int, got {bad!r}"):
+            solve_equation("baxter", bad)
+
 
 def _reference_permutation3(n_max):
     """The hand-written k=3 permutation equation F(u, v, w; z) that the
