@@ -490,12 +490,14 @@ class _RangeSumPusher(_DigitCodec):
     and by several keys of one level, so a row is never changed once a
     level holds it: the push builds new lists.
 
-    The fixed point keeps the row (enhanced: s_1 set to s_0, which for
-    k = 3 gathers the row into slot s_0) and the opener moves it to
-    s_0 + 1; a row that meets another at its key is added to it slot by
-    slot.  The ranged closing j of (3)/(4) gives a label the children
-    (s_0, s_1 - 1, ..., s_{j-1} - 1, i, s_{j+1}, ...) and those with
-    s_0 - 1, for s_j <= i < s_{j-1}.
+    The fixed point keeps the row (enhanced: s_1 set to s_0) and the
+    opener moves it to s_0 + 1; a row that meets another at its key is
+    added to it slot by slot.  For k = 3 the enhanced fixed point gathers
+    the row into slot s_0 of its own key: once the other children are in,
+    the row's total is added there with one add, on a copy of the row
+    that the key holds.  The ranged closing j of (3)/(4) gives a label
+    the children (s_0, s_1 - 1, ..., s_{j-1} - 1, i, s_{j+1}, ...) and
+    those with s_0 - 1, for s_j <= i < s_{j-1}.
 
     For the last digit, j = k - 2, the children of a row's labels share a
     row, and the top closing of the label at t is its ranged child at
@@ -615,9 +617,7 @@ class _RangeSumPusher(_DigitCodec):
                             low += (s0 - d1) * p1
                             if m == 2:  # s_1 bounds the row
                                 child = row + [0] * (s0 - d1)
-                    elif m:  # k = 3: the row gathers into slot s_0
-                        child = [0] * s0 + [sum(row)]
-                    elif s0:  # k = 2: only the empty label has one
+                    elif m or s0:  # k = 3: added below; k = 2: at s_0 = 0
                         low = None
                     if low is not None:
                         old = get(low)
@@ -696,6 +696,15 @@ class _RangeSumPusher(_DigitCodec):
                     nxt[low] = total if old is None else (
                         [old[0] + total[0]] if len(old) == 1 else _add(old, total))
                     low += w
+        if enhanced and m == 1:
+            # (1) fixed point for k = 3: each row's total into slot s_0 of
+            # the row at its own key, s_0, on a copy of that row
+            for key, row in rows.items():
+                if key < cap:
+                    old = get(key)
+                    child = [0] * (key + 1) if old is None else old.copy()
+                    child[key] += sum(row)
+                    nxt[key] = child
         return nxt
 
 
@@ -713,9 +722,18 @@ class _PermutationPusher(_CodeLevels, _DigitCodec):
     where r and s are the vector codes.  The fixed point adds
     (h - r_1) * w_{r_1} (for k = 2, where there is no r_1, it is allowed
     only at h = 0 and adds 0), the opener w_h.  The closings of a vector
-    come from `_closing_options`, cached per (h, vector) code h * B^m + v
-    as their deltas to v: a lower closing adds the delta, an upper one
-    the delta times B^m, and a closer adds both and subtracts w_h.
+    are the options of `_closing_options`, kept as their deltas to v in
+    two tables built straight from the digits of a key, with no option
+    tuple.  `lower` holds them per (h, vector) code hv = h * B^m + v.
+    With w_j the unit of v_j in v and v_0 = h, rule j gives
+    (i - v_j) * w_j - (w_1 + ... + w_{j-1}) for v_j <= i < v_{j-1}, and
+    the top closing, when v_m >= 1, -(w_1 + ... + w_m); for k = 2 the one
+    closing is 0, when h >= 1.  `heads` holds, per (h, r) code that the
+    first pass reads, the fixed-point delta (None when there is none) and
+    the upper deltas, which are the lower ones times B^m, so that pass
+    reads nothing of a label but its (h, r) code.  A lower closing adds
+    the delta, an upper one the delta times B^m, and a closer adds both
+    and subtracts w_h.
 
     Closers are the Cartesian product of upper and lower closings, so a
     direct push costs |upper| * |lower| per label.  Splitting the closer
@@ -738,8 +756,8 @@ class _PermutationPusher(_CodeLevels, _DigitCodec):
     the extra child from the half-closed pass, and then closes one lower
     semi-arc of each label of `lowered`.  A moved-down label can have
     s_1 = h > h - 1: no label of a level, but its code is still distinct,
-    it lives only in `lowered` and as a key of the option cache, and each
-    of its lower closings (none from rule j = 1) is a valid child.
+    it lives only in `lowered` and as a key of `lower`, and each of its
+    lower closings (none from rule j = 1) is a valid child.
 
     The half-closed pass applies the horizon: under a `limit` (a multiple
     of w_h) it adds the upper semi-transitory child only below the limit,
@@ -757,10 +775,11 @@ class _PermutationPusher(_CodeLevels, _DigitCodec):
     ranges are short (2.3 steps on average at k = 5, n = 11, and 40 % are
     one step), but 0.56-0.62 at k = 3, n = 60 and 0.94-1.07 at k = 4,
     n = 30 (best of 20 runs each, counting sequences, three rounds).
-    The option cache keeps entries from every level pushed so far.  The
-    JSON rows of a chunk are written in code order, (h, r) group by group:
-    a group's row head is built once, and each vector's text is cached per
-    vector code.
+    Both tables keep entries from every level pushed so far; the one empty
+    entry of `lower`, h = 0 and v = 0, is built again each time it is
+    read.  The JSON rows of a chunk are written in code order, (h, r)
+    group by group: a group's row head is built once, and each vector's
+    text is cached per vector code.
     """
 
     def __init__(self, family, k, n_max):
@@ -769,7 +788,9 @@ class _PermutationPusher(_CodeLevels, _DigitCodec):
         self.vector = self.base**self.m  # B^m
         self.r1_weight = self.weights[1] if self.m else 0
         self.r1_unit = self.vector // self.base  # r_1's unit in r
-        self.options = {}
+        self.units = self.weights[self.m + 1 :]  # w_1, ..., w_m: v's digits
+        self.lower = {}  # (h, vector) code -> the deltas of its closings
+        self.heads = {}  # (h, r) code -> (fixed-point delta, upper deltas)
         self.vectors = {}  # vector code -> the vector, shared by the labels
         self.texts = {}  # vector code -> the vector's JSON text
 
@@ -809,19 +830,33 @@ class _PermutationPusher(_CodeLevels, _DigitCodec):
         text = self.texts[v] = str(list(self._vector(v)))
         return text
 
-    def _closings(self, hv):
-        """(lower, upper) deltas of the closings of the (h, vector) code hv."""
-        deltas = self.options.get(hv)
-        if deltas is None:
-            h, v = divmod(hv, self.vector)
-            vec = self._vector(v)
-            lower = [
-                self.encode_digits(option) - v
-                for option in _closing_options(h, vec)
-            ]
-            deltas = lower, [d * self.vector for d in lower]
-            self.options[hv] = deltas
+    def _lower(self, hv):
+        """The deltas of the closings of the (h, vector) code hv, in the
+        order of `_closing_options`, built from its digits and kept in
+        `lower`."""
+        h, v = divmod(hv, self.vector)
+        deltas = []
+        bound, lose = h, 0  # v_{j-1}, and w_1 + ... + w_{j-1}
+        for w in self.units:
+            d, v = divmod(v, w)
+            deltas += range(-lose, (bound - d) * w - lose, w)  # rule j
+            bound, lose = d, lose + w
+        if bound:  # the top closing (k = 2: the one closing, when h >= 1)
+            deltas.append(-lose)
+        self.lower[hv] = deltas
         return deltas
+
+    def _head(self, hr):
+        """The fixed-point delta of the (h, r) code hr, None when it has
+        none, and its upper deltas, kept in `heads`."""
+        h, r = divmod(hr, self.vector)
+        if self.r1_weight:
+            fp = (h - r // self.r1_unit) * self.r1_weight
+        else:
+            fp = None if h else 0
+        lower = self.lower.get(hr) or self._lower(hr)
+        head = self.heads[hr] = fp, [d * self.vector for d in lower]
+        return head
 
     def push(self, current, limit=None):
         nxt = {}
@@ -833,18 +868,14 @@ class _PermutationPusher(_CodeLevels, _DigitCodec):
         if limit is None:
             limit = self.unbounded
         top = limit - wh  # a label below it makes an opener
-        r1_weight, r1_unit = self.r1_weight, self.r1_unit
-        options, closings = self.options, self._closings
+        heads, head = self.heads, self._head
         for code, count in current.items():
-            hr = code // vector
+            fp, upper = heads.get(code // vector) or head(code // vector)
             if code < limit:
-                h, r = divmod(hr, vector)
                 # (1) fixed point, r_1 set to h
-                if r1_weight:
-                    fp = code + (h - r // r1_unit) * r1_weight
+                if fp is not None:
+                    fp += code
                     nxt[fp] = nxt.get(fp, 0) + count
-                elif h == 0:
-                    nxt[code] = nxt.get(code, 0) + count
                 # (2) semi-opener
                 if code < top:
                     opener = code + wh
@@ -854,13 +885,13 @@ class _PermutationPusher(_CodeLevels, _DigitCodec):
                 if code >= limit + wh:
                     continue  # past the limit
             # close an upper semi-arc: (3) and the first half of (5)
-            for d in (options.get(hr) or closings(hr))[1]:
+            for d in upper:
                 child = code + d
                 half_closed[child] = half_closed.get(child, 0) + count
         # (5) closer: its lower closings from the half-closed label's h are
         # those from h - 1, made by the `lowered` pass, and the extra one
         # that sets s_1 to h - 1 (k = 2: none unless h = 1)
-        s1_unit = r1_unit
+        s1_unit = self.r1_unit
         for code, count in half_closed.items():
             if code < limit:  # (3) upper semi-transitory
                 nxt[code] = nxt.get(code, 0) + count
@@ -877,10 +908,10 @@ class _PermutationPusher(_CodeLevels, _DigitCodec):
         # `lowered` holds their labels now; freed before the widest pass
         del half_closed
         # (4) lower semi-transitory, and (5)'s closings from h - 1
+        lower, closings = self.lower, self._lower
         for code, count in lowered.items():
-            hr, s = divmod(code, vector)
-            hs = hr // vector * vector + s
-            for d in (options.get(hs) or closings(hs))[0]:
+            hs = code // wh * vector + code % vector  # its (h, s) code
+            for d in lower.get(hs) or closings(hs):
                 child = code + d
                 nxt[child] = nxt.get(child, 0) + count
         return nxt
@@ -975,6 +1006,8 @@ def generate_diagrams(spec, n, closed_only=False):
     steps listed.  The walk keeps an explicit stack, so n is not bounded by
     the recursion limit.
     """
+    if type(n) is not int:  # a bool or a float as well
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     root, enhanced = spec.walk_start()

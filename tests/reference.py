@@ -9,8 +9,11 @@ maximum crossing, the statistic that k-nestings are symmetric with, is
 measured here too, by the same pairwise definition.
 
 `row_sweep_partition_push` is the generating-tree push on label codes that
-the row push of `gentree._RangeSumPusher` replaced.  It takes the pusher
-as an argument and imports nothing from the package.
+the row push of `gentree._RangeSumPusher` replaced, and
+`tuple_permutation_closings` the closing deltas that
+`gentree._PermutationPusher` built from option tuples before it built them
+from a key's digits.  Each takes the pusher (and the closing rule) as
+arguments and imports nothing from the package.
 """
 
 from itertools import combinations
@@ -222,3 +225,27 @@ def row_sweep_partition_push(pusher, current, limit=None):
                     nxt[low] = nxt.get(low, 0) + total
                 child += w
     return nxt
+
+
+def tuple_permutation_closings(pusher, closing_options):
+    """The closings of `gentree._PermutationPusher`'s (h, vector) codes as
+    it cached them before it built them from the digits: `closings(hv)` is
+    (lower, upper), the deltas to v of the vectors `closing_options(h,
+    vector)` gives, each encoded by the pusher, and those deltas times
+    B^m.  `pusher` is a permutation pusher; only its codec is read."""
+    options = {}
+    vector, m = pusher.vector, pusher.m
+
+    def closings(hv):
+        deltas = options.get(hv)
+        if deltas is None:
+            h, v = divmod(hv, vector)
+            vec = tuple(pusher.decode_digits(v)[m + 1 :])
+            lower = [
+                pusher.encode_digits(option) - v
+                for option in closing_options(h, vec)
+            ]
+            deltas = options[hv] = lower, [d * vector for d in lower]
+        return deltas
+
+    return closings

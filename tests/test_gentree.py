@@ -27,7 +27,7 @@ from nonnesting.gentree import (
 from nonnesting import diagrams as dg
 from nonnesting import refdata
 from nonnesting.closedform import a108304, a108307
-from reference import row_sweep_partition_push
+from reference import row_sweep_partition_push, tuple_permutation_closings
 
 
 class TestSuccessionRules:
@@ -591,7 +591,7 @@ def _two_pass_permutation_push(pusher, current, limit=None):
         limit = pusher.unbounded
     top = limit - wh
     r1_weight, r1_unit = pusher.r1_weight, pusher.r1_unit
-    closings = pusher._closings
+    closings = tuple_permutation_closings(pusher, _closing_options)
     for code, count in current.items():
         hr, s = divmod(code, vector)
         if code < top:
@@ -662,6 +662,34 @@ def test_permutation_push_equals_two_pass_push_on_signed_counts(data):
     assert pusher.push(level, limit) == (
         _two_pass_permutation_push(reference, level, limit)
     )
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_permutation_closings_from_digits_equal_option_tuples(k):
+    """Every (h, vector) key of levels up to n_max = 12, moved-down keys
+    with v_1 = h + 1 included: `lower` holds the deltas to v of the encoded
+    `_closing_options`, in their order, and `heads` the fixed-point delta
+    (r_1 set to h; k = 2: 0 at h = 0, else none) and those deltas times
+    B^m."""
+    n_max = 12
+    pusher = _pusher(FamilySpec("permutations", k), n_max)
+    vector, m = pusher.vector, k - 2
+    for h in range(n_max + 1):
+        top = min(h + 1, n_max)
+        for vec in combinations_with_replacement(range(top, -1, -1), m):
+            v = pusher.encode_digits(vec)
+            hv = h * vector + v
+            expected = [
+                pusher.encode_digits(option) - v
+                for option in _closing_options(h, vec)
+            ]
+            assert pusher._lower(hv) == expected, (h, vec)
+            assert pusher.lower[hv] == expected
+            if vec and vec[0] > h:
+                continue  # moved down: no label's (h, r)
+            fp = (h - vec[0]) * pusher.r1_weight if vec else (0 if h == 0 else None)
+            assert pusher._head(hv) == (fp, [d * vector for d in expected]), (h, vec)
+            assert pusher.heads[hv] == (fp, [d * vector for d in expected])
 
 
 @settings(max_examples=300, deadline=None)
@@ -875,6 +903,12 @@ class TestGenerateDiagrams:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="n must be >= 0"):
             generate_diagrams(FamilySpec("partitions", 3), -1)
+
+    @pytest.mark.parametrize("n", [1.5, True, "3"])
+    def test_size_must_be_an_int(self, n):
+        # a float walked forever without yielding, and True ran as n = 1
+        with pytest.raises(ValueError, match=f"n must be an int, got {n!r}"):
+            generate_diagrams(FamilySpec("partitions", 3), n)
 
     def test_deep_walk_needs_no_recursion(self):
         spec = FamilySpec("partitions", 3)
