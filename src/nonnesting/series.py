@@ -51,6 +51,19 @@ and sums the terms that merge) in place of the general `substitute`, which
 the tests use as their reference.  A ranged closing never builds its
 numerator g - fold(g): `_fold_quotient` divides it line by line.  Every
 division check and the z-order check are kept.
+
+Each z-order of G is built into one dict.  `_close` starts from the
+quotient of its first ranged piece and adds the other pieces into it, with
+every term's divisions checked before they are added (`_add_quotient`).  The partition
+Phi is fixed + closer + (g + closer) v0 with closer = C / v0 for
+C = _close(g, vs); as (g + closer) v0 = g v0 + C, it sums fixed, C / v0, C
+and g v0 into the fixed point's dict.  The permutation Phi sums its five
+parts the same way, checking that u divides each term of its closer.  A shift that
+sets the top bit of a field re-codes the sum one bit wider, as
+`TruncatedSeries.shift` does (`_shifted`).  `_close` and `_fix` still
+return series, and Phi calls them by their module names, so a test can
+swap in their plain forms.  `_iterate` checks the z-order, shifts by z and
+drops past the horizon in one pass over Phi's image.
 """
 
 from __future__ import annotations
@@ -81,9 +94,10 @@ class TruncatedSeries:
     the lowest field.  The width is one bit more than the bit length of the
     largest of the cap and every exponent, so the top bit of every field is
     clear: one is added to an exponent without carrying into the next
-    field.  Only a catalytic `shift` can set a top bit, and it then re-codes
-    the series one bit wider; the solvers never do, since no exponent of
-    theirs exceeds the z-order.  Exponent tuples (aligned with `variables`)
+    field.  Only a catalytic shift (`shift`, or the one in a Phi's sum) can
+    set a top bit, and it then re-codes the series one bit wider
+    (`_shifted`); the solvers never do, since no exponent of theirs exceeds
+    the z-order.  Exponent tuples (aligned with `variables`)
     are decoded only where they are read: `terms`, `coefficient` and
     `dump_lines`.  Instances are treated as immutable.
     """
@@ -92,13 +106,23 @@ class TruncatedSeries:
 
     def __init__(self, variables, cap, terms=None):
         self.variables = tuple(variables)
-        self.cap = int(cap)
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"variables must be distinct, got {self.variables!r}")
+        if type(cap) is not int:  # a bool or a float as well
+            raise ValueError(f"cap must be an int, got {cap!r}")
+        if cap < 0:
+            raise ValueError("cap must be >= 0")
+        self.cap = cap
         clean = {}
-        top = self.cap
+        top = cap
         if terms:
             for expo, coeff in terms.items():
                 if len(expo) != len(self.variables):
                     raise ValueError("exponent arity mismatch")
+                for e in expo:
+                    if type(e) is not int:
+                        raise ValueError(
+                            f"exponent must be an int, got {e!r} in {tuple(expo)}")
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in {tuple(expo)}")
                 if coeff and expo[0] <= self.cap:
@@ -167,12 +191,7 @@ class TruncatedSeries:
     def __add__(self, other):
         width, codes, other_codes = self._aligned(other)
         codes = dict(codes)
-        for code, coeff in other_codes.items():
-            coeff += codes.get(code, 0)
-            if coeff:
-                codes[code] = coeff
-            else:
-                del codes[code]
+        _add_into(codes, other_codes)
         return TruncatedSeries._of(self.variables, self.cap, width, codes)
 
     def __sub__(self, other):
@@ -201,14 +220,9 @@ class TruncatedSeries:
                 if code & mask < cap
             })
         unit = 1 << i * width
-        codes = {code + unit: coeff for code, coeff in self.codes.items()}
-        f = TruncatedSeries._of(self.variables, self.cap, width, codes)
-        if reduce(or_, codes, 0) & unit << width - 1:
-            # an exponent reached the top bit of its field; one bit more
-            # keeps every top bit clear
-            f = TruncatedSeries._of(
-                self.variables, self.cap, width + 1, f._recoded(width + 1))
-        return f
+        return _shifted(self.variables, self.cap, width, {
+            code + unit: coeff for code, coeff in self.codes.items()
+        }, unit)
 
     def coefficient(self, expo):
         expo = tuple(expo)
@@ -238,6 +252,50 @@ def _decode(code, width, arity):
     """The exponent tuple of a code."""
     mask = (1 << width) - 1
     return tuple([code >> s & mask for s in range(0, arity * width, width)])
+
+
+def _shifted(variables, cap, width, codes, unit):
+    """The series of `codes`, the image of a catalytic shift by the variable
+    whose field has the unit `unit`.  If an exponent reached the top bit of
+    that field, the codes are re-coded one bit wider, which keeps every top
+    bit clear."""
+    if reduce(or_, codes, 0) & unit << width - 1:
+        arity = len(variables)
+        codes = {_encode(_decode(code, width, arity), width + 1): coeff
+                 for code, coeff in codes.items()}
+        width += 1
+    return TruncatedSeries._of(variables, cap, width, codes)
+
+
+def _add_into(codes, terms, delta=0):
+    """Add `terms` into `codes`, each at its code plus delta; a coefficient
+    that cancels is dropped."""
+    get = codes.get
+    for code, coeff in terms.items():
+        code += delta
+        coeff += get(code, 0)
+        if coeff:
+            codes[code] = coeff
+        else:
+            del codes[code]
+
+
+def _add_quotient(codes, terms, variables, width, xs):
+    """Add `terms`, codes of `width` bits a field over `variables`, divided
+    exactly by every variable of xs, into `codes`.
+
+    A term is divisible when none of xs's fields is 0.  Subtracting the
+    units of those fields borrows from a field that is 0, and the lowest
+    such field then reads all ones, its top bit set; every top bit of a
+    term is clear, so one mask test checks every division of a term."""
+    units = sum(1 << variables.index(x) * width for x in xs)
+    tops = units << width - 1
+    for code in terms:
+        if code - units & tops:
+            expo = _decode(code, width, len(variables))
+            var = next(x for x in xs if not expo[variables.index(x)])
+            raise DivisibilityError(f"term {expo} not divisible by {var}")
+    _add_into(codes, terms, -units)
 
 
 def _field(f, var):
@@ -406,28 +464,30 @@ def _iterate(variables, n_max, phi, *, semi_arc=None, stats=None):
         image = phi(layer)
         if stats is not None:
             phi_s = perf_counter() - started
+        # one pass checks the z-order, shifts by z (a term of z-order
+        # n - 1 < n_max is never truncated) and drops past the horizon
         mask = (1 << image.width) - 1
-        for code in image.codes:
+        field = bound = 0
+        if semi_arc is not None:
+            _, offset, field = _field(image, semi_arc)
+            bound = n_max - n << offset
+        kept = {}
+        for code, coeff in image.codes.items():
             if code & mask != n - 1:
                 raise ValueError(
                     f"phi moved a term of z-order {n - 1} to z-order {code & mask}"
                 )
-        layer = image.shift("z")
-        if semi_arc is not None:
-            _, offset, field = _field(layer, semi_arc)
-            bound = n_max - n << offset
-            layer = TruncatedSeries._of(variables, n_max, layer.width, {
-                code: coeff for code, coeff in layer.codes.items()
-                if code & field <= bound
-            })
+            if code & field <= bound:
+                kept[code + 1] = coeff
+        layer = TruncatedSeries._of(variables, n_max, image.width, kept)
         if layer.width != width:  # a catalytic shift in phi widened it
             codes = TruncatedSeries._of(
                 variables, n_max, width, codes)._recoded(layer.width)
             width = layer.width
-        codes.update(layer.codes)
+        codes.update(kept)
         if stats is not None:
             stats({"order": n, "terms_built": len(image.codes),
-                   "terms_kept": len(layer.codes), "phi_s": phi_s})
+                   "terms_kept": len(kept), "phi_s": phi_s})
     return TruncatedSeries._of(variables, n_max, width, codes)
 
 
@@ -441,16 +501,23 @@ def _close(g, xs):
     same-index semi-arcs outside it:
     (g - g|xs[j-1]->xs[j-1]*xs[j], xs[j]->1) / (1 - xs[j]) / xs[1..j-1].
     Entry 0 is never divided; the callers divide by it or keep it.
+
+    The pieces are summed into one dict: the quotient of the first ranged
+    piece needs no division and starts it, and the top piece (the terms of
+    g with a nonzero exponent of xs[-1]) and the later ranged pieces are
+    added into it, every term's divisions checked before they are added.
     """
-    total = g - _zero(g, xs[-1])
-    for x in xs[1:]:
-        total = divide_by_var(total, x)
-    for j in range(1, len(xs)):
-        part = _fold_quotient(g, xs[j - 1], xs[j])
-        for x in xs[1:j]:
-            part = divide_by_var(part, x)
-        total = total + part
-    return total
+    variables, width = g.variables, g.width
+    last = _field(g, xs[-1])[2]
+    top = {code: coeff for code, coeff in g.codes.items() if code & last}
+    if len(xs) == 1:
+        return TruncatedSeries._of(variables, g.cap, width, top)
+    codes = _fold_quotient(g, xs[0], xs[1]).codes
+    _add_quotient(codes, top, variables, width, xs[1:])
+    for j in range(2, len(xs)):
+        _add_quotient(codes, _fold_quotient(g, xs[j - 1], xs[j]).codes,
+                      variables, width, xs[1:j])
+    return TruncatedSeries._of(variables, g.cap, width, codes)
 
 
 def _fix(g, xs):
@@ -475,14 +542,27 @@ def solve_partition_equation(k, n_max, enhanced=False, **options):
     variables = ("z",) + tuple(f"v{i}" for i in range(k - 1))
     vs = variables[1:]
 
-    def phi(g):
-        # every closing lowers s_0; the semi-opener and the semi-transitories
-        # (a closing that reopens a fresh semi-arc) raise it again
-        closer = divide_by_var(_close(g, vs), vs[0])
-        fixed = _fix(g, vs) if enhanced else g
-        return fixed + closer + (g + closer).shift(vs[0])
+    return _iterate(variables, n_max, partial(_partition_phi, vs, enhanced),
+                    **options)
 
-    return _iterate(variables, n_max, phi, **options)
+
+def _partition_phi(vs, enhanced, g):
+    """Phi of the partition equations over vs = v0..v(k-2).
+
+    Every closing lowers s_0; the semi-opener and the semi-transitories (a
+    closing that reopens a fresh semi-arc) raise it again:
+    Phi(g) = fixed + closer + (g + closer) v0, where fixed is g (Q) or
+    `_fix` (P), and closer = C / v0 for C = _close(g, vs).  As
+    closer v0 = C, this is fixed + C / v0 + C + g v0, summed into one dict."""
+    parts = (_fix(g, vs) if enhanced else g, _close(g, vs), g)
+    width, (codes, closings, g_codes) = _common_width(parts)
+    if codes is g.codes:
+        codes = dict(codes)
+    unit = 1 << width  # v0 is variable 1
+    _add_quotient(codes, closings, g.variables, width, vs[:1])
+    _add_into(codes, closings)
+    _add_into(codes, g_codes, unit)
+    return _shifted(g.variables, g.cap, width, codes, unit)
 
 
 def solve_baxter_equation(n_max, **options):
@@ -514,12 +594,30 @@ def solve_permutation_equation(k, n_max, **options):
     upper = ("u",) + ups
     lower = ("u",) + lows
 
-    def phi(g):
-        low = _close(g, lower)
-        closer = divide_by_var(_close(low, upper), "u")
-        return g.shift("u") + _fix(g, upper) + _close(g, upper) + low + closer
+    return _iterate(variables, n_max, partial(_permutation_phi, upper, lower),
+                    **options)
 
-    return _iterate(variables, n_max, phi, **options)
+
+def _permutation_phi(upper, lower, g):
+    """Phi of the permutation equations, upper = (u, v..) and lower =
+    (u, w..): g u + _fix(g, upper) + _close(g, upper) + low + closer, for
+    low = _close(g, lower) and closer = _close(low, upper) / u, summed into
+    one dict."""
+    low = _close(g, lower)
+    parts = (_fix(g, upper), _close(g, upper), low, _close(low, upper), g)
+    width, (codes, closed, low_codes, closings, g_codes) = _common_width(parts)
+    unit = 1 << width  # u is variable 1
+    _add_into(codes, closed)
+    _add_into(codes, low_codes)
+    _add_quotient(codes, closings, g.variables, width, upper[:1])
+    _add_into(codes, g_codes, unit)
+    return _shifted(g.variables, g.cap, width, codes, unit)
+
+
+def _common_width(parts):
+    """The largest width of the series `parts`, and their codes at it."""
+    width = max(f.width for f in parts)
+    return width, [f._recoded(width) for f in parts]
 
 
 # family -> (solver, whether it takes k, the variable whose exponent counts

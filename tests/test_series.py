@@ -1,5 +1,7 @@
 """Truncated series arithmetic and the functional-equation solvers."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,38 @@ class TestArithmetic:
         # a zero coefficient is dropped only after its key is checked
         with pytest.raises(ValueError, match=message):
             TruncatedSeries(("z", "v"), 3, {expo: 0})
+
+    @pytest.mark.parametrize("cap", [2.5, 2.0])
+    def test_constructor_rejects_a_float_cap(self, cap):
+        # int(2.5) once truncated it to 2
+        with pytest.raises(ValueError, match=f"cap must be an int, got {cap!r}"):
+            TruncatedSeries(V, cap)
+
+    def test_constructor_rejects_a_bool_cap(self):
+        with pytest.raises(ValueError, match="cap must be an int, got True"):
+            TruncatedSeries(V, True, {(1, 0, 0): 1})
+
+    def test_constructor_rejects_a_negative_cap(self):
+        # it once gave an empty series
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            TruncatedSeries(V, -1, {(0, 0, 0): 1})
+
+    @pytest.mark.parametrize("expo", [(1, True, 0), (True, 0, 0)])
+    def test_constructor_rejects_a_bool_exponent(self, expo):
+        with pytest.raises(ValueError, match=r"exponent must be an int, got True in \("):
+            S({expo: 1})
+
+    @pytest.mark.parametrize("expo,bad", [((0, 1.5, 0), 1.5), ((1, 0, 2.0), 2.0)])
+    def test_constructor_rejects_a_float_exponent(self, expo, bad):
+        # 1.5 once raised a bare TypeError from the bit arithmetic
+        with pytest.raises(ValueError, match=f"exponent must be an int, got {bad!r}"):
+            S({expo: 1})
+
+    @pytest.mark.parametrize("variables", [("z", "z"), ("z", "u", "u"), ["z", "u", "z"]])
+    def test_constructor_rejects_duplicate_variables(self, variables):
+        # the second of two equal names could never be reached by name
+        with pytest.raises(ValueError, match="variables must be distinct"):
+            TruncatedSeries(variables, 2)
 
     def test_shift_truncates_only_z(self):
         a = S({(6, 0, 0): 1, (0, 6, 0): 1})
@@ -565,6 +599,22 @@ def test_phi_that_moves_the_z_order_raises():
         series._iterate(("z", "u"), 4, lambda g: g.shift("z"))
 
 
+def test_phi_that_moves_a_term_down_raises():
+    # at z-order 2 this phi returns 1, of z-order 0
+    def phi(g):
+        return TruncatedSeries.one(g.variables, g.cap)
+
+    with pytest.raises(ValueError, match="z-order 1 to z-order 0"):
+        series._iterate(("z", "u"), 4, phi)
+
+
+def test_iterate_recodes_the_series_when_phi_widens():
+    # u reaches 4, the top bit of a 3-bit field, at z-order 2
+    f = series._iterate(("z", "u"), 3, lambda g: g.shift("u").shift("u"))
+    assert f.terms == {(n, 2 * n): 1 for n in range(4)}
+    assert f.width == 4
+
+
 # the variable whose exponent counts semi-arcs, stated here independently
 # of the solver table
 SEMI_ARC = {"partitions": "v0", "partitions-enhanced": "v0", "permutations": "u"}
@@ -690,3 +740,218 @@ def test_solver_equals_plain_path(family, k, full, monkeypatch):
         assert (f.variables, f.cap, f.terms) == (
             plain.variables, plain.cap, plain.terms
         )
+
+
+# The whole-series forms of `_close`, of both Phis and of `_iterate`'s
+# z-order step, before each z-order was built into one dict: the plain
+# path of the one-dict sums.  Each Phi reads `_close` and `_fix` from the
+# module, as the solver's Phis do.
+def _close_by_series(g, xs):
+    total = g - _zero(g, xs[-1])
+    for x in xs[1:]:
+        total = divide_by_var(total, x)
+    for j in range(1, len(xs)):
+        part = series._fold_quotient(g, xs[j - 1], xs[j])
+        for x in xs[1:j]:
+            part = divide_by_var(part, x)
+        total = total + part
+    return total
+
+
+def _partition_phi_by_series(vs, enhanced, g):
+    closer = divide_by_var(series._close(g, vs), vs[0])
+    fixed = series._fix(g, vs) if enhanced else g
+    return fixed + closer + (g + closer).shift(vs[0])
+
+
+def _permutation_phi_by_series(upper, lower, g):
+    low = series._close(g, lower)
+    closer = divide_by_var(series._close(low, upper), "u")
+    return (g.shift("u") + series._fix(g, upper) + series._close(g, upper)
+            + low + closer)
+
+
+def _iterate_by_series(variables, n_max, phi, *, semi_arc=None):
+    layer = TruncatedSeries.one(variables, n_max)
+    g = layer
+    for n in range(1, n_max + 1):
+        image = phi(layer)
+        mask = (1 << image.width) - 1
+        for code in image.codes:
+            if code & mask != n - 1:
+                raise ValueError("phi moved a term out of its z-order")
+        layer = image.shift("z")
+        if semi_arc is not None:
+            i = variables.index(semi_arc)
+            layer = TruncatedSeries(variables, n_max, {
+                expo: coeff for expo, coeff in layer.terms.items()
+                if expo[i] <= n_max - n
+            })
+        g = g + layer
+    return g
+
+
+def _by_series_cases():
+    # the plain path's cases, and F at k = 6
+    yield from _plain_cases()
+    for full in (True, False):
+        yield pytest.param(
+            "permutations", 6, full, id=f"F-6-{'full' if full else 'pruned'}")
+
+
+@pytest.mark.parametrize("family,k,full", list(_by_series_cases()))
+def test_one_dict_solve_equals_series_solve(family, k, full, monkeypatch):
+    fast = [solve_equation(family, n_max, k=k, full=full) for n_max in range(11)]
+    monkeypatch.setattr(series, "_close", _close_by_series)
+    monkeypatch.setattr(series, "_partition_phi", _partition_phi_by_series)
+    monkeypatch.setattr(series, "_permutation_phi", _permutation_phi_by_series)
+    monkeypatch.setattr(series, "_iterate", _iterate_by_series)
+    for n_max, f in enumerate(fast):
+        plain = solve_equation(family, n_max, k=k, full=full)
+        assert (f.variables, f.cap, f.terms) == (
+            plain.variables, plain.cap, plain.terms
+        )
+        assert (f.width, f.codes) == (plain.width, plain.codes)
+
+
+def _label_series(data, variables, sides):
+    """A series of random terms over variables: most are labels whose
+    entries fall along each side (a tuple of variable indices, sides
+    sharing their first, the largest), some are not, and the exponents
+    reach the top bit of a field of 2 to 4 bits."""
+    top = data.draw(st.sampled_from([1, 3, 4, 7]))
+    cap = data.draw(st.integers(0, 3))
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 10))):
+        expo = list(data.draw(st.tuples(*[st.integers(0, top)] * len(variables))))
+        if data.draw(st.integers(0, 4)):
+            for side in sides:
+                entries = sorted((expo[i] for i in side), reverse=True)
+                for i, e in zip(side, entries):
+                    expo[i] = e
+        terms[tuple(expo)] = data.draw(st.integers(-3, 3).filter(bool))
+    return TruncatedSeries(variables, cap, terms)
+
+
+def _outcome_and_width(fn, *args):
+    """The terms and width fn returns, or that it raised DivisibilityError."""
+    try:
+        out = fn(*args)
+    except DivisibilityError:
+        return "DivisibilityError"
+    return out.terms, out.width
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_dict_close_equals_series_close(data):
+    m = data.draw(st.integers(1, 4))
+    variables = ("z",) + tuple(f"x{i}" for i in range(m))
+    g = _label_series(data, variables, [tuple(range(1, m + 1))])
+    xs = variables[1:]
+    assert _outcome_and_width(series._close, g, xs) == _outcome_and_width(
+        _close_by_series, g, xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_dict_phi_equals_series_phi(data):
+    k = data.draw(st.integers(2, 5))
+    if data.draw(st.booleans()):
+        variables = ("z",) + tuple(f"v{i}" for i in range(k - 1))
+        vs = variables[1:]
+        enhanced = data.draw(st.booleans())
+        g = _label_series(data, variables, [tuple(range(1, k))])
+        fast = _outcome_and_width(series._partition_phi, vs, enhanced, g)
+        plain = _outcome_and_width(_partition_phi_by_series, vs, enhanced, g)
+    else:
+        m = k - 2
+        ups = tuple(f"v{i}" for i in range(1, m + 1))
+        lows = tuple(f"w{i}" for i in range(1, m + 1))
+        variables = ("z", "u") + ups + lows
+        upper, lower = ("u",) + ups, ("u",) + lows
+        g = _label_series(data, variables, [
+            (1,) + tuple(range(2, m + 2)), (1,) + tuple(range(m + 2, 2 * m + 2))])
+        fast = _outcome_and_width(series._permutation_phi, upper, lower, g)
+        plain = _outcome_and_width(_permutation_phi_by_series, upper, lower, g)
+    assert fast == plain
+
+
+def test_close_names_the_first_variable_that_does_not_divide():
+    # x1 = 0 under x2 > 0: the top piece cannot divide by x1
+    g = TruncatedSeries(("z", "x0", "x1", "x2"), 2, {(0, 2, 0, 1): 3})
+    with pytest.raises(DivisibilityError, match=r"term \(0, 2, 0, 1\) not divisible by x1"):
+        series._close(g, ("x0", "x1", "x2"))
+
+
+def _top_layer(family, k, n):
+    """The z^n slice of the solution to z-order n: its semi-arc exponent
+    reaches n, which is 2^b - 1 for a field of b + 1 bits when n = 3, 7."""
+    f = solve_equation(family, n, k=k)
+    mask = (1 << f.width) - 1
+    return TruncatedSeries._of(f.variables, n, f.width, {
+        code: coeff for code, coeff in f.codes.items() if code & mask == n})
+
+
+def _phis(family, g):
+    """The one-dict Phi of family and its plain composition, each as a
+    function of a series over g's variables."""
+    if family == "permutations":
+        m = (len(g.variables) - 2) // 2
+        names = g.variables[2:]
+        args = (("u",) + names[:m], ("u",) + names[m:])
+        return (partial(series._permutation_phi, *args),
+                partial(_permutation_phi_by_series, *args))
+    args = (g.variables[1:], family == "partitions-enhanced")
+    return partial(series._partition_phi, *args), partial(_partition_phi_by_series, *args)
+
+
+def _close_with(monkeypatch, expo):
+    """Make `_close` return its closings and the term expo."""
+    true_close = series._close
+
+    def close(g, xs):
+        return true_close(g, xs) + TruncatedSeries(g.variables, g.cap, {expo: 1})
+
+    monkeypatch.setattr(series, "_close", close)
+
+
+@pytest.mark.parametrize("family,k,n", [
+    pytest.param(family, k, n, id=f"{PAPER_NAME[family]}-{k}-{n}")
+    for family in ("partitions", "partitions-enhanced", "permutations")
+    for k in (2, 3, 4)
+    for n in (3, 7)
+])
+def test_phi_widens_at_the_top_of_the_semi_arc_field(family, k, n):
+    g = _top_layer(family, k, n)
+    i = 1  # v0, or u for permutations
+    assert max(expo[i] for expo in g.terms) == (1 << g.width - 1) - 1
+    fast, plain = (phi(g) for phi in _phis(family, g))
+    assert fast == plain
+    assert fast.width == plain.width == g.width + 1
+    assert max(expo[i] for expo in fast.terms) == 1 << g.width - 1
+
+
+@pytest.mark.parametrize("family", ["partitions", "partitions-enhanced", "permutations"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_phi_refuses_closings_free_of_the_semi_arc_variable(family, k, monkeypatch):
+    g = _top_layer(family, k, 3)
+    # a closing free of v0 (or u): the last variable's exponent, or none
+    _close_with(monkeypatch, (0,) * (len(g.variables) - 1) + (int(k > 2),))
+    semi_arc = "u" if family == "permutations" else "v0"
+    fast, _ = _phis(family, g)
+    with pytest.raises(DivisibilityError, match=f"not divisible by {semi_arc}"):
+        fast(g)
+    with pytest.raises(DivisibilityError, match=f"not divisible by {semi_arc}"):
+        solve_equation(family, 4, k=k)
+
+
+@pytest.mark.parametrize("family", ["partitions", "partitions-enhanced", "permutations"])
+def test_phi_sums_parts_of_different_widths(family, monkeypatch):
+    # a closing with an exponent that g's fields cannot hold: Phi sums at
+    # the widest part's width, as `+` does
+    g = _top_layer(family, 3, 3)
+    _close_with(monkeypatch, (0, 1) + (0,) * (len(g.variables) - 3) + (1 << g.width,))
+    fast, plain = (phi(g) for phi in _phis(family, g))
+    assert fast.width > g.width
+    assert (fast.terms, fast.width) == (plain.terms, plain.width)
