@@ -23,20 +23,23 @@ n_max and owns its encode, its decode and `json_rows`, the JSON rows of a
 run of sorted codes.
 
 Between levels the DP holds each level in its pusher's own form.  The
-permutation and open-family pushers hold a code dict (code -> count).  The
-partition pusher holds rows: a dict from the code of a label's prefix
+open-family pusher holds a code dict (code -> count).  The partition
+pusher holds rows: a dict from the code of a label's prefix
 (s_0, ..., s_{k-3}) to the list of counts along its last digit, so that a
-push moves whole rows with list arithmetic.  Every pusher's `step` makes
-the next level in its form, and `push` makes it from a code dict to a code
-dict.  Each pusher turns a code dict into its form (`from_codes`) and back
-(`to_codes`), reads one label's count (`count_of`) and counts a level's
-labels (`labels`).  `count_sequence` reads the root's count from each
-level.  `count_levels` and `level_distribution` return each level as a
-`LevelDistribution` that keeps its code dict and its pusher: `entries`
-(the tuple labels above, in label order) is decoded on first read, and
-`dump` writes the level in code order, which is label order, one chunk of
-`DUMP_CHUNK` labels at a time: its JSON rows come from `json_rows`,
-straight from the codes, and its text and CSV lines decode one chunk.
+push moves whole rows with list arithmetic.  The permutation pusher holds
+rows too: a dict from the code of a label's (h, r) to a dict from its s
+code to the count, so that a push moves whole rows for every rule that
+keeps s.  Every pusher's `step` makes the next level in its form, and
+`push` makes it from a code dict to a code dict.  Each pusher turns a
+code dict into its form (`from_codes`) and back (`to_codes`), reads one
+label's count (`count_of`) and counts a level's labels (`labels`).
+`count_sequence` reads the root's count from each level.  `count_levels`
+and `level_distribution` return each level as a `LevelDistribution` that
+keeps its code dict and its pusher: `entries` (the tuple labels above, in
+label order) is decoded on first read, and `dump` writes the level in
+code order, which is label order, one chunk of `DUMP_CHUNK` labels at a
+time: its JSON rows come from `json_rows`, straight from the codes, and
+its text and CSV lines decode one chunk.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add
 from time import perf_counter
 
@@ -301,13 +304,16 @@ def _successors_open_permutation(m):
     return children
 
 
-def _pusher(spec, n_max):
+def _pusher(spec, n_max, max_labels=None):
     """A fresh one-level pusher for spec whose codes hold every label of
-    levels 0..n_max."""
+    levels 0..n_max.  The label budget `max_labels` of the push, None for
+    none, is checked here too, before any push."""
     if type(n_max) is not int:  # a bool or a float as well
         raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if max_labels is not None and (type(max_labels) is not int or max_labels < 1):
+        raise ValueError(f"max_labels must be an int >= 1, got {max_labels!r}")
     entry = spec._entry
     return entry.pusher(entry, spec.k, n_max)
 
@@ -370,7 +376,7 @@ def count_levels(spec, n_max, max_labels=None):
     labels per level; exceeding it raises ResourceLimitError carrying the
     last level completed.
     """
-    pusher = _pusher(spec, n_max)
+    pusher = _pusher(spec, n_max, max_labels)
     root = pusher.encode(spec.root_label())
     stream = _level_stream(pusher, root, n_max, max_labels, prune=False)
     return [
@@ -383,37 +389,20 @@ def level_distribution(spec, n, max_labels=None, stats=None):
     """The full label distribution at level n, without keeping the levels
     before it; `max_labels` as in count_levels, `stats` as in
     count_sequence (nothing is pruned, so each level keeps every label)."""
-    pusher = _pusher(spec, n)
+    pusher = _pusher(spec, n, max_labels)
     root = pusher.encode(spec.root_label())
     for level in _level_stream(pusher, root, n, max_labels, False, stats):
         pass
     return LevelDistribution(n, pusher.to_codes(level), pusher)
 
 
-class _CodeLevels:
-    """The level form of a pusher that holds a level as its code dict:
-    `from_codes` and `to_codes` are the identity, and `step` is `push`."""
-
-    @staticmethod
-    def from_codes(codes):
-        return codes
-
-    to_codes = from_codes
-    labels = staticmethod(len)
-
-    @staticmethod
-    def count_of(codes, code):
-        return codes.get(code, 0)
-
-    def step(self, codes, limit=None):
-        return self.push(codes, limit)
-
-
-class _GenericPusher(_CodeLevels):
+class _GenericPusher:
     """One-level push for families whose rule is applied label by label.
 
     Their labels are already ints (the open families' semi-arc count), so
-    the codec is the identity and the semi-arc digit has weight 1.
+    the codec is the identity and the semi-arc digit has weight 1.  A
+    level is held as its code dict: `from_codes` and `to_codes` are the
+    identity, and `step` is `push`.
     """
 
     weight = 1
@@ -425,7 +414,12 @@ class _GenericPusher(_CodeLevels):
     def encode(label):
         return label
 
-    decode = encode
+    decode = from_codes = to_codes = encode
+    labels = staticmethod(len)
+
+    @staticmethod
+    def count_of(codes, code):
+        return codes.get(code, 0)
 
     @staticmethod
     def json_rows(codes, chunk):
@@ -433,6 +427,9 @@ class _GenericPusher(_CodeLevels):
         `codes`, joined by ", "."""
         row = '{"label": [%d], "count": "%d"}'
         return ", ".join([row % (c, codes[c]) for c in chunk])
+
+    def step(self, codes, limit=None):
+        return self.push(codes, limit)
 
     def push(self, current, limit=None):
         """The next level.  With `limit` (a multiple of `weight`), only the
@@ -714,83 +711,79 @@ def _add(a, b):
     return list(map(add, a, b))
 
 
-class _PermutationPusher(_CodeLevels, _DigitCodec):
+class _PermutationPusher(_DigitCodec):
     """One-level push for permutation labels (h, r, s), coded with the
-    digits h, r_1, ..., r_{k-2}, s_1, ..., s_{k-2}.
+    digits h, r_1, ..., r_{k-2}, s_1, ..., s_{k-2}, that holds a level as
+    rows keyed by (h, r) and moves whole rows.
 
     With m = k - 2 and B the base, a code is (h * B^m + r) * B^m + s,
-    where r and s are the vector codes.  The fixed point adds
-    (h - r_1) * w_{r_1} (for k = 2, where there is no r_1, it is allowed
-    only at h = 0 and adds 0), the opener w_h.  The closings of a vector
-    are the options of `_closing_options`, kept as their deltas to v in
-    two tables built straight from the digits of a key, with no option
-    tuple.  `lower` holds them per (h, vector) code hv = h * B^m + v.
-    With w_j the unit of v_j in v and v_0 = h, rule j gives
-    (i - v_j) * w_j - (w_1 + ... + w_{j-1}) for v_j <= i < v_{j-1}, and
-    the top closing, when v_m >= 1, -(w_1 + ... + w_m); for k = 2 the one
-    closing is 0, when h >= 1.  `heads` holds, per (h, r) code that the
-    first pass reads, the fixed-point delta (None when there is none) and
-    the upper deltas, which are the lower ones times B^m, so that pass
-    reads nothing of a label but its (h, r) code.  A lower closing adds
-    the delta, an upper one the delta times B^m, and a closer adds both
-    and subtracts w_h.
+    where r and s are the vector codes.  A level is a dict from a label's
+    (h, r) code hr = h * B^m + r (its key) to its row, a dict from the s
+    code to the count.  In a key, h has the unit B^m and r_1 the unit
+    B^(m-1); s_1 has the same unit in s.  The closings of a vector are the
+    options of `_closing_options`, kept as their deltas to v in one table,
+    `lower`, built straight from the digits of an (h, vector) code
+    hv = h * B^m + v.  With w_j the unit of v_j in v and v_0 = h, rule j
+    gives (i - v_j) * w_j - (w_1 + ... + w_{j-1}) for v_j <= i < v_{j-1},
+    and the top closing, when v_m >= 1, -(w_1 + ... + w_m); for k = 2 the
+    one closing is 0, when h >= 1.  A key is an (h, r) code, so the same
+    table serves both sides: the upper closings of a row move it to the
+    keys hr + d for d in `lower[hr]`, and a lower closing of its label at
+    s adds d in `lower[h * B^m + s]` to s.
 
-    Closers are the Cartesian product of upper and lower closings, so a
-    direct push costs |upper| * |lower| per label.  Splitting the closer
-    into close-the-upper-semi-arc followed by close-the-lower-semi-arc
-    makes each level linear in |upper| + |lower| per label, which is what
-    makes the deeper permutation tables tractable.
-
-    The upper closings are pushed into `half_closed` only; its pass adds
-    each half-closed label to the level as the upper semi-transitory child,
-    and the closer then closes one of its lower semi-arcs.
+    The fixed point moves a row to its key with r_1 set to h (for k = 2,
+    where there is no r_1, only the row at h = 0, which stays), and the
+    opener to h + 1.  Closers are the Cartesian product of upper and lower
+    closings, so a direct push costs |upper| * |lower| per label.  The push
+    splits the closer into close-the-upper-semi-arc followed by
+    close-the-lower-semi-arc, which makes each level linear in
+    |upper| + |lower| per label: the upper closings move whole rows into
+    `half` only, and each half-closed row goes to the level as (3) and one
+    semi-arc down into `lowered`.
 
     The lower closings are applied once, for (4) and (5) together.  For
     either side, `_closing_options(h, v)` is `_closing_options(h - 1, v)`
     and one option more: v with v_1 set to h - 1, present when v_1 < h
     (k = 2, v empty: the option () when h = 1).  So the closers of a
     half-closed label (h, r', s) are the lower semi-transitory children
-    of (h - 1, r', s) and that one extra child.  The push gathers in
-    `lowered` the labels below the limit (the labels of (4)) and every
-    half-closed label moved down one semi-arc, summed where two meet, adds
-    the extra child from the half-closed pass, and then closes one lower
-    semi-arc of each label of `lowered`.  A moved-down label can have
-    s_1 = h > h - 1: no label of a level, but its code is still distinct,
-    it lives only in `lowered` and as a key of `lower`, and each of its
-    lower closings (none from rule j = 1) is a valid child.
+    of (h - 1, r', s) and that one extra child.  `lowered` holds the rows
+    below the limit (the labels of (4)) and every half-closed row moved
+    down one semi-arc, summed where two meet.  Each of its entries closes
+    one lower semi-arc with `lower[h * B^m + s]` into a new row at its
+    key, and each half-closed label adds its extra child there.  A
+    moved-down label can have s_1 = h > h - 1: no label of a level, but
+    its code is still distinct, it lives only in `lowered` and as a key of
+    `lower`, and each of its lower closings (none from rule j = 1) is a
+    valid child.
 
-    The half-closed pass applies the horizon: under a `limit` (a multiple
-    of w_h) it adds the upper semi-transitory child only below the limit,
-    and always moves the label down into `lowered`.  A label one semi-arc
-    below the limit makes no semi-opener, a label at it makes only its
-    upper closings and is deleted from `lowered`, and one past it makes
-    nothing.
+    Rows are shared, by the two levels and by several keys of one level,
+    so a row never changes once a level holds it.  A key that receives
+    one row alone shares it; the row is copied before a second row is
+    added into it.  The rows a push makes entry by entry are its own.
+    A step makes an entry for every child code it adds a count to, with
+    a zero count where the counts cancel, so `push`, which flattens the
+    step's rows with `to_codes`, keeps the zero entries a push label by
+    label on the code dict would keep.
 
-    The closings stay one child per option.  A ranged form of this push
-    gave equal levels: each side's ranged rules summed by one running sum
-    per row of codes read straight from the level, the top closing folded
-    into the last rule, as `_RangeSumPusher` summed them before it held
-    rows.  Against this push it took 1.05-1.07 times as long at k = 3,
-    n = 14, 1.2-1.4 at k = 4, n = 13 and 1.6 at k = 5, n = 11, where the
-    ranges are short (2.3 steps on average at k = 5, n = 11, and 40 % are
-    one step), but 0.56-0.62 at k = 3, n = 60 and 0.94-1.07 at k = 4,
-    n = 30 (best of 20 runs each, counting sequences, three rounds).
-    Both tables keep entries from every level pushed so far; the one empty
-    entry of `lower`, h = 0 and v = 0, is built again each time it is
-    read.  The JSON rows of a chunk are written in code order, (h, r)
-    group by group: a group's row head is built once, and each vector's
-    text is cached per vector code.
+    The push applies the horizon: under a `limit` (a multiple of w_h)
+    it adds the upper semi-transitory rows only below the limit, and
+    always moves them down into `lowered`.  A row one semi-arc below the
+    limit makes no semi-opener, a row at it makes only its upper closings
+    and no (4), and one past it makes nothing.  `lower` keeps entries
+    from every level pushed so far; its one empty entry, h = 0 and v = 0,
+    is built again each time it is read.  The JSON rows of a chunk are
+    written in code order, (h, r) group by group: a group's row head is
+    built once, and each vector's text is cached per vector code.
     """
 
     def __init__(self, family, k, n_max):
         self.m = k - 2
         super().__init__(2 * self.m + 1, n_max)
-        self.vector = self.base**self.m  # B^m
-        self.r1_weight = self.weights[1] if self.m else 0
-        self.r1_unit = self.vector // self.base  # r_1's unit in r
+        self.vector = self.base**self.m  # B^m, h's unit in a key
+        self.r1_unit = self.vector // self.base  # r_1's unit in r (k = 2: 0)
+        self.r1_weight = self.r1_unit * self.vector  # r_1's unit in a code
         self.units = self.weights[self.m + 1 :]  # w_1, ..., w_m: v's digits
         self.lower = {}  # (h, vector) code -> the deltas of its closings
-        self.heads = {}  # (h, r) code -> (fixed-point delta, upper deltas)
         self.vectors = {}  # vector code -> the vector, shared by the labels
         self.texts = {}  # vector code -> the vector's JSON text
 
@@ -846,75 +839,121 @@ class _PermutationPusher(_CodeLevels, _DigitCodec):
         self.lower[hv] = deltas
         return deltas
 
-    def _head(self, hr):
-        """The fixed-point delta of the (h, r) code hr, None when it has
-        none, and its upper deltas, kept in `heads`."""
-        h, r = divmod(hr, self.vector)
-        if self.r1_weight:
-            fp = (h - r // self.r1_unit) * self.r1_weight
-        else:
-            fp = None if h else 0
-        lower = self.lower.get(hr) or self._lower(hr)
-        head = self.heads[hr] = fp, [d * self.vector for d in lower]
-        return head
-
-    def push(self, current, limit=None):
-        nxt = {}
-        half_closed = {}
-        # the labels whose lower closings make children: (4)'s labels, and
-        # (5)'s half-closed labels one semi-arc down
-        lowered = dict(current)
-        vector, wh = self.vector, self.weight
-        if limit is None:
-            limit = self.unbounded
-        top = limit - wh  # a label below it makes an opener
-        heads, head = self.heads, self._head
-        for code, count in current.items():
-            fp, upper = heads.get(code // vector) or head(code // vector)
-            if code < limit:
-                # (1) fixed point, r_1 set to h
-                if fp is not None:
-                    fp += code
-                    nxt[fp] = nxt.get(fp, 0) + count
-                # (2) semi-opener
-                if code < top:
-                    opener = code + wh
-                    nxt[opener] = nxt.get(opener, 0) + count
+    def from_codes(self, codes):
+        """The level of a code dict, as rows."""
+        rows, vector = {}, self.vector
+        for code, count in codes.items():
+            key, s = divmod(code, vector)
+            row = rows.get(key)
+            if row is None:
+                rows[key] = {s: count}
             else:
-                del lowered[code]  # it makes no (4)
-                if code >= limit + wh:
-                    continue  # past the limit
-            # close an upper semi-arc: (3) and the first half of (5)
-            for d in upper:
-                child = code + d
-                half_closed[child] = half_closed.get(child, 0) + count
-        # (5) closer: its lower closings from the half-closed label's h are
-        # those from h - 1, made by the `lowered` pass, and the extra one
-        # that sets s_1 to h - 1 (k = 2: none unless h = 1)
-        s1_unit = self.r1_unit
-        for code, count in half_closed.items():
-            if code < limit:  # (3) upper semi-transitory
-                nxt[code] = nxt.get(code, 0) + count
-            low = code - wh
-            lowered[low] = lowered.get(low, 0) + count
-            h = code // wh
-            if s1_unit:
-                s1 = code % vector // s1_unit
-                if s1 < h:
-                    child = low + (h - 1 - s1) * s1_unit
-                    nxt[child] = nxt.get(child, 0) + count
-            elif h == 1:
-                nxt[low] = nxt.get(low, 0) + count
-        # `lowered` holds their labels now; freed before the widest pass
-        del half_closed
-        # (4) lower semi-transitory, and (5)'s closings from h - 1
+                row[s] = count
+        return rows
+
+    def to_codes(self, rows):
+        """The code dict of a level held as rows: every entry of its rows."""
+        vector = self.vector
+        return {
+            key * vector + s: count
+            for key, row in rows.items()
+            for s, count in row.items()
+        }
+
+    def count_of(self, rows, code):
+        key, s = divmod(code, self.vector)
+        row = rows.get(key)
+        return 0 if row is None else row.get(s, 0)
+
+    @staticmethod
+    def labels(rows):
+        """The labels of a level held as rows: the entries of its rows."""
+        return sum(map(len, rows.values()))
+
+    def push(self, codes, limit=None):
+        return self.to_codes(self.step(self.from_codes(codes), limit))
+
+    def step(self, rows, limit=None):
+        """The next level of a level held as rows, under `limit` as in
+        `push`."""
+        unit, r1 = self.vector, self.r1_unit
+        cap = (self.unbounded if limit is None else limit) // unit
         lower, closings = self.lower, self._lower
-        for code, count in lowered.items():
-            hs = code // wh * vector + code % vector  # its (h, s) code
-            for d in lower.get(hs) or closings(hs):
-                child = code + d
-                nxt[child] = nxt.get(child, 0) + count
-        return nxt
+        live = [(key, row) for key, row in rows.items() if key < cap]
+        # close an upper semi-arc: (3) and the first half of (5); a row at
+        # the limit closes too, and one past it makes nothing
+        half = _sum_rows({}, [
+            (key + d, row)
+            for key, row in rows.items()
+            if key < cap + unit
+            for d in lower.get(key) or closings(key)
+        ])
+        # the rows whose lower closings make children: (4)'s rows, and
+        # (5)'s half-closed rows one semi-arc down
+        lowered = _sum_rows(
+            {}, chain(live, [(key - unit, row) for key, row in half.items()])
+        )
+        nxt = {}
+        for key, row in lowered.items():
+            hv = key // unit * unit  # h * B^m: an entry's (h, s) code less s
+            child = {}
+            get = child.get
+            for s, count in row.items():
+                for d in lower.get(hv + s) or closings(hv + s):
+                    t = s + d
+                    child[t] = get(t, 0) + count
+            nxt[key] = child
+        # (3) upper semi-transitory
+        moves = [(key, row) for key, row in half.items() if key < cap]
+        if r1:
+            # (5)'s extra closing of each half-closed label, s_1 set to h - 1
+            # where s_1 < h, into the row one semi-arc down: the lower pass
+            # made that row, as the row is in `lowered`
+            for key, row in half.items():
+                bound = key // unit * r1  # the codes s with s_1 < h
+                first = bound - r1
+                child = nxt[key - unit]
+                get = child.get
+                for s, count in row.items():
+                    if s < bound:
+                        t = first + s % r1
+                        child[t] = get(t, 0) + count
+            # (1) fixed point, r_1 set to h
+            moves += [
+                (key + (key // unit - key % unit // r1) * r1, row)
+                for key, row in live
+            ]
+        else:
+            # k = 2: the extra closing only at h = 1, the fixed point only
+            # at h = 0; both go to h = 0
+            for row in (half.get(1), rows.get(0) if cap else None):
+                if row is not None:
+                    moves.append((0, row))
+        # (2) semi-opener
+        top = cap - unit
+        moves += [(key + unit, row) for key, row in live if key < top]
+        return _sum_rows(nxt, moves)
+
+
+def _sum_rows(rows, moves):
+    """Add the row of each (key, row) of `moves` into `rows` at its key,
+    and return `rows`.  The rows `rows` holds are its own; a row that a
+    key receives alone is shared, and it is copied before a second row is
+    added into it."""
+    own = set(rows)
+    get = rows.get
+    for key, row in moves:
+        old = get(key)
+        if old is None:
+            rows[key] = row
+            continue
+        if key not in own:
+            old = rows[key] = old.copy()
+            own.add(key)
+        add = old.get
+        for s, count in row.items():
+            old[s] = add(s, 0) + count
+    return rows
 
 
 @dataclass(frozen=True)
@@ -981,7 +1020,7 @@ def count_sequence(spec, n_max, max_labels=None, stats=None):
     every label it produces is kept.  Without `stats` no timing call is
     made.
     """
-    pusher = _pusher(spec, n_max)
+    pusher = _pusher(spec, n_max, max_labels)
     root = pusher.encode(spec.root_label())
     levels = _level_stream(pusher, root, n_max, max_labels, True, stats)
     next(levels)

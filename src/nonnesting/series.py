@@ -125,6 +125,9 @@ class TruncatedSeries:
                             f"exponent must be an int, got {e!r} in {tuple(expo)}")
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in {tuple(expo)}")
+                if type(coeff) is not int:  # a bool or a float as well
+                    raise ValueError(
+                        f"coefficient must be an int, got {coeff!r} at {tuple(expo)}")
                 if coeff and expo[0] <= self.cap:
                     clean[tuple(expo)] = coeff
                     top = max(top, *expo)
@@ -312,14 +315,15 @@ def substitute(f, assignment):
     names whose product replaces it; unmentioned variables are kept.  The
     shapes needed by the functional equations are v -> 0, v -> 1 and the
     collapse (u, v) -> (u*v, 1).  A name that is not a variable of f, on
-    either side, raises ValueError.
+    either side, raises ValueError, and so does any other target: 0 and 1
+    are the ints, not a bool or a float that equals one.
     """
     for var in assignment:
         f._index(var)
     targets = []
     for var in f.variables:
         spec = assignment.get(var, (var,))
-        if spec == 0 or spec == 1:
+        if type(spec) is int and spec in (0, 1):
             targets.append(spec)
         else:
             if not isinstance(spec, tuple):

@@ -9,11 +9,12 @@ maximum crossing, the statistic that k-nestings are symmetric with, is
 measured here too, by the same pairwise definition.
 
 `row_sweep_partition_push` is the generating-tree push on label codes that
-the row push of `gentree._RangeSumPusher` replaced, and
+the row push of `gentree._RangeSumPusher` replaced,
 `tuple_permutation_closings` the closing deltas that
 `gentree._PermutationPusher` built from option tuples before it built them
-from a key's digits.  Each takes the pusher (and the closing rule) as
-arguments and imports nothing from the package.
+from a key's digits, and `code_permutation_push` the push on label codes
+that its row push replaced.  Each takes the pusher (and the closing rule)
+as arguments and imports nothing from the package.
 """
 
 from itertools import combinations
@@ -249,3 +250,70 @@ def tuple_permutation_closings(pusher, closing_options):
         return deltas
 
     return closings
+
+
+def code_permutation_push(pusher, closing_options, current, limit=None):
+    """`gentree._PermutationPusher.push` as it was before a level was held
+    as rows keyed by (h, r): the code dict `current` pushed one level,
+    label by label, with the closer split into an upper then a lower
+    closing and the lower closings of (4) and (5) applied in one pass.
+    The closings come from `tuple_permutation_closings`, so only the
+    pusher's codec is read.  Every code a child is added to is kept, with
+    a zero count where the counts cancel."""
+    closings = tuple_permutation_closings(pusher, closing_options)
+    vector, wh, m = pusher.vector, pusher.weight, pusher.m
+    r1_weight = pusher.weights[1] if m else 0  # r_1's unit in a code
+    s1_unit = pusher.weights[m + 1] if m else 0  # s_1's unit in a code
+    if limit is None:
+        limit = pusher.unbounded
+    top = limit - wh  # a label below it makes an opener
+    nxt = {}
+    half_closed = {}
+    # the labels whose lower closings make children: (4)'s labels, and
+    # (5)'s half-closed labels one semi-arc down
+    lowered = dict(current)
+    for code, count in current.items():
+        if code < limit:
+            # (1) fixed point, r_1 set to h (k = 2: only at h = 0)
+            digits = pusher.decode_digits(code)
+            if m:
+                fp = code + (digits[0] - digits[1]) * r1_weight
+            else:
+                fp = code if digits[0] == 0 else None
+            if fp is not None:
+                nxt[fp] = nxt.get(fp, 0) + count
+            # (2) semi-opener
+            if code < top:
+                opener = code + wh
+                nxt[opener] = nxt.get(opener, 0) + count
+        else:
+            del lowered[code]  # it makes no (4)
+            if code >= limit + wh:
+                continue  # past the limit
+        # close an upper semi-arc: (3) and the first half of (5)
+        for d in closings(code // vector)[1]:
+            child = code + d
+            half_closed[child] = half_closed.get(child, 0) + count
+    # (5) closer: its lower closings from the half-closed label's h are
+    # those from h - 1, made by the `lowered` pass, and the extra one that
+    # sets s_1 to h - 1 (k = 2: none unless h = 1)
+    for code, count in half_closed.items():
+        if code < limit:  # (3) upper semi-transitory
+            nxt[code] = nxt.get(code, 0) + count
+        low = code - wh
+        lowered[low] = lowered.get(low, 0) + count
+        h = code // wh
+        if s1_unit:
+            s1 = code % vector // s1_unit
+            if s1 < h:
+                child = low + (h - 1 - s1) * s1_unit
+                nxt[child] = nxt.get(child, 0) + count
+        elif h == 1:
+            nxt[low] = nxt.get(low, 0) + count
+    # (4) lower semi-transitory, and (5)'s closings from h - 1
+    for code, count in lowered.items():
+        hs = code // wh * vector + code % vector  # its (h, s) code
+        for d in closings(hs)[0]:
+            child = code + d
+            nxt[child] = nxt.get(child, 0) + count
+    return nxt

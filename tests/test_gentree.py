@@ -1,6 +1,8 @@
 """Succession rules and the level-counting dynamic program."""
 
+import copy
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -27,7 +29,11 @@ from nonnesting.gentree import (
 from nonnesting import diagrams as dg
 from nonnesting import refdata
 from nonnesting.closedform import a108304, a108307
-from reference import row_sweep_partition_push, tuple_permutation_closings
+from reference import (
+    code_permutation_push,
+    row_sweep_partition_push,
+    tuple_permutation_closings,
+)
 
 
 class TestSuccessionRules:
@@ -215,6 +221,18 @@ class TestCountSequence:
     def test_n_max_must_be_an_int(self, count, n_max):
         with pytest.raises(ValueError, match="n_max must be an int"):
             count(FamilySpec("partitions", 3), n_max)
+
+    @pytest.mark.parametrize("count", [count_sequence, count_levels,
+                                       level_distribution])
+    @pytest.mark.parametrize("budget", [True, False, 2.5, 3.0, 0, -1, "3"])
+    def test_max_labels_must_be_an_int_of_at_least_one(self, count, budget):
+        # refused before any push: no level record is written
+        records = []
+        kwargs = {} if count is count_levels else {"stats": records.append}
+        message = f"max_labels must be an int >= 1, got {budget!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            count(FamilySpec("permutations", 3), 6, max_labels=budget, **kwargs)
+        assert records == []
 
 
 def _differential_cases():
@@ -664,13 +682,106 @@ def test_permutation_push_equals_two_pass_push_on_signed_counts(data):
     )
 
 
+@pytest.mark.parametrize("k,n_max", list(zip(range(2, 8), (13, 13, 11, 9, 8, 7))))
+def test_permutation_row_step_equals_code_push(k, n_max):
+    """The push of whole (h, r) rows against the push on label codes it
+    replaced, on every full level up to n_max and under every limit from
+    none to past every child.  The levels stay as rows from one step to
+    the next, as the DP keeps them, a step leaves every row of the level
+    it reads unchanged, and it makes no empty row."""
+    spec = FamilySpec("permutations", k)
+    pusher, reference = _pusher(spec, n_max), _pusher(spec, n_max)
+    level = {pusher.encode(spec.root_label()): 1}
+    rows = pusher.from_codes(level)
+    for n in range(n_max):
+        before = copy.deepcopy(rows)
+        for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
+            expected = code_permutation_push(reference, _closing_options, level,
+                                             limit)
+            pushed = pusher.step(rows, limit)
+            assert pusher.to_codes(pushed) == expected, (n, limit)
+            assert all(pushed.values()), (n, limit)
+            assert rows == before, (n, limit)
+        level = code_permutation_push(reference, _closing_options, level)
+        rows = pusher.step(rows)
+        assert pusher.to_codes(rows) == level, n
+        assert pusher.labels(rows) == len(level), n
+    assert len(level) > n_max
+
+
+def _sparse_permutation_level(k):
+    """Permutation labels in few (h, r) rows, each row holding a random
+    set of lower vectors s with s_1 <= h, so rows have gaps; several rows
+    share an h, so their upper closings meet at one key."""
+    def rows(h):
+        row = st.tuples(_non_increasing(h, k - 2), st.lists(
+            _non_increasing(h, k - 2), min_size=1, max_size=6, unique=True))
+        return st.lists(row, min_size=1, max_size=3).map(
+            lambda rs: [(h, r, s) for r, ss in rs for s in ss]
+        )
+
+    return st.lists(st.integers(0, 15).flatmap(rows), min_size=1,
+                    max_size=3).map(
+        lambda groups: list(dict.fromkeys(label for g in groups for label in g))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_permutation_row_step_equals_code_push_on_sparse_levels(data):
+    """As above, on sparse levels of few rows with counts of either sign
+    or zero, under no limit or one that some label sits at, one past or
+    one below.  Every code the code push adds to is kept, a zero count
+    included, the step leaves the level it reads unchanged, and it makes
+    no empty row."""
+    k = data.draw(st.integers(2, 7))
+    spec = FamilySpec("permutations", k)
+    pusher, reference = _pusher(spec, 16), _pusher(spec, 16)
+    labels = data.draw(_sparse_permutation_level(k))
+    counts = data.draw(st.lists(st.integers(-2**300, 2**300),
+                                min_size=len(labels), max_size=len(labels)))
+    level = {pusher.encode(label): count for label, count in zip(labels, counts)}
+    near = sorted({label[0] + d for label in labels for d in (-1, 0, 1)} - {-1})
+    limit = data.draw(st.none() | st.sampled_from(near).map(
+        lambda h: h * pusher.weight))
+    expected = code_permutation_push(reference, _closing_options, level, limit)
+    rows = pusher.from_codes(level)
+    before = copy.deepcopy(rows)
+    pushed = pusher.step(rows, limit)
+    assert pusher.to_codes(pushed) == expected
+    assert all(pushed.values())
+    assert rows == before
+    assert pusher.push(level, limit) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_permutation_rows_round_trip(data):
+    """`from_codes` and `to_codes` are inverse on a code dict, zero counts
+    included; `labels` counts its entries and `count_of` reads each one,
+    and 0 for a code it does not hold."""
+    k = data.draw(st.integers(2, 7))
+    pusher = _pusher(FamilySpec("permutations", k), 15)
+    labels = data.draw(st.lists(_labels("permutations", k), min_size=2,
+                                max_size=12, unique=True))
+    counts = data.draw(st.lists(st.integers(-2**70, 2**70),
+                                min_size=len(labels), max_size=len(labels)))
+    codes = {pusher.encode(label): count for label, count in zip(labels, counts)}
+    absent = codes.popitem()[0]
+    rows = pusher.from_codes(codes)
+    assert pusher.to_codes(rows) == codes
+    assert pusher.labels(rows) == len(codes)
+    for code, count in codes.items():
+        assert pusher.count_of(rows, code) == count
+    assert pusher.count_of(rows, absent) == 0
+
+
 @pytest.mark.parametrize("k", range(2, 8))
 def test_permutation_closings_from_digits_equal_option_tuples(k):
     """Every (h, vector) key of levels up to n_max = 12, moved-down keys
     with v_1 = h + 1 included: `lower` holds the deltas to v of the encoded
-    `_closing_options`, in their order, and `heads` the fixed-point delta
-    (r_1 set to h; k = 2: 0 at h = 0, else none) and those deltas times
-    B^m."""
+    `_closing_options`, in their order.  An (h, r) key reads the same
+    table, so this pins the upper closings as well as the lower."""
     n_max = 12
     pusher = _pusher(FamilySpec("permutations", k), n_max)
     vector, m = pusher.vector, k - 2
@@ -685,11 +796,6 @@ def test_permutation_closings_from_digits_equal_option_tuples(k):
             ]
             assert pusher._lower(hv) == expected, (h, vec)
             assert pusher.lower[hv] == expected
-            if vec and vec[0] > h:
-                continue  # moved down: no label's (h, r)
-            fp = (h - vec[0]) * pusher.r1_weight if vec else (0 if h == 0 else None)
-            assert pusher._head(hv) == (fp, [d * vector for d in expected]), (h, vec)
-            assert pusher.heads[hv] == (fp, [d * vector for d in expected])
 
 
 @settings(max_examples=300, deadline=None)

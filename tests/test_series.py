@@ -1,5 +1,6 @@
 """Truncated series arithmetic and the functional-equation solvers."""
 
+import re
 from functools import partial
 
 import pytest
@@ -116,6 +117,21 @@ class TestArithmetic:
     def test_substitute_rejects_bad_target(self):
         with pytest.raises(ValueError, match="unknown variable 2"):
             substitute(S({(1, 2, 1): 5}), {"v": 2})
+
+    @pytest.mark.parametrize("target", [True, False, 1.0, 0.0])
+    def test_substitute_rejects_a_target_equal_to_0_or_1_but_not_the_int(
+        self, target
+    ):
+        # True and 1.0 once acted as v -> 1, False and 0.0 as v -> 0
+        with pytest.raises(ValueError, match=f"unknown variable {target!r}"):
+            substitute(S({(1, 2, 1): 5}), {"v": target})
+
+    @pytest.mark.parametrize("coeff", [0.5, 2.0, True, False, "3", None])
+    def test_constructor_rejects_a_coefficient_that_is_not_an_int(self, coeff):
+        # 0.5 and True were once kept as coefficients
+        message = f"coefficient must be an int, got {coeff!r} at (1, 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TruncatedSeries(("z", "u"), 2, {(0, 0): 1, (1, 1): coeff})
 
     def test_divide_by_var(self):
         a = S({(0, 1, 2): 4})
