@@ -19,27 +19,20 @@ n_max + 1.  No digit of a label at a level <= n_max exceeds n_max, so
 codes are distinct, code order is label order, and the semi-arc count is
 the leading digit.  The open families' labels are already ints and are
 their own codes.  Only the pushers know the codes: each is built for one
-n_max and owns its encode, its decode and `json_rows`, the JSON rows of a
-run of sorted codes.
+n_max and owns its encode and its decode.
 
-Between levels the DP holds each level in its pusher's own form.  The
-open-family pusher holds a code dict (code -> count).  The partition
-pusher holds rows: a dict from the code of a label's prefix
-(s_0, ..., s_{k-3}) to the list of counts along its last digit, so that a
-push moves whole rows with list arithmetic.  The permutation pusher holds
-rows too: a dict from the code of a label's (h, r) to a dict from its s
-code to the count, so that a push moves whole rows for every rule that
-keeps s.  Every pusher's `step` makes the next level in its form, and
-`push` makes it from a code dict to a code dict.  Each pusher turns a
-code dict into its form (`from_codes`) and back (`to_codes`), reads one
-label's count (`count_of`) and counts a level's labels (`labels`).
-`count_sequence` reads the root's count from each level.  `count_levels`
-and `level_distribution` return each level as a `LevelDistribution` that
-keeps its code dict and its pusher: `entries` (the tuple labels above, in
-label order) is decoded on first read, and `dump` writes the level in
-code order, which is label order, one chunk of `DUMP_CHUNK` labels at a
-time: its JSON rows come from `json_rows`, straight from the codes, and
-its text and CSV lines decode one chunk.
+Between levels the DP holds each level in its pusher's own form: the
+open-family pusher a code dict (code -> count), and the partition and
+permutation pushers rows, so that a push moves whole rows (a row holds
+the labels that differ only in the last digit, or in s).  Every pusher's
+`step` makes the next level in its form, and `push` makes it from a code
+dict to a code dict.  Each pusher turns a code dict into its form
+(`from_codes`) and back (`to_codes`), reads one label's count
+(`count_of`), counts a level's labels (`labels`), gives the bit length of
+its widest count (`count_bits`) and reads a level in label order, row by
+row (`walk`).  `count_sequence` reads the root's count from each level;
+`count_levels` and `level_distribution` return each level in that form,
+as a `LevelDistribution`.
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import add
 from time import perf_counter
 
@@ -112,72 +105,64 @@ DUMP_CHUNK = 1024
 
 
 class LevelDistribution:
-    """Exact multiset of labels at one level of a generating tree.
-
-    The level is held as a count per label code, which its pusher's
-    `to_codes` made from the DP's own form of the level, with the pusher
-    that owns the codes.  `entries` (label -> count, in label order) is
-    decoded from the codes on first read and then kept; `total()` sums the
-    counts without decoding.  `dump` writes the level in any format of
-    `count --all-labels` without reading `entries`, and `to_json()` is its
-    JSON line, so a JSON dump decodes nothing.
+    """Exact multiset of labels at one level of a generating tree, held
+    in its pusher's form, which the pusher's `walk` reads in label order.
+    `entries` (label -> count, in label order) is decoded on first read
+    and then kept; `dump` writes the level in any format of
+    `count --all-labels` without reading it.
     """
 
-    def __init__(self, level, codes, pusher):
+    def __init__(self, level, rows, pusher):
         self.level = level
-        self._codes = codes
+        self._rows = rows
         self._pusher = pusher
         self._entries = None
 
     @property
     def entries(self):
         if self._entries is None:
-            decode, codes = self._pusher.decode, self._codes
-            self._entries = {decode(c): codes[c] for c in sorted(codes)}
+            rows = self._pusher.walk(self._rows, False)
+            self._entries = dict(chain.from_iterable(rows))
         return self._entries
 
     def total(self):
-        return sum(self._codes.values())
+        pairs = chain.from_iterable(self._pusher.walk(self._rows, False))
+        return sum(count for _, count in pairs)
 
     def dump(self, write, fmt):
         """Write the level as `count --all-labels --format fmt` prints it,
-        newline included, passing `write` one chunk of at most `DUMP_CHUNK`
-        labels at a time, in label order.
+        newline included, passing `write` one chunk of `DUMP_CHUNK` labels
+        at a time (the last may hold fewer), in label order.
 
         "json" is one line, {"n": level, "labels": [{"label": [...],
         "count": "..."}, ...]}, as `json.dumps` writes it, each label a
-        list (a permutation's r and s nested lists); the pusher's
-        `json_rows` writes each chunk's rows from the codes.  "csv" is a
+        list (a permutation's r and s nested lists).  "csv" is a
         "label,count" header and one row per label, the label as JSON;
         "text" is one "label: count" line per label, the label as Python
-        prints it.  Both decode one chunk of labels at a time.
+        prints it.
         """
-        codes, pusher = self._codes, self._pusher
-        order = sorted(codes)
-        chunks = (
-            order[i : i + DUMP_CHUNK] for i in range(0, len(order), DUMP_CHUNK)
-        )
+        labels = chain.from_iterable(self._pusher.walk(self._rows, fmt == "json"))
+        chunks = iter(lambda: list(islice(labels, DUMP_CHUNK)), [])
         if fmt == "json":
             write('{"n": %d, "labels": [' % self.level)
             sep = ""
             for chunk in chunks:
-                write(sep + pusher.json_rows(codes, chunk))
+                write(sep + ", ".join(chunk))
                 sep = ", "
             write("]}")
             write("\n")
         elif fmt == "csv":
-            decode, buf = pusher.decode, io.StringIO()
+            buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["label", "count"])
             for chunk in chunks:
-                writer.writerows([_json_label(decode(c)), codes[c]] for c in chunk)
+                writer.writerows([_json_label(label), count] for label, count in chunk)
                 write(buf.getvalue())
                 buf.seek(0)
                 buf.truncate()
         elif fmt == "text":
-            decode = pusher.decode
             for chunk in chunks:
-                write("".join([f"{decode(c)}: {codes[c]}\n" for c in chunk]))
+                write("".join([f"{label}: {count}\n" for label, count in chunk]))
         else:
             raise ValueError(f"unknown dump format {fmt!r}")
 
@@ -186,8 +171,7 @@ class LevelDistribution:
         its newline."""
         pieces = []
         self.dump(pieces.append, "json")
-        pieces.pop()  # the newline
-        return "".join(pieces)
+        return "".join(pieces[:-1])  # without the newline
 
     def __eq__(self, other):
         if not isinstance(other, LevelDistribution):
@@ -354,10 +338,7 @@ def _level_stream(pusher, root, n_max, max_labels, prune, stats=None):
                 "labels_in": labels_in,
                 "labels_kept": kept,
                 "push_s": round(push_s, 6),
-                "max_count_bits": max(
-                    (c.bit_length() for c in pusher.to_codes(current).values()),
-                    default=0,
-                ),
+                "max_count_bits": pusher.count_bits(current),
             })
         if max_labels is not None and kept > max_labels:
             raise ResourceLimitError(
@@ -379,10 +360,7 @@ def count_levels(spec, n_max, max_labels=None):
     pusher = _pusher(spec, n_max, max_labels)
     root = pusher.encode(spec.root_label())
     stream = _level_stream(pusher, root, n_max, max_labels, prune=False)
-    return [
-        LevelDistribution(n, pusher.to_codes(level), pusher)
-        for n, level in enumerate(stream)
-    ]
+    return [LevelDistribution(n, level, pusher) for n, level in enumerate(stream)]
 
 
 def level_distribution(spec, n, max_labels=None, stats=None):
@@ -393,7 +371,7 @@ def level_distribution(spec, n, max_labels=None, stats=None):
     root = pusher.encode(spec.root_label())
     for level in _level_stream(pusher, root, n, max_labels, False, stats):
         pass
-    return LevelDistribution(n, pusher.to_codes(level), pusher)
+    return LevelDistribution(n, level, pusher)
 
 
 class _GenericPusher:
@@ -422,11 +400,16 @@ class _GenericPusher:
         return codes.get(code, 0)
 
     @staticmethod
-    def json_rows(codes, chunk):
-        """The JSON rows of the sorted codes `chunk`, with their counts in
-        `codes`, joined by ", "."""
-        row = '{"label": [%d], "count": "%d"}'
-        return ", ".join([row % (c, codes[c]) for c in chunk])
+    def walk(codes, json):
+        """The level in label order, as one row of the digit pushers' `walk`."""
+        if json:
+            yield [f'{{"label": [{c}], "count": "{codes[c]}"}}' for c in sorted(codes)]
+        else:
+            yield [(c, codes[c]) for c in sorted(codes)]
+
+    @staticmethod
+    def count_bits(codes):
+        return max(map(int.bit_length, codes.values()), default=0)
 
     def step(self, codes, limit=None):
         return self.push(codes, limit)
@@ -550,11 +533,6 @@ class _RangeSumPusher(_DigitCodec):
     def decode(self, code):
         return tuple(self.decode_digits(code))
 
-    def json_rows(self, codes, chunk):
-        row, digits = '{"label": %s, "count": "%d"}', self.decode_digits
-        # a list of ints prints as JSON
-        return ", ".join([row % (digits(c), codes[c]) for c in chunk])
-
     def from_codes(self, codes):
         """The level of a code dict, as rows."""
         rows, slots, base = {}, self.slots, self.base
@@ -585,6 +563,26 @@ class _RangeSumPusher(_DigitCodec):
     def labels(rows):
         """The labels of a level held as rows: its nonzero slots."""
         return sum([len(row) - row.count(0) for row in rows.values()])
+
+    @staticmethod
+    def count_bits(rows):
+        return max(map(int.bit_length, chain.from_iterable(rows.values())), default=0)
+
+    def walk(self, rows, json):
+        """The nonzero slots of a level held as rows, in label order, one
+        list per row: each label's (label, count) or, with `json`, its row
+        of the JSON dump.  A row's head, the digits before the last, is
+        decoded once."""
+        for key, row in sorted(rows.items()):
+            # `last` is 0, or for k = 2, where a row has one slot, s_0
+            *head, last = self.decode_digits(key * self.slots)
+            row = enumerate(row, last)  # (the last digit, the count) per slot
+            if json:
+                head = '{"label": [' + "".join([f"{d}, " for d in head])
+                yield [f'{head}{t}], "count": "{count}"}}' for t, count in row if count]
+            else:
+                head = tuple(head)
+                yield [(head + (t,), count) for t, count in row if count]
 
     def push(self, codes, limit=None):
         return self.to_codes(self.step(self.from_codes(codes), limit))
@@ -771,9 +769,7 @@ class _PermutationPusher(_DigitCodec):
     limit makes no semi-opener, a row at it makes only its upper closings
     and no (4), and one past it makes nothing.  `lower` keeps entries
     from every level pushed so far; its one empty entry, h = 0 and v = 0,
-    is built again each time it is read.  The JSON rows of a chunk are
-    written in code order, (h, r) group by group: a group's row head is
-    built once, and each vector's text is cached per vector code.
+    is built again each time it is read.
     """
 
     def __init__(self, family, k, n_max):
@@ -795,23 +791,6 @@ class _PermutationPusher(_DigitCodec):
         hr, s = divmod(code, self.vector)
         h, r = divmod(hr, self.vector)
         return h, self._vector(r), self._vector(s)
-
-    def json_rows(self, codes, chunk):
-        """The rows of the sorted codes `chunk`, in which each (h, r) group
-        is together: a group's row head, up to r's text, is built once per
-        chunk it meets."""
-        vector, texts = self.vector, self.texts
-        rows = []
-        group = None
-        for code in chunk:
-            hr, s = divmod(code, vector)
-            if hr != group:
-                group = hr
-                h, r = divmod(hr, vector)
-                head = '{"label": [%d, %s, ' % (h, texts.get(r) or self._text(r))
-            s_text = texts.get(s) or self._text(s)
-            rows.append(f'{head}{s_text}], "count": "{codes[code]}"}}')
-        return ", ".join(rows)
 
     def _vector(self, v):
         vec = self.vectors.get(v)
@@ -869,6 +848,27 @@ class _PermutationPusher(_DigitCodec):
     def labels(rows):
         """The labels of a level held as rows: the entries of its rows."""
         return sum(map(len, rows.values()))
+
+    @staticmethod
+    def count_bits(rows):
+        counts = chain.from_iterable(map(dict.values, rows.values()))
+        return max(map(int.bit_length, counts), default=0)
+
+    def walk(self, rows, json):
+        """Every entry of a level held as rows, as `_RangeSumPusher.walk`
+        gives the slots: a row's head, h and r, is built once."""
+        vector, texts, text, vec = self.vector, self.texts, self._text, self._vector
+        for key, row in sorted(rows.items()):
+            h, r = divmod(key, vector)
+            if json:
+                head = '{"label": [%d, %s, ' % (h, texts.get(r) or text(r))
+                yield [
+                    f'{head}{texts.get(s) or text(s)}], "count": "{row[s]}"}}'
+                    for s in sorted(row)
+                ]
+            else:
+                head = (h, vec(r))
+                yield [(head + (vec(s),), row[s]) for s in sorted(row)]
 
     def push(self, codes, limit=None):
         return self.to_codes(self.step(self.from_codes(codes), limit))

@@ -276,15 +276,16 @@ class TestCount:
 
     @pytest.mark.parametrize("family,k", [
         *((family, k) for family in gentree.CONSTRAINED_FAMILIES
-          for k in range(2, 6)),
+          for k in range(2, 7)),
         ("open-partitions", None), ("open-permutations", None),
     ])
     def test_all_labels_dump_equals_unchunked_dump(self, capsys, monkeypatch,
                                                    family, k):
         """Every format of the chunked dump against a copy of the code it
         replaced, at the default chunk and at chunks of 1 and 7 labels.
-        Permutations at k = 4 and 5 have more than one default chunk of
-        labels at n = 9 (1,230 and 2,285), and k = 5 at n = 11 (11,262)."""
+        Permutations at k = 4, 5 and 6 have more than one default chunk of
+        labels at n = 9 (1,230, 2,285 and 2,456), and k = 5 at n = 11
+        (11,262)."""
         spec = FamilySpec(family, k)
         chunks = (gentree.DUMP_CHUNK, 1, 7)
         sizes = list(range(10))
@@ -334,11 +335,16 @@ def _unchunked_dump(level, fmt):
     """The stdout of `count --all-labels` for `level` before the dump was
     written in chunks: `print(level.to_json())` with each pusher's rows of
     the whole level, `_print_csv` of `_label_rows(level.entries)`, or one
-    print per entry, as the CLI and the pushers had them."""
+    print per entry, as the CLI and the pushers had them.  The level is
+    read as its code dict, `to_codes` of its rows, and `entries` is that
+    dict decoded in code order, as it was before the dump read the rows."""
+    pusher = level._pusher
+    codes = pusher.to_codes(level._rows)
+    entries = {pusher.decode(code): codes[code] for code in sorted(codes)}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         if fmt == "json":
-            rows = _unchunked_json_rows(level._pusher, level._codes)
+            rows = _unchunked_json_rows(pusher, codes)
             print('{"n": %d, "labels": [%s]}' % (level.level, rows))
         elif fmt == "csv":
             buf = io.StringIO()
@@ -347,13 +353,40 @@ def _unchunked_dump(level, fmt):
             writer.writerows([
                 [str(l).replace("(", "[").replace(")", "]").replace(",]", "]"),
                  str(c)]
-                for l, c in level.entries.items()
+                for l, c in entries.items()
             ])
             sys.stdout.write(buf.getvalue())
         else:
-            for label, count in level.entries.items():
+            for label, count in entries.items():
                 print(f"{label}: {count}")
     return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dump_of_sparse_signed_rows_equals_unchunked_dump(data):
+    """Every format of the dump of a level built with `from_codes` from a
+    subset of a level's labels, with counts of either sign or zero (the
+    first label's nonzero, as a level has a label), so that rows have
+    gaps, against the plain path: a permutation or open level keeps its
+    zero entries and a partition level drops them, as `to_codes` does."""
+    family = data.draw(st.sampled_from(gentree.FAMILIES))
+    k = data.draw(st.integers(2, 6)) if family in gentree.CONSTRAINED_FAMILIES else None
+    n = data.draw(st.integers(0, 7))
+    spec = FamilySpec(family, k)
+    labels = sorted(gentree.level_distribution(spec, n).entries)
+    chosen = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=30,
+                                unique=True))
+    counts = st.just(0) | st.integers(-2**100, 2**100)
+    pusher = gentree._pusher(spec, n)
+    codes = {pusher.encode(label): data.draw(counts) for label in chosen}
+    codes[pusher.encode(chosen[0])] = data.draw(st.integers(1, 2**100))
+    level = gentree.LevelDistribution(n, pusher.from_codes(codes), pusher)
+    for fmt in ("text", "json", "csv"):
+        pieces = []
+        level.dump(pieces.append, fmt)
+        assert "".join(pieces) == _unchunked_dump(level, fmt), fmt
+    assert level._entries is None
 
 
 def _unchunked_json_rows(pusher, codes):

@@ -5,12 +5,13 @@ import json
 import re
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonnesting import gentree
 from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import (
     _closing_options,
@@ -19,6 +20,7 @@ from nonnesting.gentree import (
     DUMP_CHUNK,
     FAMILIES,
     FamilySpec,
+    LevelDistribution,
     count_levels,
     count_sequence,
     generate_diagrams,
@@ -872,16 +874,53 @@ def _writer_cases():
     yield "open-permutations", None
 
 
+def _decoded(pusher, rows):
+    """The (label, count) pairs of a level held in the pusher's form, read
+    as its code dict, `to_codes`, decoded in code order."""
+    codes = pusher.to_codes(rows)
+    return [(pusher.decode(code), codes[code]) for code in sorted(codes)]
+
+
 @pytest.mark.parametrize("family,k", list(_writer_cases()))
 def test_json_writer_equals_dumped_sorted_dict(family, k):
-    """LevelDistribution.to_json against json.dumps of the dict it replaces;
-    k = 2 has the 1-tuple partition labels and permutation labels with
-    empty r and s."""
+    """LevelDistribution.to_json against json.dumps of the dict it replaces,
+    on levels 0..9; k = 2 has the 1-tuple partition labels and permutation
+    labels with empty r and s.  `entries`, which that dict is built from,
+    is the level's code dict decoded in code order."""
     spec = FamilySpec(family, k)
-    for n in (0, 1, 5, 8):
+    for n in range(10):
         level = level_distribution(spec, n)
+        assert list(level.entries.items()) == _decoded(level._pusher, level._rows)
         assert list(level.entries) == sorted(level.entries)
         assert level.to_json() == json.dumps(_old_json_dict(level))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_walk_and_count_bits_equal_the_code_dict_on_sparse_levels(data):
+    """On a level built with `from_codes` from labels with counts of either
+    sign or zero, `entries`, which the pusher's `walk` reads from the
+    rows, is the level's code dict decoded in code order, a partition
+    level without its zero counts, which `to_codes` drops; `total()` is
+    the dict's sum, and `count_bits` the widest bit length of its counts."""
+    family = data.draw(st.sampled_from(FAMILIES))
+    k = data.draw(st.integers(2, 7)) if family in CONSTRAINED_FAMILIES else None
+    pusher = _pusher(FamilySpec(family, k), 15)
+    labels = data.draw(st.lists(_labels(family, k), min_size=1, max_size=12,
+                                unique=True))
+    counts = data.draw(st.lists(st.just(0) | st.integers(-2**300, 2**300),
+                                min_size=len(labels), max_size=len(labels)))
+    rows = pusher.from_codes(
+        {pusher.encode(label): count for label, count in zip(labels, counts)}
+    )
+    codes = pusher.to_codes(rows)
+    level = LevelDistribution(15, rows, pusher)
+    assert level.total() == sum(codes.values())
+    assert level._entries is None
+    assert list(level.entries.items()) == _decoded(pusher, rows)
+    assert pusher.count_bits(rows) == max(
+        (count.bit_length() for count in codes.values()), default=0
+    )
 
 
 def _too_open(spec, n):
@@ -914,6 +953,18 @@ def test_json_from_codes_equals_dumped_entries(family, k):
             assert level.entries.get(_too_open(spec, n), 0) == 0
 
 
+def _labels_per_piece(pieces, fmt):
+    """The number of labels in each piece of a dump in format fmt that
+    holds any."""
+    if fmt == "json":
+        sizes = [piece.count('{"label": ') for piece in pieces]
+    else:
+        sizes = [piece.count("\n") for piece in pieces]
+        if fmt == "csv":
+            sizes[0] -= 1  # the header line
+    return [size for size in sizes if size]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_dump_writes_one_chunk_of_labels_at_a_time(fmt):
     """A dump of 11,262 labels reaches `write` as pieces of at most one
@@ -925,21 +976,41 @@ def test_dump_writes_one_chunk_of_labels_at_a_time(fmt):
     assert level._entries is None
     if fmt == "json":
         assert "".join(pieces) == level.to_json() + "\n"
-        sizes = [piece.count('{"label": ') for piece in pieces]
-    else:
-        sizes = [piece.count("\n") for piece in pieces]
-        if fmt == "csv":
-            sizes[0] -= 1  # the header line
-    labels = [size for size in sizes if size]
+    labels = _labels_per_piece(pieces, fmt)
     full, rest = divmod(len(level.entries), DUMP_CHUNK)
     assert labels == [DUMP_CHUNK] * full + [rest] * (rest > 0)
     assert len(labels) > 1
 
 
+@pytest.mark.parametrize("family,k,n,fmt", [
+    ("partitions", 4, 7, "text"), ("partitions", 4, 7, "json"),
+    ("partitions", 4, 7, "csv"), ("permutations", 4, 5, "text"),
+    ("permutations", 4, 5, "json"), ("permutations", 4, 5, "csv"),
+])
+def test_dump_splits_a_row_between_chunks(monkeypatch, family, k, n, fmt):
+    """At a chunk of 4 labels, some row of the level (a partition prefix,
+    a permutation's (h, r)) holds labels on both sides of a chunk's end:
+    the dump still hands `write` pieces of 4 labels each but the last,
+    without decoding `entries`."""
+    monkeypatch.setattr(gentree, "DUMP_CHUNK", 4)
+    level = level_distribution(FamilySpec(family, k), n)
+    ends = list(accumulate(map(len, level._pusher.walk(level._rows, False))))
+    assert any(start // 4 < (end - 1) // 4 for start, end in zip([0] + ends, ends))
+    pieces = []
+    level.dump(pieces.append, fmt)
+    full, rest = divmod(ends[-1], 4)
+    assert _labels_per_piece(pieces, fmt) == [4] * full + [rest] * (rest > 0)
+    assert level._entries is None
+
+
 def test_dump_rejects_an_unknown_format():
-    level = level_distribution(FamilySpec("partitions", 3), 2)
-    with pytest.raises(ValueError, match="unknown dump format 'xml'"):
-        level.dump(print, "xml")
+    """Before it writes anything, for each pusher."""
+    for family, k in ("partitions", 3), ("permutations", 3), ("open-partitions", None):
+        level = level_distribution(FamilySpec(family, k), 2)
+        pieces = []
+        with pytest.raises(ValueError, match="unknown dump format 'xml'"):
+            level.dump(pieces.append, "xml")
+        assert pieces == [], family
 
 
 class TestLevelStats:
