@@ -25,14 +25,16 @@ Between levels the DP holds each level in its pusher's own form: the
 open-family pusher a code dict (code -> count), and the partition and
 permutation pushers rows, so that a push moves whole rows (a row holds
 the labels that differ only in the last digit, or in s).  Every pusher's
-`step` makes the next level in its form, and `push` makes it from a code
-dict to a code dict.  Each pusher turns a code dict into its form
-(`from_codes`) and back (`to_codes`), reads one label's count
-(`count_of`), counts a level's labels (`labels`), gives the bit length of
-its widest count (`count_bits`) and reads a level in label order, row by
-row (`walk`).  `count_sequence` reads the root's count from each level;
-`count_levels` and `level_distribution` return each level in that form,
-as a `LevelDistribution`.
+one `step` makes the next level in its form.  With `limit` (a multiple of
+the pusher's `weight`, the unit of the semi-arc digit), the next level
+holds only the children whose codes are below it; `None` is no limit.
+Each pusher turns a code dict into its form (`from_codes`) and back
+(`to_codes`), reads one label's count (`count_of`), counts a level's
+labels (`labels`), gives the bit length of its widest count
+(`count_bits`) and reads a level in label order, row by row (`walk`).
+`count_sequence` reads the root's count from each level; `count_levels`
+and `level_distribution` return each level in that form, as a
+`LevelDistribution`.
 """
 
 from __future__ import annotations
@@ -160,6 +162,8 @@ class LevelDistribution:
                 write(buf.getvalue())
                 buf.seek(0)
                 buf.truncate()
+            if buf.tell():  # no label came: the header alone
+                write(buf.getvalue())
         elif fmt == "text":
             for chunk in chunks:
                 write("".join([f"{label}: {count}\n" for label, count in chunk]))
@@ -380,7 +384,7 @@ class _GenericPusher:
     Their labels are already ints (the open families' semi-arc count), so
     the codec is the identity and the semi-arc digit has weight 1.  A
     level is held as its code dict: `from_codes` and `to_codes` are the
-    identity, and `step` is `push`.
+    identity.
     """
 
     weight = 1
@@ -411,12 +415,8 @@ class _GenericPusher:
     def count_bits(codes):
         return max(map(int.bit_length, codes.values()), default=0)
 
-    def step(self, codes, limit=None):
-        return self.push(codes, limit)
-
-    def push(self, current, limit=None):
-        """The next level.  With `limit` (a multiple of `weight`), only the
-        children whose codes are below it; every pusher's `push` takes it."""
+    def step(self, current, limit=None):
+        """The next level."""
         nxt = {}
         for label, count in current.items():
             children = self.successors(label).items()
@@ -438,7 +438,7 @@ class _DigitCodec:
         self.base = n_max + 1
         self.weights = [self.base ** (width - 1 - j) for j in range(width)]
         self.weight = self.weights[0]
-        # past every child of a level < n_max: no push bound when none is given
+        # past every child of a level < n_max: a step's bound under no limit
         self.unbounded = (n_max + 2) * self.weight
 
     def encode_digits(self, digits):
@@ -472,12 +472,12 @@ class _RangeSumPusher(_DigitCodec):
 
     The fixed point keeps the row (enhanced: s_1 set to s_0) and the
     opener moves it to s_0 + 1; a row that meets another at its key is
-    added to it slot by slot.  For k = 3 the enhanced fixed point gathers
-    the row into slot s_0 of its own key: once the other children are in,
-    the row's total is added there with one add, on a copy of the row
-    that the key holds.  The ranged closing j of (3)/(4) gives a label
-    the children (s_0, s_1 - 1, ..., s_{j-1} - 1, i, s_{j+1}, ...) and
-    those with s_0 - 1, for s_j <= i < s_{j-1}.
+    added to it slot by slot, by `_add`.  For k = 3 the enhanced fixed
+    point gathers the row into slot s_0 of its own key: once the other
+    children are in, the row's total is added there with one add, in
+    place.  The ranged closing j of (3)/(4) gives a label the children
+    (s_0, s_1 - 1, ..., s_{j-1} - 1, i, s_{j+1}, ...) and those with
+    s_0 - 1, for s_j <= i < s_{j-1}.
 
     For the last digit, j = k - 2, the children of a row's labels share a
     row, and the top closing of the label at t is its ranged child at
@@ -487,21 +487,20 @@ class _RangeSumPusher(_DigitCodec):
 
     An earlier rule j < k - 2 moves whole rows.  Its children at i get the
     running sum of a group's rows at 0..i, where a group is the rows that
-    differ only in digit j.  The first pass adds each group to rule j's
-    set when one of its rows closes there (s_j < s_{j-1}).  One sweep per
-    group then reads its rows straight from the level, for i from the
-    group's s_{j+1}, below which it has no row, to s_{j-1} - 1.  For
-    j = k - 3, s_{j+1} is the rows' own last digit: the sweep starts at
-    0, and its row i has i + 1 slots.  A push costs the rows it adds, not
-    the sum of the range lengths.
+    differ only in digit j.  The first pass of a step adds each group to
+    the step's set for rule j when one of its rows closes there
+    (s_j < s_{j-1}).  One sweep per group then reads its rows straight
+    from the level, for i from the group's s_{j+1}, below which it has no
+    row, to s_{j-1} - 1.  For j = k - 3, s_{j+1} is the rows' own last
+    digit: the sweep starts at 0, and its row i has i + 1 slots.  A push
+    costs the rows it adds, not the sum of the range lengths.
 
-    Every closing applies the horizon: under a `limit` (a multiple of w_0)
-    it adds the semi-transitory child only below the limit, and always its
-    closer, one semi-arc lower.  A row and its children share its labels'
-    s_0, so they fall on one side of the limit together.  A row one
-    semi-arc below the limit makes no semi-opener, a row at it makes no
-    fixed point, and one past it makes nothing: its groups are never added.
-    `push` is the same push on a code dict.
+    Every closing applies the horizon: under a `limit` it adds the
+    semi-transitory child only below the limit, and always its closer, one
+    semi-arc lower.  A row and its children share its labels' s_0, so they
+    fall on one side of the limit together.  A row one semi-arc below the
+    limit makes no semi-opener, a row at it makes no fixed point, and one
+    past it makes nothing: its groups are never added.
     """
 
     def __init__(self, family, k, n_max):
@@ -522,10 +521,6 @@ class _RangeSumPusher(_DigitCodec):
             (keys[j], sum(keys[1:j]), keys[j - 1], keys[j + 1] if j + 1 < m else None)
             for j in range(1, m)
         )
-        # each earlier rule's groups, emptied at the start of each push, and
-        # its step
-        self.groups = [set() for _ in self.rules]
-        self.steps = list(zip(self.groups, keys[1:m]))
 
     def encode(self, label):
         return self.encode_digits(label)
@@ -584,23 +579,19 @@ class _RangeSumPusher(_DigitCodec):
                 head = tuple(head)
                 yield [(head + (t,), count) for t, count in row if count]
 
-    def push(self, codes, limit=None):
-        return self.to_codes(self.step(self.from_codes(codes), limit))
-
     def step(self, rows, limit=None):
-        """The next level of a level held as rows, under `limit` as in
-        `push`."""
+        """The next level of a level held as rows."""
         p0, p1, m, below = self.p0, self.p1, self.m, self.below
         grow = m == 1  # k = 3: s_0 bounds the row, so the opener lengthens it
-        cap = self.base + 1 if limit is None else limit // self.weight
+        cap = (self.unbounded if limit is None else limit) // self.weight
         enhanced = self.enhanced
         # (1) fixed point: each row stays, but those at or past the limit,
         # which the first pass deletes
         nxt = {} if enhanced else dict(rows)
         get = nxt.get
-        rules, groups, steps = self.rules, self.groups, self.steps
-        for rule_groups in groups:
-            rule_groups.clear()
+        rules = self.rules
+        # each earlier rule's groups, which the first pass finds, and its step
+        steps = [(set(), w) for w, *_ in rules]
         for key, row in rows.items():
             s0, rest = divmod(key, p0)
             if s0 < cap:
@@ -616,15 +607,13 @@ class _RangeSumPusher(_DigitCodec):
                         low = None
                     if low is not None:
                         old = get(low)
-                        nxt[low] = child if old is None else (
-                            [old[0] + child[0]] if len(old) == 1 else _add(old, child))
+                        nxt[low] = child if old is None else _add(old, child)
                 # (2) semi-opener
                 if s0 + 1 < cap:
                     low = key + p0
                     child = row + [0] if grow else row
                     old = get(low)
-                    nxt[low] = child if old is None else (
-                        [old[0] + child[0]] if len(old) == 1 else _add(old, child))
+                    nxt[low] = child if old is None else _add(old, child)
             else:
                 if not enhanced:
                     del nxt[key]
@@ -651,14 +640,12 @@ class _RangeSumPusher(_DigitCodec):
             if s0 < cap:
                 semi = child + [0] if grow else child
                 old = get(low)
-                nxt[low] = semi if old is None else (
-                    [old[0] + semi[0]] if len(old) == 1 else _add(old, semi))
+                nxt[low] = semi if old is None else _add(old, semi)
             low -= p0
             old = get(low)
-            nxt[low] = child if old is None else (
-                [old[0] + child[0]] if len(old) == 1 else _add(old, child))
+            nxt[low] = child if old is None else _add(old, child)
         level, base = rows.get, self.base
-        for rule_groups, (w, lose, bound, start) in zip(groups, rules):
+        for (rule_groups, _), (w, lose, bound, start) in zip(steps, rules):
             for group in rule_groups:
                 # child i: the group's rows at 0..i summed, for i from its
                 # s_{j+1} (0 when that is the rows' own digit) to s_{j-1} - 1
@@ -674,8 +661,6 @@ class _RangeSumPusher(_DigitCodec):
                         elif start is None:  # row i has one slot more
                             total = list(map(add, total, row))
                             total.append(row[-1])
-                        elif len(row) == 1:
-                            total = [total[0] + row[0]]
                         else:
                             total = _add(total, row)
                     elif total is None:
@@ -685,28 +670,27 @@ class _RangeSumPusher(_DigitCodec):
                         total = total + [0]
                     if semi:
                         old = get(low + p0)
-                        nxt[low + p0] = total if old is None else (
-                            [old[0] + total[0]] if len(old) == 1 else _add(old, total))
+                        nxt[low + p0] = total if old is None else _add(old, total)
                     old = get(low)
-                    nxt[low] = total if old is None else (
-                        [old[0] + total[0]] if len(old) == 1 else _add(old, total))
+                    nxt[low] = total if old is None else _add(old, total)
                     low += w
         if enhanced and m == 1:
             # (1) fixed point for k = 3: each row's total into slot s_0 of
-            # the row at its own key, s_0, on a copy of that row
+            # the row at its own key, s_0.  Every row `nxt` holds here is a
+            # new list this step built (the opener's and the closings' rows
+            # and the sums of `_add`), held at one key, so it is added in place.
             for key, row in rows.items():
                 if key < cap:
                     old = get(key)
-                    child = [0] * (key + 1) if old is None else old.copy()
-                    child[key] += sum(row)
-                    nxt[key] = child
+                    if old is None:
+                        old = nxt[key] = [0] * (key + 1)
+                    old[key] += sum(row)
         return nxt
 
 
 def _add(a, b):
-    """The slot-by-slot sum of two rows of one length, as a new row; the
-    push sums rows of one slot itself, without the call."""
-    return list(map(add, a, b))
+    """The slot-by-slot sum of two rows of one length, as a new row."""
+    return [a[0] + b[0]] if len(a) == 1 else list(map(add, a, b))
 
 
 class _PermutationPusher(_DigitCodec):
@@ -759,17 +743,16 @@ class _PermutationPusher(_DigitCodec):
     one row alone shares it; the row is copied before a second row is
     added into it.  The rows a push makes entry by entry are its own.
     A step makes an entry for every child code it adds a count to, with
-    a zero count where the counts cancel, so `push`, which flattens the
-    step's rows with `to_codes`, keeps the zero entries a push label by
-    label on the code dict would keep.
+    a zero count where the counts cancel, so `to_codes` of its rows keeps
+    the zero entries a push label by label on the code dict would keep.
 
-    The push applies the horizon: under a `limit` (a multiple of w_h)
-    it adds the upper semi-transitory rows only below the limit, and
-    always moves them down into `lowered`.  A row one semi-arc below the
-    limit makes no semi-opener, a row at it makes only its upper closings
-    and no (4), and one past it makes nothing.  `lower` keeps entries
-    from every level pushed so far; its one empty entry, h = 0 and v = 0,
-    is built again each time it is read.
+    The push applies the horizon: under a `limit` it adds the upper
+    semi-transitory rows only below the limit, and always moves them down
+    into `lowered`.  A row one semi-arc below the limit makes no
+    semi-opener, a row at it makes only its upper closings and no (4), and
+    one past it makes nothing.  `lower` keeps entries from every level
+    pushed so far; its one empty entry, h = 0 and v = 0, is built again
+    each time it is read.
     """
 
     def __init__(self, family, k, n_max):
@@ -777,7 +760,6 @@ class _PermutationPusher(_DigitCodec):
         super().__init__(2 * self.m + 1, n_max)
         self.vector = self.base**self.m  # B^m, h's unit in a key
         self.r1_unit = self.vector // self.base  # r_1's unit in r (k = 2: 0)
-        self.r1_weight = self.r1_unit * self.vector  # r_1's unit in a code
         self.units = self.weights[self.m + 1 :]  # w_1, ..., w_m: v's digits
         self.lower = {}  # (h, vector) code -> the deltas of its closings
         self.vectors = {}  # vector code -> the vector, shared by the labels
@@ -870,12 +852,8 @@ class _PermutationPusher(_DigitCodec):
                 head = (h, vec(r))
                 yield [(head + (vec(s),), row[s]) for s in sorted(row)]
 
-    def push(self, codes, limit=None):
-        return self.to_codes(self.step(self.from_codes(codes), limit))
-
     def step(self, rows, limit=None):
-        """The next level of a level held as rows, under `limit` as in
-        `push`."""
+        """The next level of a level held as rows."""
         unit, r1 = self.vector, self.r1_unit
         cap = (self.unbounded if limit is None else limit) // unit
         lower, closings = self.lower, self._lower

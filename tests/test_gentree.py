@@ -258,6 +258,11 @@ def test_pruned_sequence_equals_unpruned_levels(family, k, n_max):
     assert level_distribution(spec, n_max) == levels[n_max]
 
 
+def _push(pusher, level, limit=None):
+    """One step of `pusher` from a code dict to a code dict."""
+    return pusher.to_codes(pusher.step(pusher.from_codes(level), limit))
+
+
 def _rule_push(spec, level):
     """One level pushed through the succession rule label by label: the
     sum of count * spec.successors(label)."""
@@ -273,7 +278,7 @@ def _coded_push(pusher):
     label encoded, the codes pushed, the children decoded."""
 
     def push(level):
-        pushed = pusher.push({pusher.encode(l): c for l, c in level.items()})
+        pushed = _push(pusher, {pusher.encode(l): c for l, c in level.items()})
         return {pusher.decode(code): count for code, count in pushed.items()}
 
     return push
@@ -359,8 +364,8 @@ def test_push_under_a_limit_equals_filtered_push(family, data):
     # one past the largest semi-arc count of a child: 16, or 41 when open
     top = 17 if family in CONSTRAINED_FAMILIES else 42
     limit = data.draw(st.integers(0, top)) * pusher.weight
-    assert pusher.push(level, limit) == {
-        c: v for c, v in pusher.push(level).items() if c < limit
+    assert _push(pusher, level, limit) == {
+        c: v for c, v in _push(pusher, level).items() if c < limit
     }
 
 
@@ -378,11 +383,11 @@ def test_partition_push_under_every_limit_equals_filtered_push(family, k):
     level = {pusher.encode(spec.root_label()): 1}
     at_a_limit = False
     for n in range(n_max):
-        full = reference.push(level)
-        assert pusher.push(level, None) == full, n
+        full = _push(reference, level)
+        assert _push(pusher, level, None) == full, n
         for limit in (h * w0 for h in range(n + 3)):
             at_a_limit |= any(limit <= code < limit + w0 for code in level)
-            assert pusher.push(level, limit) == {
+            assert _push(pusher, level, limit) == {
                 c: v for c, v in full.items() if c < limit
             }, (n, limit)
         level = full
@@ -466,10 +471,10 @@ def test_partition_push_equals_line_sweep_push(family, k):
     level = {pusher.encode(spec.root_label()): 1}
     for n in range(n_max):
         for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
-            assert pusher.push(level, limit) == (
+            assert _push(pusher, level, limit) == (
                 _line_sweep_partition_push(reference, level, limit)
             ), (n, limit)
-        level = pusher.push(level)
+        level = _push(pusher, level)
     assert len(level) > n_max
 
 
@@ -532,7 +537,7 @@ def test_partition_push_equals_line_sweep_push_on_sparse_levels(data):
     near = sorted({label[0] + d for label in labels for d in (-1, 0, 1)} - {-1})
     limit = data.draw(st.none() | st.sampled_from(near).map(
         lambda h: h * pusher.weight))
-    assert pusher.push(level, limit) == (
+    assert _push(pusher, level, limit) == (
         _line_sweep_partition_push(reference, level, limit)
     )
 
@@ -565,12 +570,32 @@ def test_row_push_equals_code_push(family, k):
             pushed = pusher.step(rows, limit)
             assert _well_formed(pusher, pushed), (n, limit)
             assert pusher.to_codes(pushed) == expected, (n, limit)
-            assert pusher.push(level, limit) == expected, (n, limit)
+            assert _push(pusher, level, limit) == expected, (n, limit)
         assert rows == before, n
         level = row_sweep_partition_push(pusher, level)
         rows = pusher.step(rows)
         assert pusher.labels(rows) == len(level)
     assert len(level) > n_max
+
+
+def test_enhanced_k3_step_owns_every_row_it_makes():
+    """The k = 3 enhanced fixed point adds into the rows of the step's
+    output in place, so each of them must be a new list held at one key:
+    on every full level up to n_max and under every limit, no list of a
+    step's output is held at two keys or shared with the level it read,
+    and that level is unchanged."""
+    n_max = 14
+    pusher = _pusher(FamilySpec("partitions-enhanced", 3), n_max)
+    rows = pusher.from_codes({pusher.encode((0, 0)): 1})
+    for n in range(n_max):
+        before = copy.deepcopy(rows)
+        read = {id(row) for row in rows.values()}
+        for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
+            made = [id(row) for row in pusher.step(rows, limit).values()]
+            assert len(set(made)) == len(made), (n, limit)
+            assert read.isdisjoint(made), (n, limit)
+            assert rows == before, (n, limit)
+        rows = pusher.step(rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -596,7 +621,7 @@ def test_row_push_equals_code_push_on_sparse_levels(data):
     limit = data.draw(st.none() | st.sampled_from(near).map(
         lambda h: h * pusher.weight))
     expected = row_sweep_partition_push(pusher, level, limit)
-    assert pusher.push(level, limit) == {c: v for c, v in expected.items() if v}
+    assert _push(pusher, level, limit) == {c: v for c, v in expected.items() if v}
 
 
 def _two_pass_permutation_push(pusher, current, limit=None):
@@ -610,7 +635,8 @@ def _two_pass_permutation_push(pusher, current, limit=None):
     if limit is None:
         limit = pusher.unbounded
     top = limit - wh
-    r1_weight, r1_unit = pusher.r1_weight, pusher.r1_unit
+    r1_unit = pusher.r1_unit
+    r1_weight = r1_unit * vector  # r_1's unit in a code
     closings = tuple_permutation_closings(pusher, _closing_options)
     for code, count in current.items():
         hr, s = divmod(code, vector)
@@ -659,10 +685,10 @@ def test_permutation_push_equals_two_pass_push(k, n_max):
     level = {pusher.encode(spec.root_label()): 1}
     for n in range(n_max):
         for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
-            assert pusher.push(level, limit) == (
+            assert _push(pusher, level, limit) == (
                 _two_pass_permutation_push(reference, level, limit)
             ), (n, limit)
-        level = pusher.push(level)
+        level = _push(pusher, level)
 
 
 @settings(max_examples=300, deadline=None)
@@ -679,7 +705,7 @@ def test_permutation_push_equals_two_pass_push_on_signed_counts(data):
     level = {pusher.encode(label): count for label, count in zip(labels, counts)}
     limit = data.draw(st.none() | st.integers(0, 17).map(
         lambda h: h * pusher.weight))
-    assert pusher.push(level, limit) == (
+    assert _push(pusher, level, limit) == (
         _two_pass_permutation_push(reference, level, limit)
     )
 
@@ -753,7 +779,7 @@ def test_permutation_row_step_equals_code_push_on_sparse_levels(data):
     assert pusher.to_codes(pushed) == expected
     assert all(pushed.values())
     assert rows == before
-    assert pusher.push(level, limit) == expected
+    assert _push(pusher, level, limit) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -1011,6 +1037,27 @@ def test_dump_rejects_an_unknown_format():
         with pytest.raises(ValueError, match="unknown dump format 'xml'"):
             level.dump(pieces.append, "xml")
         assert pieces == [], family
+
+
+@pytest.mark.parametrize("family,k,codes", [
+    ("partitions", 3, {0: 0}), ("partitions", 3, {}), ("permutations", 3, {}),
+    ("open-partitions", None, {}),
+])
+def test_dump_of_a_level_with_no_label(family, k, codes):
+    """A level that holds no label (a partition level's zero slots are no
+    labels) dumps as the CSV header alone, an empty JSON list and no text."""
+    pusher = _pusher(FamilySpec(family, k), 3)
+    level = LevelDistribution(3, pusher.from_codes(codes), pusher)
+    dumps = {}
+    for fmt in ("csv", "json", "text"):
+        pieces = []
+        level.dump(pieces.append, fmt)
+        dumps[fmt] = "".join(pieces)
+    assert dumps == {
+        "csv": "label,count\n",
+        "json": '{"n": 3, "labels": []}\n',
+        "text": "",
+    }
 
 
 class TestLevelStats:

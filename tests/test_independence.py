@@ -1,7 +1,9 @@
 """gentree, series and oracle are the three independent counters: none of
 them may import another, directly or through another module of the
 package, or their agreement stops being evidence.  Nor may the test-only
-reference that the oracle's walks are checked against import any of them."""
+reference that the oracle's walks are checked against import any of them.
+And the package keeps zero runtime dependencies: each of its modules
+imports only the package and the standard library."""
 
 import ast
 import os
@@ -14,6 +16,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nonnesting"
 REFERENCE = Path(__file__).resolve().parent / "reference.py"
 COUNTERS = ("gentree", "series", "oracle")
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
 def _imported_paths(source):
@@ -86,3 +89,24 @@ def test_counters_do_not_load_each_other(module):
     ).stdout
     loaded = {name.split(".", 1)[1] for name in ast.literal_eval(out)}
     assert loaded.isdisjoint(set(COUNTERS) - {module}), f"{module} loads {loaded}"
+
+
+def _outside_imports(source):
+    """The top-level modules an import statement names that are neither
+    the package nor in the standard library."""
+    tops = {path.split(".")[0] for path in _imported_paths(source)}
+    return tops - {"nonnesting"} - set(sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_package_imports_only_the_standard_library(module):
+    imported = _outside_imports((PACKAGE / f"{module}.py").read_text())
+    assert not imported, f"{module} imports {sorted(imported)}"
+
+
+def test_an_outside_import_is_seen():
+    source = (
+        "import json\nfrom . import gentree\nimport numpy.linalg\n"
+        "from yaml import load\n"
+    )
+    assert _outside_imports(source) == {"numpy", "yaml"}
