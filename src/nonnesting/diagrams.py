@@ -416,6 +416,11 @@ def walk_state(diagram, k, enhanced=False):
     state is the diagram it was; `freeze()` builds the immutable diagram
     the state holds.
     """
+    if k is not None:
+        if type(k) is not int:  # a bool or a float as well
+            raise ValueError(f"k must be an int, got {k!r}")
+        if k < 2:
+            raise ValueError(f"the k-nonnesting tree needs k >= 2, got {k}")
     if isinstance(diagram, OpenPartitionDiagram):
         return _PartitionState(diagram, k, enhanced)
     if isinstance(diagram, OpenPermutationDiagram):

@@ -506,7 +506,6 @@ class _RangeSumPusher(_DigitCodec):
     def __init__(self, family, k, n_max):
         super().__init__(k - 1, n_max)
         self.enhanced = family.enhanced
-        self.w1 = self.weights[1] if k > 2 else 0
         m = self.m = k - 2  # the last digit
         self.slots = self.base if m else 1
         # the weights of the key's digits s_0, ..., s_{m-1} (k = 2: s_0)

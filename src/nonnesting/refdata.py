@@ -151,8 +151,10 @@ def lookup(family, k):
     """Return the embedded sequence for (family, k).
 
     Raises KeyError for pairs with no embedded data (for example
-    partitions with k=2).
+    partitions with k=2), and ValueError for a k that is not an int.
     """
+    if type(k) is not int:  # a bool or a float as well
+        raise ValueError(f"k must be an int, got {k!r}")
     try:
         return _SEQUENCES[(family, k)]
     except KeyError:

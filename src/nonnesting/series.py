@@ -229,6 +229,9 @@ class TruncatedSeries:
 
     def coefficient(self, expo):
         expo = tuple(expo)
+        for e in expo:
+            if type(e) is not int:  # a bool or a float as well
+                raise ValueError(f"exponent must be an int, got {e!r} in {expo}")
         mask = (1 << self.width) - 1
         if len(expo) != len(self.variables) or any(
                 not 0 <= e <= mask for e in expo):

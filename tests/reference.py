@@ -7,14 +7,6 @@ subsets.  This is the list path that `oracle.nesting_histogram`'s walks
 replaced; it imports no counter, so the walks cannot reuse it.  The
 maximum crossing, the statistic that k-nestings are symmetric with, is
 measured here too, by the same pairwise definition.
-
-`row_sweep_partition_push` is the generating-tree push on label codes that
-the row push of `gentree._RangeSumPusher` replaced,
-`tuple_permutation_closings` the closing deltas that
-`gentree._PermutationPusher` built from option tuples before it built them
-from a key's digits, and `code_permutation_push` the push on label codes
-that its row push replaced.  Each takes the pusher (and the closing rule)
-as arguments and imports nothing from the package.
 """
 
 from itertools import combinations
@@ -150,170 +142,3 @@ def max_crossing(arcs, enhanced=False):
         ]
     return best
 
-
-def row_sweep_partition_push(pusher, current, limit=None):
-    """`gentree._RangeSumPusher.push` as it was before a level was held as
-    rows along its last digit: the code dict `current` pushed one level,
-    each ranged rule summed by one sweep per row of codes, read straight
-    from the level.  `pusher` is a partition pusher of the current code
-    layout; only its digit weights and flags are read, and the rules are
-    built from them as its constructor built them."""
-    weights = pusher.weights
-    k = len(weights) + 1
-    rules = tuple(
-        (weights[j], sum(weights[1:j]), weights[j - 1], int(j == k - 2))
-        for j in range(1, k - 1)
-    )
-    nxt = {}
-    w0 = pusher.weight
-    if limit is None:
-        limit = pusher.unbounded
-    top = limit - w0  # a label below it makes an opener
-    rows = [set() for _ in rules]  # each rule's rows with a closing
-    *earlier, last = rows or [None]  # last: the last digit's (k > 2)
-    steps = list(zip(earlier, pusher.weights[1:]))
-    enhanced, w1 = pusher.enhanced, pusher.w1
-    for code, count in current.items():
-        s0, rest = divmod(code, w0)
-        if code < limit:
-            # (1) fixed point, s_1 set to s_0 if enhanced
-            if not enhanced:
-                fp = code
-            elif w1:
-                fp = code + (s0 - rest // w1) * w1
-            else:
-                fp = code if s0 == 0 else None
-            if fp is not None:
-                nxt[fp] = nxt.get(fp, 0) + count
-            # (2) semi-opener
-            if code < top:
-                opener = code + w0
-                nxt[opener] = nxt.get(opener, 0) + count
-        elif code >= limit + w0:
-            continue  # past the limit: every child would be at or past it
-        # (3) and (4): the label's row for each ranged rule it closes on
-        prev = s0
-        for rule_rows, w in steps:
-            d, rest = divmod(rest, w)
-            if d < prev:
-                rule_rows.add(code - d * w)
-            prev = d
-        # rest is the last digit now; some semi-arc can close unless
-        # prev = 0
-        if prev > 0:
-            if last is not None:
-                last.add(code - rest)
-            else:  # k = 2: close the top semi-arc
-                if code < limit:
-                    nxt[code] = nxt.get(code, 0) + count
-                low = code - w0
-                nxt[low] = nxt.get(low, 0) + count
-    base, get = pusher.base, current.get
-    for rule_rows, (w, below, bound, fold) in zip(rows, rules):
-        for row in rule_rows:
-            # child i: the row's counts at 0..i (with `fold`, at
-            # 0..i + 1, the last one's top closing), for i < s_{j-1}
-            first = row + fold
-            total = get(row, 0) if fold else 0
-            child = row - below
-            semi = row < limit  # the row's s_0 is its children's
-            for code in range(first, first + row // bound % base * w, w):
-                total += get(code, 0)
-                if total:
-                    if semi:
-                        nxt[child] = nxt.get(child, 0) + total
-                    low = child - w0
-                    nxt[low] = nxt.get(low, 0) + total
-                child += w
-    return nxt
-
-
-def tuple_permutation_closings(pusher, closing_options):
-    """The closings of `gentree._PermutationPusher`'s (h, vector) codes as
-    it cached them before it built them from the digits: `closings(hv)` is
-    (lower, upper), the deltas to v of the vectors `closing_options(h,
-    vector)` gives, each encoded by the pusher, and those deltas times
-    B^m.  `pusher` is a permutation pusher; only its codec is read."""
-    options = {}
-    vector, m = pusher.vector, pusher.m
-
-    def closings(hv):
-        deltas = options.get(hv)
-        if deltas is None:
-            h, v = divmod(hv, vector)
-            vec = tuple(pusher.decode_digits(v)[m + 1 :])
-            lower = [
-                pusher.encode_digits(option) - v
-                for option in closing_options(h, vec)
-            ]
-            deltas = options[hv] = lower, [d * vector for d in lower]
-        return deltas
-
-    return closings
-
-
-def code_permutation_push(pusher, closing_options, current, limit=None):
-    """`gentree._PermutationPusher.push` as it was before a level was held
-    as rows keyed by (h, r): the code dict `current` pushed one level,
-    label by label, with the closer split into an upper then a lower
-    closing and the lower closings of (4) and (5) applied in one pass.
-    The closings come from `tuple_permutation_closings`, so only the
-    pusher's codec is read.  Every code a child is added to is kept, with
-    a zero count where the counts cancel."""
-    closings = tuple_permutation_closings(pusher, closing_options)
-    vector, wh, m = pusher.vector, pusher.weight, pusher.m
-    r1_weight = pusher.weights[1] if m else 0  # r_1's unit in a code
-    s1_unit = pusher.weights[m + 1] if m else 0  # s_1's unit in a code
-    if limit is None:
-        limit = pusher.unbounded
-    top = limit - wh  # a label below it makes an opener
-    nxt = {}
-    half_closed = {}
-    # the labels whose lower closings make children: (4)'s labels, and
-    # (5)'s half-closed labels one semi-arc down
-    lowered = dict(current)
-    for code, count in current.items():
-        if code < limit:
-            # (1) fixed point, r_1 set to h (k = 2: only at h = 0)
-            digits = pusher.decode_digits(code)
-            if m:
-                fp = code + (digits[0] - digits[1]) * r1_weight
-            else:
-                fp = code if digits[0] == 0 else None
-            if fp is not None:
-                nxt[fp] = nxt.get(fp, 0) + count
-            # (2) semi-opener
-            if code < top:
-                opener = code + wh
-                nxt[opener] = nxt.get(opener, 0) + count
-        else:
-            del lowered[code]  # it makes no (4)
-            if code >= limit + wh:
-                continue  # past the limit
-        # close an upper semi-arc: (3) and the first half of (5)
-        for d in closings(code // vector)[1]:
-            child = code + d
-            half_closed[child] = half_closed.get(child, 0) + count
-    # (5) closer: its lower closings from the half-closed label's h are
-    # those from h - 1, made by the `lowered` pass, and the extra one that
-    # sets s_1 to h - 1 (k = 2: none unless h = 1)
-    for code, count in half_closed.items():
-        if code < limit:  # (3) upper semi-transitory
-            nxt[code] = nxt.get(code, 0) + count
-        low = code - wh
-        lowered[low] = lowered.get(low, 0) + count
-        h = code // wh
-        if s1_unit:
-            s1 = code % vector // s1_unit
-            if s1 < h:
-                child = low + (h - 1 - s1) * s1_unit
-                nxt[child] = nxt.get(child, 0) + count
-        elif h == 1:
-            nxt[low] = nxt.get(low, 0) + count
-    # (4) lower semi-transitory, and (5)'s closings from h - 1
-    for code, count in lowered.items():
-        hs = code // wh * vector + code % vector  # its (h, s) code
-        for d in closings(hs)[0]:
-            child = code + d
-            nxt[child] = nxt.get(child, 0) + count
-    return nxt

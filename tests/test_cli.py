@@ -26,7 +26,6 @@ from nonnesting.cli import run
 from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import FamilySpec, count_levels
 from nonnesting.series import SERIES_FAMILIES, TruncatedSeries
-from reference import row_sweep_partition_push
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -143,14 +142,14 @@ class TestCount:
     @pytest.mark.parametrize("k", range(2, 8))
     def test_stats_and_label_budget_equal_the_code_push(self, capsys, family, k):
         """`count --stats` records and the level a `--max-labels` budget
-        trips at, pruned and with `--all-labels`, against the DP run with
-        the push on label codes that the row push replaced."""
+        trips at, pruned and with `--all-labels`, against the DP run
+        through the succession rule, label by label."""
         n = 12
         spec = FamilySpec(family, k)
         for extra, prune in (([], True), (["--all-labels"], False)):
             argv = ["count", "--family", family, "--k", str(k), "--n", str(n),
                     "--stats"] + extra
-            expected = _code_push_stats(spec, n, prune)
+            expected = _rule_push_stats(spec, n, prune)
             assert run(argv) == 0
             _, err = output(capsys)
             assert _without_times(err.splitlines()) == expected
@@ -304,15 +303,19 @@ class TestCount:
                     assert output(capsys) == (expected, "")
 
 
-def _code_push_stats(spec, n_max, prune):
-    """The `count --stats` records, without `push_s`, of the DP run level
-    by level with `reference.row_sweep_partition_push` on code dicts."""
-    pusher = gentree._pusher(spec, n_max)
-    level = {pusher.encode(spec.root_label()): 1}
+def _rule_push_stats(spec, n_max, prune):
+    """The `count --stats` records, without `push_s`, of the DP of a
+    partition family run level by level through `spec.successors`; pruned,
+    a level keeps the labels with at most as many semi-arcs as levels
+    remain."""
+    level = {spec.root_label(): 1}
     records = []
     for n in range(1, n_max + 1):
-        limit = (n_max - n + 1) * pusher.weight if prune else None
-        pushed = row_sweep_partition_push(pusher, level, limit)
+        pushed = Counter()
+        for label, count in level.items():
+            for child, mult in spec.successors(label).items():
+                if not prune or child[0] <= n_max - n:
+                    pushed[child] += count * mult
         records.append({
             "level": n,
             "labels_in": len(level),

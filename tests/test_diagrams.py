@@ -1,6 +1,7 @@
 """Diagram model: nesting detection, labels, legal vertex additions."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +293,23 @@ def test_legal_steps_are_the_walk_steps(diagram, k, enhanced):
     steps = dg.legal_steps(diagram, k, enhanced)
     assert steps == dg.walk_state(diagram, k, enhanced).steps()
     assert len(steps) > 2
+
+
+@pytest.mark.parametrize("k,message", [
+    (1, "the k-nonnesting tree needs k >= 2, got 1"),
+    (0, "the k-nonnesting tree needs k >= 2, got 0"),
+    (True, "k must be an int, got True"),
+    (2.5, "k must be an int, got 2.5"),
+    (3.0, "k must be an int, got 3.0"),
+], ids=["1", "0", "True", "2.5", "3.0"])
+@pytest.mark.parametrize("diagram", [
+    dg.OpenPartitionDiagram(2, (), (1, 2)), EXAMPLE_13,
+], ids=["partition", "permutation"])
+def test_walk_refuses_a_k_of_no_tree(diagram, k, message):
+    # k = 1, 0 and True each gave steps, and 2.5 more steps than k = 3
+    for walk in (dg.walk_state, dg.legal_steps):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            walk(diagram, k)
 
 
 @pytest.mark.parametrize("diagram,step,error,message", [

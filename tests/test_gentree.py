@@ -31,11 +31,6 @@ from nonnesting.gentree import (
 from nonnesting import diagrams as dg
 from nonnesting import refdata
 from nonnesting.closedform import a108304, a108307
-from reference import (
-    code_permutation_push,
-    row_sweep_partition_push,
-    tuple_permutation_closings,
-)
 
 
 class TestSuccessionRules:
@@ -110,6 +105,52 @@ def test_partition_rule_equals_inline_closings(enhanced):
     for label in labels:
         assert successors_partition(label, enhanced) == (
             _reference_successors_partition(label, enhanced)
+        ), label
+
+
+def _reference_successors_permutation(label):
+    """The permutation rule with its closings written out as in
+    `_reference_successors_partition`: each side's ranged closings and its
+    top closing as loops of their own, and the closer their product."""
+    h, r, s = label
+
+    def closings(vec):
+        bounds = (h,) + vec
+        options = []
+        for j in range(1, len(bounds)):
+            prefix = tuple(x - 1 for x in vec[: j - 1])
+            for i in range(bounds[j], bounds[j - 1]):
+                options.append(prefix + (i,) + vec[j:])
+        if bounds[-1] > 0:
+            options.append(tuple(x - 1 for x in vec))
+        return options
+
+    upper, lower = closings(r), closings(s)
+    children = Counter()
+    if r:
+        children[(h, (h,) + r[1:], s)] += 1
+    elif h == 0:
+        children[label] += 1
+    children[(h + 1, r, s)] += 1
+    children.update((h, r2, s) for r2 in upper)
+    children.update((h, r, s2) for s2 in lower)
+    children.update((h - 1, r2, s2) for r2 in upper for s2 in lower)
+    return children
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_permutation_rule_equals_inline_closings(k):
+    # every label (h, r, s) with h <= 6; compared as dicts, as Counter's
+    # own == is a loop in Python
+    labels = [
+        (h, r, s)
+        for h in range(7)
+        for r in combinations_with_replacement(range(h, -1, -1), k - 2)
+        for s in combinations_with_replacement(range(h, -1, -1), k - 2)
+    ]
+    for label in labels:
+        assert dict(successors_permutation(label)) == dict(
+            _reference_successors_permutation(label)
         ), label
 
 
@@ -265,7 +306,8 @@ def _push(pusher, level, limit=None):
 
 def _rule_push(spec, level):
     """One level pushed through the succession rule label by label: the
-    sum of count * spec.successors(label)."""
+    sum of count * spec.successors(label), with an entry for every child,
+    a zero count where the counts cancel."""
     nxt = Counter()
     for label, count in level.items():
         for child, mult in spec.successors(label).items():
@@ -273,15 +315,26 @@ def _rule_push(spec, level):
     return dict(nxt)
 
 
-def _coded_push(pusher):
-    """A push of tuple labels through `pusher` as the DP makes it: each
-    label encoded, the codes pushed, the children decoded."""
+def _code_push(spec, pusher, codes):
+    """The push on label codes that every pusher's step is checked
+    against: the code dict `codes` decoded, pushed by `_rule_push` and
+    encoded.  A partition level leaves out its zero counts, as
+    `to_codes` of its rows does; the other pushers keep every child.
+    Under a limit, the reference is this dict `_under` the limit: the
+    rule's children with fewer semi-arcs than the limit allows."""
+    level = {pusher.decode(code): count for code, count in codes.items()}
+    pushed = _rule_push(spec, level)
+    zeros = spec.family not in ("partitions", "partitions-enhanced")
+    return {
+        pusher.encode(label): count
+        for label, count in pushed.items()
+        if count or zeros
+    }
 
-    def push(level):
-        pushed = _push(pusher, {pusher.encode(l): c for l, c in level.items()})
-        return {pusher.decode(code): count for code, count in pushed.items()}
 
-    return push
+def _under(codes, limit):
+    """The entries of a code dict below `limit`; None is no limit."""
+    return codes if limit is None else {c: v for c, v in codes.items() if c < limit}
 
 
 def _pusher_cases():
@@ -300,11 +353,11 @@ def test_pusher_equals_rule_on_full_levels(family, k, n_max):
     the DP keeps it.  Its codes are built for n_max, as the DP builds
     them, so the deepest level's digits reach the bound."""
     spec = FamilySpec(family, k)
-    push = _coded_push(_pusher(spec, n_max))
-    level = {spec.root_label(): 1}
+    pusher = _pusher(spec, n_max)
+    level = {pusher.encode(spec.root_label()): 1}
     for _ in range(n_max):
-        expected = _rule_push(spec, level)
-        assert push(level) == expected
+        expected = _code_push(spec, pusher, level)
+        assert _push(pusher, level) == expected
         level = expected
     assert len(level) > n_max
 
@@ -332,19 +385,21 @@ def _labels(family, k):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_pusher_equals_rule_on_random_labels(data):
+    """Random labels of every family with counts of either sign or zero;
+    a step keeps the zero entries that `_code_push` keeps."""
     family = data.draw(st.sampled_from(FAMILIES))
-    k = data.draw(st.integers(2, 6)) if family in CONSTRAINED_FAMILIES else None
+    k = data.draw(st.integers(2, 7)) if family in CONSTRAINED_FAMILIES else None
     spec = FamilySpec(family, k)
+    # the labels' digits are at most 15, their children's at most 16
+    pusher = _pusher(spec, 16)
     labels = data.draw(st.lists(_labels(family, k), min_size=1, max_size=8,
                                 unique=True))
-    counts = data.draw(st.lists(st.integers(1, 2**300), min_size=len(labels),
-                                max_size=len(labels)))
-    level = dict(zip(labels, counts))
-    # the labels' digits are at most 15, their children's at most 16
-    push = _coded_push(_pusher(spec, 16))
-    expected = _rule_push(spec, level)
-    assert push(level) == expected
-    assert push(level) == expected  # a cache filled by the first push
+    counts = data.draw(st.lists(st.integers(-2**300, 2**300),
+                                min_size=len(labels), max_size=len(labels)))
+    level = {pusher.encode(label): count for label, count in zip(labels, counts)}
+    expected = _code_push(spec, pusher, level)
+    assert _push(pusher, level) == expected
+    assert _push(pusher, level) == expected  # a cache filled by the first push
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -353,129 +408,46 @@ def test_pusher_equals_rule_on_random_labels(data):
 def test_push_under_a_limit_equals_filtered_push(family, data):
     """The push that `count_sequence` makes under the horizon against the
     plain path it replaces: the full push, then every code at or past the
-    limit dropped.  The labels reach past the limit as well as below it."""
-    k = data.draw(st.integers(2, 6)) if family in CONSTRAINED_FAMILIES else None
-    pusher = _pusher(FamilySpec(family, k), 16)
+    limit dropped, and against the rule's push under the limit.  The
+    labels reach past the limit as well as below it, and their counts
+    have either sign or are zero."""
+    k = data.draw(st.integers(2, 7)) if family in CONSTRAINED_FAMILIES else None
+    spec = FamilySpec(family, k)
+    pusher = _pusher(spec, 16)
     labels = data.draw(st.lists(_labels(family, k), min_size=1, max_size=8,
                                 unique=True))
-    counts = data.draw(st.lists(st.integers(1, 2**300), min_size=len(labels),
-                                max_size=len(labels)))
+    counts = data.draw(st.lists(st.integers(-2**300, 2**300),
+                                min_size=len(labels), max_size=len(labels)))
     level = {pusher.encode(label): count for label, count in zip(labels, counts)}
     # one past the largest semi-arc count of a child: 16, or 41 when open
     top = 17 if family in CONSTRAINED_FAMILIES else 42
     limit = data.draw(st.integers(0, top)) * pusher.weight
-    assert _push(pusher, level, limit) == {
-        c: v for c, v in _push(pusher, level).items() if c < limit
-    }
+    pushed = _push(pusher, level, limit)
+    assert pushed == _under(_push(pusher, level), limit)
+    assert pushed == _under(_code_push(spec, pusher, level), limit)
 
 
 @pytest.mark.parametrize("family", ["partitions", "partitions-enhanced"])
 @pytest.mark.parametrize("k", range(2, 8))
 def test_partition_push_under_every_limit_equals_filtered_push(family, k):
     """The range-sum push under every limit from none to past every child,
-    on every full level up to n_max, against a second pusher's unlimited
-    push with every code at or past the limit dropped.  Some labels sit
-    exactly at a limit, where they make only their closers."""
+    on every full level up to n_max, against the rule's push with every
+    code at or past the limit dropped.  Some labels sit exactly at a
+    limit, where they make only their closers."""
     n_max = 14
     spec = FamilySpec(family, k)
-    pusher, reference = _pusher(spec, n_max), _pusher(spec, n_max)
+    pusher = _pusher(spec, n_max)
     w0 = pusher.weight
     level = {pusher.encode(spec.root_label()): 1}
     at_a_limit = False
     for n in range(n_max):
-        full = _push(reference, level)
+        full = _code_push(spec, pusher, level)
         assert _push(pusher, level, None) == full, n
         for limit in (h * w0 for h in range(n + 3)):
             at_a_limit |= any(limit <= code < limit + w0 for code in level)
-            assert _push(pusher, level, limit) == {
-                c: v for c, v in full.items() if c < limit
-            }, (n, limit)
+            assert _push(pusher, level, limit) == _under(full, limit), (n, limit)
         level = full
     assert at_a_limit
-
-
-def _line_sweep_partition_push(pusher, current, limit=None):
-    """The push `_RangeSumPusher` made before any row sweep read the level
-    straight: every ranged closing j, the last digit's too, adds each
-    label's count to line j's starts, one running sum per line gives its
-    children, and the top closing has its own entry."""
-    nxt = {}
-    closed = {}
-    w0, base, weights = pusher.weight, pusher.base, pusher.weights
-    if limit is None:
-        limit = pusher.unbounded
-    top = limit - w0
-    rules = []
-    below = 0
-    for w in weights[1:]:
-        rules.append((w, below))
-        below += w
-    dec = below
-    lines = [{} for _ in rules]
-    enhanced, w1 = pusher.enhanced, pusher.w1
-    for code, count in current.items():
-        s0, rest = divmod(code, w0)
-        if code < limit:
-            if not enhanced:
-                fp = code
-            elif w1:
-                fp = code + (s0 - rest // w1) * w1
-            else:
-                fp = code if s0 == 0 else None
-            if fp is not None:
-                nxt[fp] = nxt.get(fp, 0) + count
-            if code < top:
-                opener = code + w0
-                nxt[opener] = nxt.get(opener, 0) + count
-        elif code >= limit + w0:
-            continue
-        prev = s0
-        for line_starts, (w, below) in zip(lines, rules):
-            d, rest = divmod(rest, w)
-            if d < prev:
-                line = code - d * w - below
-                starts = line_starts.setdefault(line, {})
-                starts[d] = starts.get(d, 0) + count
-            prev = d
-        if prev > 0:
-            child = code - dec
-            closed[child] = closed.get(child, 0) + count
-    for j, (line_starts, (w, _)) in enumerate(zip(lines, rules), 1):
-        end_weight, past_top = weights[j - 1], j > 1
-        for line, starts in line_starts.items():
-            end = line // end_weight % base + past_top
-            total = 0
-            start = min(starts)
-            child = line + start * w
-            for i in range(start, end):
-                total += starts.get(i, 0)
-                closed[child] = closed.get(child, 0) + total
-                child += w
-    for code, count in closed.items():
-        if code < limit:
-            nxt[code] = nxt.get(code, 0) + count
-        low = code - w0
-        nxt[low] = nxt.get(low, 0) + count
-    return nxt
-
-
-@pytest.mark.parametrize("family", ["partitions", "partitions-enhanced"])
-@pytest.mark.parametrize("k", range(2, 8))
-def test_partition_push_equals_line_sweep_push(family, k):
-    """The row sweep of every ranged rule against the line sweep from
-    before any row sweep, on every full level up to n_max and under every
-    limit from none to past every child; each has its own pusher."""
-    n_max = 13
-    spec = FamilySpec(family, k)
-    pusher, reference = _pusher(spec, n_max), _pusher(spec, n_max)
-    level = {pusher.encode(spec.root_label()): 1}
-    for n in range(n_max):
-        for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
-            assert _push(pusher, level, limit) == (
-                _line_sweep_partition_push(reference, level, limit)
-            ), (n, limit)
-        level = _push(pusher, level)
-    assert len(level) > n_max
 
 
 def _sparse_partition_level(k):
@@ -517,31 +489,6 @@ def _sparse_earlier_digit_level(k):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_partition_push_equals_line_sweep_push_on_sparse_levels(data):
-    """As above, on levels of few rows with gaps in the last digit, or for
-    k >= 4 in an earlier one, under no limit or one that some label sits
-    at, one past or one below."""
-    family = data.draw(st.sampled_from(["partitions", "partitions-enhanced"]))
-    k = data.draw(st.integers(2, 7))
-    spec = FamilySpec(family, k)
-    pusher, reference = _pusher(spec, 16), _pusher(spec, 16)
-    levels = [_sparse_partition_level(k)]
-    if k >= 4:
-        levels.append(_sparse_earlier_digit_level(k))
-    labels = data.draw(st.one_of(levels))
-    counts = data.draw(st.lists(st.integers(1, 2**300), min_size=len(labels),
-                                max_size=len(labels)))
-    level = {pusher.encode(label): count for label, count in zip(labels, counts)}
-    near = sorted({label[0] + d for label in labels for d in (-1, 0, 1)} - {-1})
-    limit = data.draw(st.none() | st.sampled_from(near).map(
-        lambda h: h * pusher.weight))
-    assert _push(pusher, level, limit) == (
-        _line_sweep_partition_push(reference, level, limit)
-    )
-
-
 def _well_formed(pusher, rows):
     """Each row has one slot per last digit its key allows: s_{k-3} + 1
     (one slot for k = 2)."""
@@ -554,10 +501,10 @@ def _well_formed(pusher, rows):
 @pytest.mark.parametrize("family", ["partitions", "partitions-enhanced"])
 @pytest.mark.parametrize("k", range(2, 8))
 def test_row_push_equals_code_push(family, k):
-    """The push of whole rows against the push on label codes it replaced,
-    on every full level up to n_max and under every limit from none to
-    past every child.  The levels stay as rows from one push to the next,
-    as the DP keeps them, and a push leaves the level it reads unchanged."""
+    """The push of whole rows against `_code_push`, on every full level up
+    to n_max and under every limit from none to past every child.  The
+    levels stay as rows from one push to the next, as the DP keeps them,
+    and a push leaves the level it reads unchanged."""
     n_max = 13
     spec = FamilySpec(family, k)
     pusher = _pusher(spec, n_max)
@@ -565,14 +512,15 @@ def test_row_push_equals_code_push(family, k):
     rows = pusher.from_codes(level)
     for n in range(n_max):
         before = {key: list(row) for key, row in rows.items()}
+        full = _code_push(spec, pusher, level)
         for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
-            expected = row_sweep_partition_push(pusher, level, limit)
+            expected = _under(full, limit)
             pushed = pusher.step(rows, limit)
             assert _well_formed(pusher, pushed), (n, limit)
             assert pusher.to_codes(pushed) == expected, (n, limit)
             assert _push(pusher, level, limit) == expected, (n, limit)
         assert rows == before, n
-        level = row_sweep_partition_push(pusher, level)
+        level = full
         rows = pusher.step(rows)
         assert pusher.labels(rows) == len(level)
     assert len(level) > n_max
@@ -601,11 +549,10 @@ def test_enhanced_k3_step_owns_every_row_it_makes():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_row_push_equals_code_push_on_sparse_levels(data):
-    """As above, on the sparse levels of the sweep tests (rows with gaps
-    in the last digit, or for k >= 4 in an earlier one) with counts of
-    either sign or zero, under no limit or one that some label sits at,
-    one past or one below.  A zero count is no label, so the code push's
-    zero entries are left out."""
+    """As above, on sparse levels (rows with gaps in the last digit, or
+    for k >= 4 in an earlier one) with counts of either sign or zero,
+    under no limit or one that some label sits at, one past or one below.
+    A zero count is no label, so `_code_push` leaves it out."""
     family = data.draw(st.sampled_from(["partitions", "partitions-enhanced"]))
     k = data.draw(st.integers(2, 7))
     spec = FamilySpec(family, k)
@@ -620,117 +567,30 @@ def test_row_push_equals_code_push_on_sparse_levels(data):
     near = sorted({label[0] + d for label in labels for d in (-1, 0, 1)} - {-1})
     limit = data.draw(st.none() | st.sampled_from(near).map(
         lambda h: h * pusher.weight))
-    expected = row_sweep_partition_push(pusher, level, limit)
-    assert _push(pusher, level, limit) == {c: v for c, v in expected.items() if v}
-
-
-def _two_pass_permutation_push(pusher, current, limit=None):
-    """The push `_PermutationPusher` made before it applied the lower
-    closings in one pass: (4) closes a lower semi-arc of each label, and
-    (5) closes one again of each half-closed label, from its own h."""
-    nxt = {}
-    half_closed = {}
-    closing = {}
-    vector, wh = pusher.vector, pusher.weight
-    if limit is None:
-        limit = pusher.unbounded
-    top = limit - wh
-    r1_unit = pusher.r1_unit
-    r1_weight = r1_unit * vector  # r_1's unit in a code
-    closings = tuple_permutation_closings(pusher, _closing_options)
-    for code, count in current.items():
-        hr, s = divmod(code, vector)
-        if code < top:
-            opener = code + wh
-        elif code >= limit:
-            if code < limit + wh:
-                for d in closings(hr)[1]:
-                    child = code + d
-                    closing[child] = closing.get(child, 0) + count
-            continue
-        else:
-            opener = None
-        h, r = divmod(hr, vector)
-        if r1_weight:
-            fp = code + (h - r // r1_unit) * r1_weight
-            nxt[fp] = nxt.get(fp, 0) + count
-        elif h == 0:
-            nxt[code] = nxt.get(code, 0) + count
-        if opener is not None:
-            nxt[opener] = nxt.get(opener, 0) + count
-        for d in closings(hr)[1]:
-            child = code + d
-            half_closed[child] = half_closed.get(child, 0) + count
-        for d in closings(h * vector + s)[0]:
-            child = code + d
-            nxt[child] = nxt.get(child, 0) + count
-    for code, count in half_closed.items():
-        nxt[code] = nxt.get(code, 0) + count
-    for code, count in (*half_closed.items(), *closing.items()):
-        hr, s = divmod(code, vector)
-        low = code - wh
-        for d in closings(hr // vector * vector + s)[0]:
-            child = low + d
-            nxt[child] = nxt.get(child, 0) + count
-    return nxt
-
-
-@pytest.mark.parametrize("k,n_max", list(zip(range(2, 8), (13, 13, 11, 9, 8, 7))))
-def test_permutation_push_equals_two_pass_push(k, n_max):
-    """The one lower-closing pass against the two-pass push it replaced,
-    on every full level up to n_max and under every limit from none to
-    past every child; each has its own pusher and option cache."""
-    spec = FamilySpec("permutations", k)
-    pusher, reference = _pusher(spec, n_max), _pusher(spec, n_max)
-    level = {pusher.encode(spec.root_label()): 1}
-    for n in range(n_max):
-        for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
-            assert _push(pusher, level, limit) == (
-                _two_pass_permutation_push(reference, level, limit)
-            ), (n, limit)
-        level = _push(pusher, level)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_permutation_push_equals_two_pass_push_on_signed_counts(data):
-    """As above, on random labels with counts of either sign or zero."""
-    k = data.draw(st.integers(2, 7))
-    spec = FamilySpec("permutations", k)
-    pusher, reference = _pusher(spec, 16), _pusher(spec, 16)
-    labels = data.draw(st.lists(_labels("permutations", k), min_size=1,
-                                max_size=8, unique=True))
-    counts = data.draw(st.lists(st.integers(-2**300, 2**300),
-                                min_size=len(labels), max_size=len(labels)))
-    level = {pusher.encode(label): count for label, count in zip(labels, counts)}
-    limit = data.draw(st.none() | st.integers(0, 17).map(
-        lambda h: h * pusher.weight))
-    assert _push(pusher, level, limit) == (
-        _two_pass_permutation_push(reference, level, limit)
-    )
+    expected = _under(_code_push(spec, pusher, level), limit)
+    assert _push(pusher, level, limit) == expected
 
 
 @pytest.mark.parametrize("k,n_max", list(zip(range(2, 8), (13, 13, 11, 9, 8, 7))))
 def test_permutation_row_step_equals_code_push(k, n_max):
-    """The push of whole (h, r) rows against the push on label codes it
-    replaced, on every full level up to n_max and under every limit from
-    none to past every child.  The levels stay as rows from one step to
-    the next, as the DP keeps them, a step leaves every row of the level
-    it reads unchanged, and it makes no empty row."""
+    """The push of whole (h, r) rows against `_code_push`, on every full
+    level up to n_max and under every limit from none to past every child.
+    The levels stay as rows from one step to the next, as the DP keeps
+    them, a step leaves every row of the level it reads unchanged, and it
+    makes no empty row."""
     spec = FamilySpec("permutations", k)
-    pusher, reference = _pusher(spec, n_max), _pusher(spec, n_max)
+    pusher = _pusher(spec, n_max)
     level = {pusher.encode(spec.root_label()): 1}
     rows = pusher.from_codes(level)
     for n in range(n_max):
         before = copy.deepcopy(rows)
+        full = _code_push(spec, pusher, level)
         for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
-            expected = code_permutation_push(reference, _closing_options, level,
-                                             limit)
             pushed = pusher.step(rows, limit)
-            assert pusher.to_codes(pushed) == expected, (n, limit)
+            assert pusher.to_codes(pushed) == _under(full, limit), (n, limit)
             assert all(pushed.values()), (n, limit)
             assert rows == before, (n, limit)
-        level = code_permutation_push(reference, _closing_options, level)
+        level = full
         rows = pusher.step(rows)
         assert pusher.to_codes(rows) == level, n
         assert pusher.labels(rows) == len(level), n
@@ -759,12 +619,11 @@ def _sparse_permutation_level(k):
 def test_permutation_row_step_equals_code_push_on_sparse_levels(data):
     """As above, on sparse levels of few rows with counts of either sign
     or zero, under no limit or one that some label sits at, one past or
-    one below.  Every code the code push adds to is kept, a zero count
-    included, the step leaves the level it reads unchanged, and it makes
-    no empty row."""
+    one below.  Every child code is kept, a zero count included, the step
+    leaves the level it reads unchanged, and it makes no empty row."""
     k = data.draw(st.integers(2, 7))
     spec = FamilySpec("permutations", k)
-    pusher, reference = _pusher(spec, 16), _pusher(spec, 16)
+    pusher = _pusher(spec, 16)
     labels = data.draw(_sparse_permutation_level(k))
     counts = data.draw(st.lists(st.integers(-2**300, 2**300),
                                 min_size=len(labels), max_size=len(labels)))
@@ -772,7 +631,7 @@ def test_permutation_row_step_equals_code_push_on_sparse_levels(data):
     near = sorted({label[0] + d for label in labels for d in (-1, 0, 1)} - {-1})
     limit = data.draw(st.none() | st.sampled_from(near).map(
         lambda h: h * pusher.weight))
-    expected = code_permutation_push(reference, _closing_options, level, limit)
+    expected = _under(_code_push(spec, pusher, level), limit)
     rows = pusher.from_codes(level)
     before = copy.deepcopy(rows)
     pushed = pusher.step(rows, limit)

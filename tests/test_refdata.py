@@ -33,6 +33,12 @@ class TestLookup:
         with pytest.raises(KeyError):
             refdata.lookup("partitions", 2)
 
+    @pytest.mark.parametrize("k", [3.0, True, "3"])
+    def test_k_must_be_an_int(self, k):
+        # 3.0 read the k = 3 table, and True looked up k = 1
+        with pytest.raises(ValueError, match=f"^k must be an int, got {k!r}$"):
+            refdata.lookup("partitions", k)
+
     def test_term_range(self):
         seq = refdata.lookup("partitions", 3)
         assert seq.term(1) == 1

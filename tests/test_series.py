@@ -336,6 +336,20 @@ def test_coefficient_of_an_exponent_wider_than_its_field():
     assert f.coefficient([1, 1, 0]) == 3
 
 
+@pytest.mark.parametrize("expo,bad", [
+    ((True, True, 0), True), ((1.0, 1, 0), 1.0), ((0, 0, "1"), "'1'"),
+])
+def test_coefficient_refuses_an_exponent_that_is_not_an_int(expo, bad):
+    # (True, True, 0) read the (1, 1, 0) term, and 1.0 raised a bare
+    # TypeError; the constructor refuses both with this message
+    f = TruncatedSeries(V, 1, {(0, 0, 1): 7, (1, 1, 0): 3})
+    message = f"exponent must be an int, got {bad} in {expo}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        f.coefficient(expo)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TruncatedSeries(V, 1, {expo: 1})
+
+
 def test_equal_series_of_different_widths_are_equal():
     narrow = TruncatedSeries(V, 2, {(1, 0, 0): 2, (0, 1, 2): -1})
     wide = TruncatedSeries(V, 2, {(1, 0, 0): 2, (0, 1, 2): -1, (0, 9, 0): 1})
