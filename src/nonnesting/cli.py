@@ -193,39 +193,51 @@ def _cmd_refdata(args):
 class Check:
     """One release claim: `run(n)` returns (expected, actual) at size n,
     and "{n}" in check_id stands for that size.  `verify` runs it at no
-    more than max_n."""
+    more than max_n.  `counts` names the (counter, family, k) sequences
+    that `run` reads through its `count` argument (`_count` when run
+    alone); `run_checks` counts each of them once per run."""
 
     suite: str
     check_id: str
     max_n: int
-    run: Callable[[int], tuple]
+    run: Callable[..., tuple]
+    counts: tuple = ()
 
 
 # The thunks look up the counters and closed forms when they run, so a
 # name rebound after import (bench/tracer.py's wrappers) is the one called.
-def _table(family, k, n):
+def _count(counter, family, k, n):
+    """Terms 0..n of a counted sequence: counter "dp" is the generating-tree
+    DP, "series" the counting terms of the functional equation."""
+    if counter == "dp":
+        return [1] + count_sequence(FamilySpec(family, k), n)
+    if family == "baxter":
+        return ones_sequence(solve_equation("baxter", n))
+    return constant_term_sequence(solve_equation(family, n, k=k, full=False))
+
+
+def _table(family, k, n, count=_count):
     expected = refdata.lookup(family, k).as_ints()[:n]
-    return expected, count_sequence(FamilySpec(family, k), n)
+    return expected, count("dp", family, k, n)[1:]
 
 
-def _series(family, k, n):
-    expected = constant_term_sequence(solve_equation(family, n, k=k, full=False))
-    return expected, [1] + count_sequence(FamilySpec(family, k), n)
+def _series(family, k, n, count=_count):
+    return count("series", family, k, n), count("dp", family, k, n)
 
 
-def _oracle(family, k, n):
+def _oracle(family, k, n, count=_count):
     expected = [oracle.oracle_count(family, k, m) for m in range(n + 1)]
-    return expected, [1] + count_sequence(FamilySpec(family, k), n)
+    return expected, count("dp", family, k, n)
 
 
-def _baxter_formula(n):
+def _baxter_formula(n, count=_count):
     expected = [closedform.baxter(m + 1) for m in range(n + 1)]
-    return expected, ones_sequence(solve_equation("baxter", n))
+    return expected, count("series", "baxter", None, n)
 
 
-def _baxter_embedded(n):
+def _baxter_embedded(n, count=_count):
     expected = refdata.lookup("baxter", 3).as_ints()[: n + 1]
-    return expected, ones_sequence(solve_equation("baxter", n))
+    return expected, count("series", "baxter", None, n)
 
 
 def _open_totals(family, total, n):
@@ -236,7 +248,7 @@ def _open_totals(family, total, n):
 def _build_checks():
     checks = [
         Check("paper-tables", f"tables/{family}/k={k}/n<={{n}}", len(seq.terms),
-              partial(_table, family, k))
+              partial(_table, family, k), (("dp", family, k),))
         for (family, k), seq in sorted(refdata.all_sequences().items())
         if family != "baxter"
     ]
@@ -244,21 +256,26 @@ def _build_checks():
         for k in (2, 3, 4):
             checks += [
                 Check("cross-methods", f"cross/{family}/k={k}/series", 12,
-                      partial(_series, family, k)),
+                      partial(_series, family, k),
+                      (("series", family, k), ("dp", family, k))),
                 Check("cross-methods", f"cross/{family}/k={k}/oracle", 9,
-                      partial(_oracle, family, k)),
+                      partial(_oracle, family, k), (("dp", family, k),)),
             ]
     checks.append(Check("cross-methods", "cross/permutations/k=3/series", 12,
-                        partial(_series, "permutations", 3)))
+                        partial(_series, "permutations", 3),
+                        (("series", "permutations", 3), ("dp", "permutations", 3))))
     checks += [
         Check("cross-methods", f"cross/permutations/k={k}/oracle", 7,
-              partial(_oracle, "permutations", k))
+              partial(_oracle, "permutations", k), (("dp", "permutations", k),))
         for k in (2, 3, 4)
     ]
+    baxter = (("series", "baxter", None),)
     embedded = len(refdata.lookup("baxter", 3).terms)
     checks += [
-        Check("baxter", "baxter/series-vs-formula/n<={n}", 25, _baxter_formula),
-        Check("baxter", "baxter/series-vs-embedded", embedded - 1, _baxter_embedded),
+        Check("baxter", "baxter/series-vs-formula/n<={n}", 25, _baxter_formula,
+              baxter),
+        Check("baxter", "baxter/series-vs-embedded", embedded - 1, _baxter_embedded,
+              baxter),
         Check("egf", "egf/open-partitions/n<={n}", 12,
               partial(_open_totals, "open-partitions", "open_partition_count")),
         Check("egf", "egf/open-permutations/n<={n}", 10,
@@ -274,11 +291,29 @@ CHECKS = _build_checks()
 
 def run_checks(sized):
     """Run each (check, n) pair at its size n; one row each, a dict with the
-    keys of a `verify --format json` check in order, runtime unrounded."""
+    keys of a `verify --format json` check in order, runtime unrounded.
+
+    Each sequence named in a check's `counts` is counted once, at the
+    largest size any pair asks of it, and every check reads a prefix of it
+    (a count to n is the first terms of any count to more), so a check's
+    runtime covers only what no earlier check of the run has counted."""
+    top = {}
+    for check, n in sized:
+        for key in check.counts:
+            top[key] = max(n, top.get(key, n))
+    counted = {}  # freed with the run
+
+    def count(counter, family, k, n):
+        key = (counter, family, k)
+        seq = counted.get(key)
+        if seq is None or len(seq) <= n:
+            seq = counted[key] = _count(*key, max(n, top.get(key, n)))
+        return seq[: n + 1]
+
     rows = []
     for check, n in sized:
         started = time.perf_counter()
-        expected, actual = check.run(n)
+        expected, actual = check.run(n, count) if check.counts else check.run(n)
         rows.append({
             "check_id": check.check_id.format(n=n),
             "expected": str(expected),

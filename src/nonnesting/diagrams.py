@@ -270,9 +270,24 @@ class OpenPermutationDiagram:
         )
 
 
+class _ArcTexts(dict):
+    """The JSON text "[left, right]" of each arc, made on first use and kept
+    for every arc whose right end is at most 255, so the table stays
+    bounded however large the diagrams."""
+
+    def __missing__(self, arc):
+        text = "[%d, %d]" % arc
+        if arc[1] <= 255:
+            self[arc] = text
+        return text
+
+
+_arc_text = _ArcTexts().__getitem__
+
+
 def _json_arcs(arcs):
     """The arcs, sorted, as a JSON list of [left, right] lists."""
-    return "[%s]" % ", ".join(["[%d, %d]" % arc for arc in sorted(arcs)])
+    return "[%s]" % ", ".join(map(_arc_text, sorted(arcs)))
 
 
 def _partition_arcs(diagram, enhanced):
@@ -339,6 +354,14 @@ def _layer_indices(arcs, origins, k, layer):
     return indices
 
 
+def _require_label_k(k):
+    """Raise ValueError unless k is an int >= 1 (a bool or a float is not)."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def partition_label(diagram, k, enhanced=False):
     """Generating-tree label [s_0, ..., s_{k-1}] of an open partition diagram.
 
@@ -346,8 +369,7 @@ def partition_label(diagram, k, enhanced=False):
     diagram must avoid regular and future (k+1)-nestings, else
     ConstraintViolation is raised.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_label_k(k)
     indices = _layer_indices(
         _partition_arcs(diagram, enhanced), diagram.open_arcs, k, "a regular"
     )
@@ -365,8 +387,7 @@ def permutation_label(diagram, k):
     and future enhanced upper (k+1)-nestings and regular and future lower
     (k+1)-nestings.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_label_k(k)
     up = _layer_indices(diagram.upper_arcs, diagram.upper_open, k, "an upper")
     lo = _layer_indices(diagram.lower_arcs, diagram.lower_open, k, "a lower")
     if any(idx >= k for idx in up) or any(idx >= k for idx in lo):

@@ -379,19 +379,6 @@ def _fold(f, x, y):
     return TruncatedSeries._of(f.variables, f.cap, f.width, codes)
 
 
-def divide_by_var(f, var):
-    """Exact division by a variable; every term must contain it."""
-    _, offset, field = _field(f, var)
-    unit = 1 << offset
-    codes = {}
-    for code, coeff in f.codes.items():
-        if not code & field:
-            expo = _decode(code, f.width, len(f.variables))
-            raise DivisibilityError(f"term {expo} not divisible by {var}")
-        codes[code - unit] = coeff
-    return TruncatedSeries._of(f.variables, f.cap, f.width, codes)
-
-
 def divide_by_one_minus(f, var):
     """Exact division by (1 - var) via synthetic division.
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonnesting import cli, closedform, gentree, oracle
+from nonnesting import cli, closedform, gentree, oracle, refdata
 from nonnesting.cli import run
 from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import FamilySpec, count_levels
@@ -780,6 +780,74 @@ class TestVerify:
             "egf/open-permutations/n<=6",
         ]
         assert all(c["status"] == "pass" for c in rows)
+
+    @pytest.mark.parametrize("max_n", [0, 6, 12])
+    @pytest.mark.parametrize(
+        "suite", [*dict.fromkeys(c.suite for c in cli.CHECKS), "all"])
+    def test_suite_reads_what_each_check_counts_alone(self, suite, max_n):
+        # a run counts each sequence once, at its largest size, and every
+        # check reads a prefix; run alone, a check counts for itself
+        rows = cli.run_suite(suite, max_n)
+        alone = []
+        for check in cli.CHECKS:
+            if suite in (check.suite, "all"):
+                n = min(max_n, check.max_n)
+                expected, actual = check.run(n)
+                alone.append((check.check_id.format(n=n), str(expected),
+                              str(actual), "pass"))
+        assert [(r["check_id"], r["expected"], r["actual"], r["status"])
+                for r in rows] == alone
+
+    @pytest.mark.parametrize("max_n", [6, 12])
+    def test_suite_counts_each_sequence_once(self, monkeypatch, max_n):
+        # looked up in cli when called, as bench/tracer.py's wrappers are
+        dp, solved = Counter(), Counter()
+        count_sequence, solve_equation = cli.count_sequence, cli.solve_equation
+
+        def counting_dp(spec, n, **kwargs):
+            dp[spec.family, spec.k] += 1
+            return count_sequence(spec, n, **kwargs)
+
+        def counting_solve(family, n, **kwargs):
+            solved[family, kwargs.get("k")] += 1
+            return solve_equation(family, n, **kwargs)
+
+        monkeypatch.setattr(cli, "count_sequence", counting_dp)
+        monkeypatch.setattr(cli, "solve_equation", counting_solve)
+        rows = cli.run_suite("all", max_n)
+        assert all(r["status"] == "pass" for r in rows)
+        tables = [key for key in refdata.all_sequences() if key[0] != "baxter"]
+        crossed = [(f, k) for f in ("partitions", "partitions-enhanced")
+                   for k in (2, 3, 4)]
+        permutations = [("permutations", k) for k in (2, 3, 4)]
+        assert dp == Counter({*tables, *crossed, *permutations})
+        assert len(dp) == 17
+        assert solved == Counter({*crossed, ("permutations", 3), ("baxter", None)})
+
+    def test_run_counts_once_at_the_largest_size_asked(self, monkeypatch):
+        # a smaller size is asked first, yet the one count serves all three
+        sizes = []
+        count_sequence = cli.count_sequence
+        monkeypatch.setattr(cli, "count_sequence", lambda spec, n: sizes.append(
+            n) or count_sequence(spec, n))
+        by_id = {c.check_id: c for c in cli.CHECKS}
+        sized = [(by_id["cross/partitions/k=3/oracle"], 4),
+                 (by_id["tables/partitions/k=3/n<={n}"], 8),
+                 (by_id["cross/partitions/k=3/series"], 6)]
+        rows = cli.run_checks(sized)
+        assert [r["status"] for r in rows] == ["pass"] * 3
+        assert sizes == [8]
+
+    def test_check_run_alone_counts_for_itself(self, monkeypatch):
+        calls = []
+        count_sequence = cli.count_sequence
+        monkeypatch.setattr(cli, "count_sequence", lambda spec, n: calls.append(
+            (spec.family, spec.k, n)) or count_sequence(spec, n))
+        check = next(c for c in cli.CHECKS if c.check_id == "cross/partitions/k=3/oracle")
+        for n in (5, 3):
+            expected, actual = check.run(n)
+            assert expected == actual and len(actual) == n + 1
+        assert calls == [("partitions", 3, 5), ("partitions", 3, 3)]
 
 
 @pytest.mark.parametrize("argv", [

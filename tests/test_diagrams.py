@@ -2,6 +2,7 @@
 
 import json
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +313,25 @@ def test_walk_refuses_a_k_of_no_tree(diagram, k, message):
             walk(diagram, k)
 
 
+@pytest.mark.parametrize("k,message", [
+    (0, "k must be >= 1, got 0"),
+    (-2, "k must be >= 1, got -2"),
+    (True, "k must be an int, got True"),
+    (2.5, "k must be an int, got 2.5"),
+    (3.0, "k must be an int, got 3.0"),
+    ("3", "k must be an int, got '3'"),
+], ids=["0", "-2", "True", "2.5", "3.0", "str"])
+@pytest.mark.parametrize("label,diagram", [
+    (dg.partition_label, dg.OpenPartitionDiagram(2, (), (1, 2))),
+    (partial(dg.partition_label, enhanced=True), dg.OpenPartitionDiagram(2, (), (1, 2))),
+    (dg.permutation_label, EXAMPLE_13),
+], ids=["partition", "enhanced", "permutation"])
+def test_label_refuses_a_k_below_one_or_not_an_int(label, diagram, k, message):
+    # True gave the k = 1 label, and a float raised TypeError from range
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        label(diagram, k)
+
+
 @pytest.mark.parametrize("diagram,step,error,message", [
     # partition steps are (kind, index)
     (EXAMPLE_11, (dg.CLOSER, 4), ValueError, "close index 4 out of range for 4"),
@@ -389,3 +409,19 @@ def _diagrams(draw):
 @given(_diagrams())
 def test_json_line_is_the_dumped_dict(d):
     assert d.to_json() == json.dumps(d.to_json_dict())
+
+
+@pytest.mark.parametrize("d", [
+    dg.OpenPartitionDiagram(300, ((1, 2), (3, 300), (100, 255), (255, 256)), (4, 299)),
+    dg.OpenPermutationDiagram(
+        300, ((1, 1), (2, 300), (256, 256), (255, 257)),
+        ((1, 299), (254, 255), (256, 258)), (3,), (2,)),
+], ids=["partition", "permutation"])
+def test_json_line_of_arcs_inside_and_past_the_text_table(d):
+    # arc texts are kept for right ends up to 255 and made afresh past it;
+    # the second line is written from the kept texts
+    for _ in range(2):
+        assert d.to_json() == json.dumps(d.to_json_dict())
+    kept = dg._arc_text.__self__
+    assert (255, 256) not in kept and (100, 255) in kept
+    assert max(right for _, right in kept) <= 255

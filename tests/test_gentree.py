@@ -165,6 +165,16 @@ class TestCountSequence:
         n = 9
         assert count_sequence(FamilySpec(family, k), n) == seq.as_ints()[:n]
 
+    @pytest.mark.parametrize("family", CONSTRAINED_FAMILIES)
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_count_to_fewer_is_a_prefix_of_the_count_to_more(self, family, k):
+        # each size prunes under its own horizon; `verify` reads the counts
+        # of several sizes from one count to the largest
+        spec = FamilySpec(family, k)
+        longest = count_sequence(spec, 12)
+        for n in range(12):
+            assert count_sequence(spec, n) == longest[:n], n
+
     def test_small_objects_unconstrained_by_large_k(self):
         # a 9-nesting needs 17 vertices, so every size-5 permutation counts
         assert count_sequence(FamilySpec("permutations", 9), 5) == [1, 2, 6, 24, 120]
@@ -427,29 +437,6 @@ def test_push_under_a_limit_equals_filtered_push(family, data):
     assert pushed == _under(_code_push(spec, pusher, level), limit)
 
 
-@pytest.mark.parametrize("family", ["partitions", "partitions-enhanced"])
-@pytest.mark.parametrize("k", range(2, 8))
-def test_partition_push_under_every_limit_equals_filtered_push(family, k):
-    """The range-sum push under every limit from none to past every child,
-    on every full level up to n_max, against the rule's push with every
-    code at or past the limit dropped.  Some labels sit exactly at a
-    limit, where they make only their closers."""
-    n_max = 14
-    spec = FamilySpec(family, k)
-    pusher = _pusher(spec, n_max)
-    w0 = pusher.weight
-    level = {pusher.encode(spec.root_label()): 1}
-    at_a_limit = False
-    for n in range(n_max):
-        full = _code_push(spec, pusher, level)
-        assert _push(pusher, level, None) == full, n
-        for limit in (h * w0 for h in range(n + 3)):
-            at_a_limit |= any(limit <= code < limit + w0 for code in level)
-            assert _push(pusher, level, limit) == _under(full, limit), (n, limit)
-        level = full
-    assert at_a_limit
-
-
 def _sparse_partition_level(k):
     """Partition labels in few rows, each row (s_0, ..., s_{k-3}) holding
     a random set of last digits s_{k-2} <= s_{k-3}, so rows have gaps;
@@ -502,18 +489,24 @@ def _well_formed(pusher, rows):
 @pytest.mark.parametrize("k", range(2, 8))
 def test_row_push_equals_code_push(family, k):
     """The push of whole rows against `_code_push`, on every full level up
-    to n_max and under every limit from none to past every child.  The
-    levels stay as rows from one push to the next, as the DP keeps them,
-    and a push leaves the level it reads unchanged."""
-    n_max = 13
+    to n_max and under every limit from none to past every child, with
+    every code at or past the limit dropped.  Some labels sit exactly at a
+    limit, where they make only their closers.  The levels stay as rows
+    from one push to the next, as the DP keeps them, and a push leaves the
+    level it reads unchanged."""
+    n_max = 14
     spec = FamilySpec(family, k)
     pusher = _pusher(spec, n_max)
+    w0 = pusher.weight
     level = {pusher.encode(spec.root_label()): 1}
     rows = pusher.from_codes(level)
+    at_a_limit = False
     for n in range(n_max):
         before = {key: list(row) for key, row in rows.items()}
         full = _code_push(spec, pusher, level)
-        for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
+        for limit in [None, *(h * w0 for h in range(n + 3))]:
+            if limit is not None:
+                at_a_limit |= any(limit <= code < limit + w0 for code in level)
             expected = _under(full, limit)
             pushed = pusher.step(rows, limit)
             assert _well_formed(pusher, pushed), (n, limit)
@@ -524,6 +517,7 @@ def test_row_push_equals_code_push(family, k):
         rows = pusher.step(rows)
         assert pusher.labels(rows) == len(level)
     assert len(level) > n_max
+    assert at_a_limit
 
 
 def test_enhanced_k3_step_owns_every_row_it_makes():

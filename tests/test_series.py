@@ -16,7 +16,6 @@ from nonnesting.series import (
     _zero,
     constant_term_sequence,
     divide_by_one_minus,
-    divide_by_var,
     ones_sequence,
     solve_equation,
     substitute,
@@ -242,6 +241,13 @@ def _tuple_divide_by_var(terms, i, var):
     return out
 
 
+def divide_by_var(f, var):
+    """Exact division by a variable; every term must contain it.  The
+    solver divides inside `series._close`, so only these tests need it."""
+    i = f.variables.index(var)
+    return TruncatedSeries(f.variables, f.cap, _tuple_divide_by_var(f.terms, i, var))
+
+
 def _tuple_divide_by_one_minus(terms, i, var):
     groups = {}
     for expo, coeff in terms.items():
@@ -296,8 +302,6 @@ def test_coded_arithmetic_equals_tuple_arithmetic(data):
     assert _outcome(lambda: f + other) == _tuple_add(f.terms, other.terms)
     assert _outcome(lambda: f - other) == _tuple_sub(f.terms, other.terms)
     assert _outcome(f.shift, var) == _tuple_shift(f.terms, i, cap)
-    assert _outcome(divide_by_var, numerator, var) == _outcome(
-        _tuple_divide_by_var, numerator.terms, i, var)
     if i:
         assert _outcome(divide_by_one_minus, numerator, var) == _outcome(
             _tuple_divide_by_one_minus, numerator.terms, i, var)
