@@ -437,6 +437,29 @@ def test_push_under_a_limit_equals_filtered_push(family, data):
     assert pushed == _under(_code_push(spec, pusher, level), limit)
 
 
+@pytest.mark.parametrize("family", ["partitions", "partitions-enhanced"])
+@pytest.mark.parametrize("k", range(2, 8))
+def test_partition_push_under_every_limit_equals_filtered_push(family, k):
+    """The range-sum push under every limit from none to past every child,
+    on every full level up to n_max, against the rule's push with every
+    code at or past the limit dropped.  Some labels sit exactly at a
+    limit, where they make only their closers."""
+    n_max = 14
+    spec = FamilySpec(family, k)
+    pusher = _pusher(spec, n_max)
+    w0 = pusher.weight
+    level = {pusher.encode(spec.root_label()): 1}
+    at_a_limit = False
+    for n in range(n_max):
+        full = _code_push(spec, pusher, level)
+        assert _push(pusher, level, None) == full, n
+        for limit in (h * w0 for h in range(n + 3)):
+            at_a_limit |= any(limit <= code < limit + w0 for code in level)
+            assert _push(pusher, level, limit) == _under(full, limit), (n, limit)
+        level = full
+    assert at_a_limit
+
+
 def _sparse_partition_level(k):
     """Partition labels in few rows, each row (s_0, ..., s_{k-3}) holding
     a random set of last digits s_{k-2} <= s_{k-3}, so rows have gaps;
@@ -489,24 +512,18 @@ def _well_formed(pusher, rows):
 @pytest.mark.parametrize("k", range(2, 8))
 def test_row_push_equals_code_push(family, k):
     """The push of whole rows against `_code_push`, on every full level up
-    to n_max and under every limit from none to past every child, with
-    every code at or past the limit dropped.  Some labels sit exactly at a
-    limit, where they make only their closers.  The levels stay as rows
-    from one push to the next, as the DP keeps them, and a push leaves the
-    level it reads unchanged."""
-    n_max = 14
+    to n_max and under every limit from none to past every child.  The
+    levels stay as rows from one push to the next, as the DP keeps them,
+    and a push leaves the level it reads unchanged."""
+    n_max = 13
     spec = FamilySpec(family, k)
     pusher = _pusher(spec, n_max)
-    w0 = pusher.weight
     level = {pusher.encode(spec.root_label()): 1}
     rows = pusher.from_codes(level)
-    at_a_limit = False
     for n in range(n_max):
         before = {key: list(row) for key, row in rows.items()}
         full = _code_push(spec, pusher, level)
-        for limit in [None, *(h * w0 for h in range(n + 3))]:
-            if limit is not None:
-                at_a_limit |= any(limit <= code < limit + w0 for code in level)
+        for limit in [None, *(h * pusher.weight for h in range(n + 3))]:
             expected = _under(full, limit)
             pushed = pusher.step(rows, limit)
             assert _well_formed(pusher, pushed), (n, limit)
@@ -517,7 +534,6 @@ def test_row_push_equals_code_push(family, k):
         rows = pusher.step(rows)
         assert pusher.labels(rows) == len(level)
     assert len(level) > n_max
-    assert at_a_limit
 
 
 def test_enhanced_k3_step_owns_every_row_it_makes():
