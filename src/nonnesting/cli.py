@@ -10,6 +10,12 @@ tables: help, usage errors and every other spelling print exactly what
 they always have.  Its parser holds the invoked subcommand alone, and
 every subcommand only when none is named.
 
+Importing this module loads only `gentree` and `series` of the package.
+Whatever else a command needs (`json`, `csv`, `oracle`, `closedform`,
+`refdata`, `diagrams`, the `verify` checks) is imported or built by the
+code that first uses it.  Each module's functions are still called through
+the module, so a wrapper set on one of them sees every call.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard tripped.  Counts are always printed as exact decimal strings, however
 many digits they have.
@@ -17,19 +23,13 @@ many digits they have.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
 import sys
 import time
-from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from functools import partial
 from types import SimpleNamespace
 
-from . import closedform, oracle, refdata
 from .errors import ResourceLimitError
 from .gentree import (
     CONSTRAINED_FAMILIES,
@@ -78,6 +78,8 @@ _BUDGET = _int_at_least(1)
 
 
 def _print_stats(record):
+    import json
+
     print(json.dumps(record), file=sys.stderr)
 
 
@@ -92,6 +94,8 @@ def _cmd_count(args):
         return 0
     seq = count_sequence(spec, args.n, max_labels=args.max_labels, stats=stats)
     if args.format == "json":
+        import json
+
         out = {"family": spec.family, "n": args.n, "counts": [str(c) for c in seq]}
         if spec.k is not None:
             out["k"] = spec.k
@@ -104,6 +108,9 @@ def _cmd_count(args):
 
 
 def _print_csv(header, rows):
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -162,6 +169,8 @@ def _cmd_generate(args):
 
 
 def _cmd_oracle(args):
+    from . import oracle
+
     if not args.stats:
         print(oracle.oracle_count(args.family, args.k, args.n))
         return 0
@@ -180,6 +189,11 @@ def _cmd_oracle(args):
 
 
 def _cmd_refdata(args):
+    import json
+    from dataclasses import asdict
+
+    from . import refdata
+
     try:
         seq = refdata.lookup(args.family, args.k)
     except KeyError as exc:
@@ -189,7 +203,6 @@ def _cmd_refdata(args):
     return 0
 
 
-@dataclass(frozen=True)
 class Check:
     """One release claim: `run(n)` returns (expected, actual) at size n,
     and "{n}" in check_id stands for that size.  `verify` runs it at no
@@ -197,11 +210,12 @@ class Check:
     that `run` reads through its `count` argument (`_count` when run
     alone); `run_checks` counts each of them once per run."""
 
-    suite: str
-    check_id: str
-    max_n: int
-    run: Callable[..., tuple]
-    counts: tuple = ()
+    def __init__(self, suite, check_id, max_n, run, counts=()):
+        self.suite = suite
+        self.check_id = check_id
+        self.max_n = max_n
+        self.run = run
+        self.counts = counts
 
 
 # The thunks look up the counters and closed forms when they run, so a
@@ -217,6 +231,8 @@ def _count(counter, family, k, n):
 
 
 def _table(family, k, n, count=_count):
+    from . import refdata
+
     expected = refdata.lookup(family, k).as_ints()[:n]
     return expected, count("dp", family, k, n)[1:]
 
@@ -226,26 +242,36 @@ def _series(family, k, n, count=_count):
 
 
 def _oracle(family, k, n, count=_count):
+    from . import oracle
+
     expected = [oracle.oracle_count(family, k, m) for m in range(n + 1)]
     return expected, count("dp", family, k, n)
 
 
 def _baxter_formula(n, count=_count):
+    from . import closedform
+
     expected = [closedform.baxter(m + 1) for m in range(n + 1)]
     return expected, count("series", "baxter", None, n)
 
 
 def _baxter_embedded(n, count=_count):
+    from . import refdata
+
     expected = refdata.lookup("baxter", 3).as_ints()[: n + 1]
     return expected, count("series", "baxter", None, n)
 
 
 def _open_totals(family, total, n):
+    from . import closedform
+
     expected = [getattr(closedform, total)(m) for m in range(n + 1)]
     return expected, [lv.total() for lv in count_levels(FamilySpec(family), n)]
 
 
 def _build_checks():
+    from . import refdata
+
     checks = [
         Check("paper-tables", f"tables/{family}/k={k}/n<={{n}}", len(seq.terms),
               partial(_table, family, k), (("dp", family, k),))
@@ -284,9 +310,27 @@ def _build_checks():
     return tuple(checks)
 
 
-# every release claim, in the order `verify` prints them; the acceptance
-# tests run the same entries at their release sizes
-CHECKS = _build_checks()
+def _checks():
+    """`CHECKS`: every release claim, in the order `verify` prints them,
+    built on first use; the acceptance tests run the same entries at their
+    release sizes."""
+    global CHECKS
+    if "CHECKS" not in globals():
+        CHECKS = _build_checks()
+    return CHECKS
+
+
+def __getattr__(name):
+    # `cli.CHECKS` read before anything has built it
+    if name == "CHECKS":
+        return _checks()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# the suites of `CHECKS` in its order, and the families of the embedded
+# tables, so that no table is built to list them
+_SUITES = ("paper-tables", "cross-methods", "baxter", "egf")
+_REFDATA_FAMILIES = ("partitions", "partitions-enhanced", "permutations", "baxter")
 
 
 def run_checks(sized):
@@ -327,7 +371,7 @@ def run_checks(sized):
 def run_suite(suite, max_n):
     """The `run_checks` rows of every check in `suite` ("all" for every
     check), each run at min(max_n, its max_n)."""
-    sized = [(c, min(max_n, c.max_n)) for c in CHECKS if suite in (c.suite, "all")]
+    sized = [(c, min(max_n, c.max_n)) for c in _checks() if suite in (c.suite, "all")]
     return run_checks(sized)
 
 
@@ -335,6 +379,8 @@ def _cmd_verify(args):
     rows = run_suite(args.suite, args.max_n)
     overall = "pass" if all(r["status"] == "pass" for r in rows) else "fail"
     if args.format == "json":
+        import json
+
         checks = [{**r, "runtime": round(r["runtime"], 3)} for r in rows]
         print(json.dumps({"suite": args.suite, "overall": overall, "checks": checks}))
     else:
@@ -395,16 +441,12 @@ _COMMANDS = {
                          "per second")),
     ), _cmd_oracle),
     "verify": ("cross-check harness", (
-        ("--suite", dict(default="all",
-                         choices=(*dict.fromkeys(c.suite for c in CHECKS), "all"))),
+        ("--suite", dict(default="all", choices=(*_SUITES, "all"))),
         ("--max-n", dict(type=_SIZE, default=12)),
         ("--format", dict(choices=("text", "json"), default="text")),
     ), _cmd_verify),
     "refdata": ("dump an embedded reference sequence", (
-        ("--family", dict(
-            required=True,
-            choices=tuple(dict.fromkeys(f for f, _ in refdata.all_sequences())),
-        )),
+        ("--family", dict(required=True, choices=_REFDATA_FAMILIES)),
         ("--k", dict(type=_NESTING, required=True)),
     ), _cmd_refdata),
 }

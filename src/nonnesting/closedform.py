@@ -27,8 +27,14 @@ __all__ = [
 ]
 
 
+def _require_int(n):
+    if type(n) is not int:  # a bool or a float as well
+        raise ValueError(f"n must be an int, got {n!r}")
+
+
 def bell(n):
     """Number of set partitions of an n-element set (Bell triangle)."""
+    _require_int(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     row = [1]
@@ -41,6 +47,7 @@ def bell(n):
 
 
 def catalan(n):
+    _require_int(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     return comb(2 * n, n) // (n + 1)
@@ -48,6 +55,7 @@ def catalan(n):
 
 def baxter(n):
     """n-th Baxter number, from the product-of-binomials summation."""
+    _require_int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     total = sum(
@@ -74,6 +82,7 @@ def _stirling2_row(n):
 def open_partition_count(n):
     """Total open partition diagrams on n vertices: each of the m blocks of
     an ordinary partition may independently keep a semi-arc open or not."""
+    _require_int(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     return sum(s * 2**m for m, s in enumerate(_stirling2_row(n)))
@@ -82,6 +91,7 @@ def open_partition_count(n):
 def open_permutation_count(n):
     """Total open permutation diagrams on n vertices, which match partial
     permutations: choose j positions, j values, and a bijection."""
+    _require_int(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     return sum(comb(n, j) ** 2 * factorial(j) for j in range(n + 1))

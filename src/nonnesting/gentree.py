@@ -39,18 +39,12 @@ and `level_distribution` return each level in that form, as a
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, islice
 from operator import add
 from time import perf_counter
 
-from . import diagrams
-from .diagrams import OpenPartitionDiagram, OpenPermutationDiagram
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -67,28 +61,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """A family plus the forbidden nesting size; everything else about the
-    family comes from its row in `_FAMILY_TABLE`."""
+    family comes from its row in `_FAMILY_TABLE`.  Immutable, and equal to
+    (and hashed as) any spec of the same family and k."""
 
-    family: str
-    k: int | None = None
-
-    def __post_init__(self):
-        entry = _FAMILY_TABLE.get(self.family)
+    def __init__(self, family, k=None):
+        entry = _FAMILY_TABLE.get(family)
         if entry is None:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {family!r}")
         if not entry.takes_k:
-            if self.k is not None:
-                raise ValueError(f"--k is not accepted for family {self.family}")
-        elif self.k is None:
-            raise ValueError(f"--k is required for family {self.family}")
-        elif type(self.k) is not int:  # a bool or a float as well
-            raise ValueError(f"k must be an int, got {self.k!r}")
-        elif self.k < 2:
-            raise ValueError(f"family {self.family} needs k >= 2, got {self.k}")
-        object.__setattr__(self, "_entry", entry)
+            if k is not None:
+                raise ValueError(f"--k is not accepted for family {family}")
+        elif k is None:
+            raise ValueError(f"--k is required for family {family}")
+        elif type(k) is not int:  # a bool or a float as well
+            raise ValueError(f"k must be an int, got {k!r}")
+        elif k < 2:
+            raise ValueError(f"family {family} needs k >= 2, got {k}")
+        self.__dict__.update(family=family, k=k, _entry=entry)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.k) == (other.family, other.k)
+
+    def __hash__(self):
+        return hash((self.family, self.k))
+
+    def __repr__(self):
+        return f"FamilySpec(family={self.family!r}, k={self.k!r})"
 
     def root_label(self):
         return self._entry.root_label(self.k)
@@ -98,8 +106,10 @@ class FamilySpec:
 
     def walk_start(self):
         """The family's empty diagram and its `legal_steps` enhanced flag."""
+        from . import diagrams  # only the walks need the diagrams
+
         entry = self._entry
-        return entry.diagram(0), entry.enhanced
+        return getattr(diagrams, entry.diagram)(0), entry.enhanced
 
 
 # labels per piece of a level dump: a dump holds one chunk's text at a time
@@ -154,6 +164,9 @@ class LevelDistribution:
             write("]}")
             write("\n")
         elif fmt == "csv":
+            import csv
+            import io
+
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["label", "count"])
@@ -933,17 +946,20 @@ def _sum_rows(rows, moves):
     return rows
 
 
-@dataclass(frozen=True)
 class _Family:
     """One family: its k rule, succession rule and geometric counterpart."""
 
-    takes_k: bool
-    root_label: Callable  # k -> the label of the empty diagram
-    successors: Callable  # label -> Counter of child labels
-    diagram: type  # the geometric counterpart, walked from size 0
-    enhanced: bool = False  # the `enhanced` flag of diagrams.legal_steps
-    # (the row, k, n_max) -> a fresh one-level pusher, with its label codec
-    pusher: Callable = _GenericPusher
+    def __init__(self, takes_k, root_label, successors, diagram, enhanced=False,
+                 pusher=_GenericPusher):
+        self.takes_k = takes_k
+        self.root_label = root_label  # k -> the label of the empty diagram
+        self.successors = successors  # label -> Counter of child labels
+        # the name of the geometric counterpart in `diagrams`, walked from
+        # size 0, and the `enhanced` flag of diagrams.legal_steps
+        self.diagram = diagram
+        self.enhanced = enhanced
+        # (the row, k, n_max) -> a fresh one-level pusher, with its label codec
+        self.pusher = pusher
 
 
 def _partition_root(k):
@@ -961,22 +977,23 @@ def _open_root(k):
 
 _FAMILY_TABLE = {
     "partitions": _Family(
-        True, _partition_root, successors_partition, OpenPartitionDiagram,
+        True, _partition_root, successors_partition, "OpenPartitionDiagram",
         pusher=_RangeSumPusher,
     ),
     "partitions-enhanced": _Family(
         True, _partition_root, partial(successors_partition, enhanced=True),
-        OpenPartitionDiagram, enhanced=True, pusher=_RangeSumPusher,
+        "OpenPartitionDiagram", enhanced=True, pusher=_RangeSumPusher,
     ),
     "permutations": _Family(
         True, _permutation_root, successors_permutation,
-        OpenPermutationDiagram, pusher=_PermutationPusher,
+        "OpenPermutationDiagram", pusher=_PermutationPusher,
     ),
     "open-partitions": _Family(
-        False, _open_root, _successors_open_partition, OpenPartitionDiagram
+        False, _open_root, _successors_open_partition, "OpenPartitionDiagram"
     ),
     "open-permutations": _Family(
-        False, _open_root, _successors_open_permutation, OpenPermutationDiagram
+        False, _open_root, _successors_open_permutation,
+        "OpenPermutationDiagram",
     ),
 }
 
@@ -1029,6 +1046,8 @@ def generate_diagrams(spec, n, closed_only=False):
     root, enhanced = spec.walk_start()
     if n == 0:
         return iter((root,))
+    from . import diagrams  # only the walks need the diagrams
+
     state = diagrams.walk_state(root, spec.k, enhanced)
     change = diagrams.SEMI_ARC_CHANGE
 

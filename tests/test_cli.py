@@ -1178,6 +1178,54 @@ def test_plain_run_imports_no_argparse():
     assert (proc.stdout, proc.stderr) == ("1,2,5,15,52,202,859,3930\n0 False False\n", "")
 
 
+# modules that no plain count or series loads; a plain generate loads
+# diagrams (and the dataclasses it is built on) for its walk
+_LOADED_ON_USE = ("dataclasses", "fractions", "json", "csv", "nonnesting.diagrams",
+                  "nonnesting.oracle", "nonnesting.refdata", "nonnesting.closedform")
+
+
+def _fresh_run(*argvs):
+    """(stdout, stderr) of `cli.run` on each argv in turn in one fresh
+    interpreter, stdout ending with the modules of _LOADED_ON_USE that are
+    loaded afterwards."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from nonnesting import cli; "
+        "codes = [cli.run(argv.split()) for argv in sys.argv[2:]]; "
+        f"print(codes, [m for m in {_LOADED_ON_USE!r} if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(SRC), *argvs],
+                          capture_output=True, text=True, timeout=60)
+    return proc.stdout, proc.stderr
+
+
+def test_plain_count_and_series_load_only_gentree_and_series():
+    out = _fresh_run("count --family partitions --k 3 --n 8",
+                     "series --family partitions --k 3 --n 8")
+    assert out == ("1,2,5,15,52,202,859,3930\n"
+                   "1,1,2,5,15,52,202,859,3930\n"
+                   "[0, 0] []\n", "")
+
+
+def test_plain_generate_loads_only_the_diagrams():
+    out, err = _fresh_run("generate --family partitions --k 3 --n 4 --closed-only")
+    *diagrams, loaded = out.splitlines()
+    assert (len(diagrams), err) == (15, "")
+    assert loaded == "[0] ['dataclasses', 'nonnesting.diagrams']"
+
+
+def test_static_choices_match_the_tables():
+    """The verify suites and refdata families are listed without building
+    CHECKS or reading the tables; they must name what those hold."""
+    suites = dict(cli._COMMANDS["verify"][1])["--suite"]["choices"]
+    assert suites == (*dict.fromkeys(c.suite for c in cli.CHECKS), "all")
+    families = dict(cli._COMMANDS["refdata"][1])["--family"]["choices"]
+    assert families == tuple(dict.fromkeys(f for f, _ in refdata.all_sequences()))
+    # built once, on first use, and then kept
+    assert isinstance(cli.CHECKS, tuple)
+    assert cli.CHECKS is cli.CHECKS is cli._checks()
+
+
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["bogus"], ["count", "--help"],
     "count --family partitions --k 3 --n 6".split(),

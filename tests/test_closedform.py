@@ -58,6 +58,16 @@ class TestSequences:
         with pytest.raises(ValueError):
             formula_3nn_partitions(-1, lambda k, i, j: 0)
 
+    @pytest.mark.parametrize("function", [
+        bell, catalan, baxter, open_partition_count, open_permutation_count,
+    ])
+    def test_non_int_n_is_refused(self, function):
+        # a bool passed for an int (bell(True) was bell(1)), and a float
+        # raised a bare TypeError from range or comb
+        for n in (True, 3.0):
+            with pytest.raises(ValueError, match=r"^n must be an int, got "):
+                function(n)
+
 
 class TestMultinomial:
     def test_basic(self):

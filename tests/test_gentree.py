@@ -256,6 +256,26 @@ class TestCountSequence:
         with pytest.raises(ValueError):
             FamilySpec("open-partitions", 3)
 
+    def test_spec_is_an_immutable_value(self):
+        spec = FamilySpec("partitions", 3)
+        same = FamilySpec("partitions", k=3)
+        assert spec == same and hash(spec) == hash(same)
+        assert spec != FamilySpec("partitions", 4)
+        assert spec != FamilySpec("partitions-enhanced", 3)
+        assert spec != ("partitions", 3)
+        assert len({spec, same, FamilySpec("open-partitions")}) == 2
+        assert repr(spec) == "FamilySpec(family='partitions', k=3)"
+        assert repr(FamilySpec("open-permutations")) == (
+            "FamilySpec(family='open-permutations', k=None)")
+        # AttributeError, which a frozen dataclass's FrozenInstanceError
+        # subclasses, so a caller that catches it still does
+        with pytest.raises(AttributeError):
+            spec.k = 4
+        with pytest.raises(AttributeError):
+            del spec.family
+        assert (spec.family, spec.k) == ("partitions", 3)
+        assert count_sequence(spec, 8) == [1, 2, 5, 15, 52, 202, 859, 3930]
+
     @pytest.mark.parametrize("family,k,message", [
         ("partitions", None, "--k is required for family partitions"),
         ("open-permutations", 3, "--k is not accepted for family open-permutations"),
