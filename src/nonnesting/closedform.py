@@ -27,9 +27,9 @@ __all__ = [
 ]
 
 
-def _require_int(n):
+def _require_int(n, name="n"):
     if type(n) is not int:  # a bool or a float as well
-        raise ValueError(f"n must be an int, got {n!r}")
+        raise ValueError(f"{name} must be an int, got {n!r}")
 
 
 def bell(n):
@@ -100,6 +100,7 @@ def open_permutation_count(n):
 def _p_recurrence(n_max, coefficients):
     """a(0..n_max) of c0*a(n) + c1*a(n+1) + c2*a(n+2) = 0 with
     a(0) = a(1) = 1, where coefficients(n) gives (c0, c1, c2)."""
+    _require_int(n_max, "n_max")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     a = [1, 1]
@@ -200,6 +201,7 @@ def formula_3nn_partitions(n, coeff):
     checks it against them for n <= 21).  Returns an exact int; raises
     ArithmeticError when the value is not an integer.
     """
+    _require_int(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     value = _first_sum(n) + _second_sum(n, coeff)

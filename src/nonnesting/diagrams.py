@@ -8,15 +8,15 @@ outermost ("top" upper / "bottom" lower) semi-arc is the one with the
 smallest left endpoint, matching the non-crossing drawing convention.
 
 Vertices are 1-based.  A step, which adds one vertex, is a plain tuple
-(see `legal_steps`).  Diagrams are immutable values: `apply_step` returns a
-new diagram.  Exhaustive generation does not build one per tree node: it
-grows one mutable copy (`walk_state`), applying each step in place and
-undoing it on backtrack, and builds an immutable diagram only for the ones
-it yields.  It builds that diagram from the state's fields, which are
-already in canonical form (`_canonical`): nothing is copied or sorted
-again, and the diagram is validated as the public constructor validates
-it.  The state belongs to the walk that made it and is never handed out;
-what callers get are immutable diagrams.
+(see `legal_steps`).  Diagrams are immutable values; a step is implemented
+once, on a mutable copy (`walk_state`) that applies it in place and undoes
+it on backtrack.  Exhaustive generation grows one such copy and builds an
+immutable diagram only for the ones it yields; `apply_step` is the state's
+step applied to a copy of one diagram.  The immutable diagram is built from
+the state's fields, which are already in canonical form (`_canonical`):
+nothing is copied or sorted again, and the diagram is validated as the
+public constructor validates it.  The state belongs to the walk that made
+it and is never handed out; what callers get are immutable diagrams.
 """
 
 from __future__ import annotations
@@ -432,10 +432,12 @@ def walk_state(diagram, k, enhanced=False):
 
     Its `steps()` are the legal step tuples, in `legal_steps` order, and
     `closing_step()` is the one step that closes a state with at most one
-    semi-arc.  `apply(step)` adds one vertex in place, appending arcs in
-    the order `apply_step` does, and `undo(step)` removes it again, so the
+    semi-arc.  `apply(step)` adds one vertex in place, appending each new
+    arc after the diagram's, and `undo(step)` removes it again, so the
     state is the diagram it was; `freeze()` builds the immutable diagram
-    the state holds.
+    the state holds.  `apply` does not check its step, which must be one of
+    `steps()`; `apply_step` is `apply` and `freeze` on a fresh state behind
+    that check.
     """
     if k is not None:
         if type(k) is not int:  # a bool or a float as well
@@ -603,81 +605,21 @@ class _PermutationState:
 
 
 def apply_step(diagram, step):
-    """Add one vertex to a diagram by a step tuple of its type (see
-    `legal_steps`); returns the extended diagram.  A step that does not fit
-    the diagram, such as an index out of range or an index other than None
-    where the step closes no semi-arc, raises ValueError."""
-    if isinstance(diagram, OpenPartitionDiagram):
-        return _apply_partition_step(diagram, step)
-    if isinstance(diagram, OpenPermutationDiagram):
-        return _apply_permutation_step(diagram, step)
-    raise TypeError(f"not a diagram: {diagram!r}")
-
-
-def _take(origins, index):
-    if index is None or not 0 <= index < len(origins):
-        raise ValueError(f"close index {index} out of range for {len(origins)} semi-arcs")
-    return origins[index], origins[:index] + origins[index + 1 :]
-
-
-def _unused(kind, *indices):
-    """A step closes no semi-arc where its index is None; any other index
-    does not fit it."""
-    for index in indices:
-        if index is not None:
-            raise ValueError(f"{kind} step takes the index None, not {index!r}")
-
-
-def _apply_partition_step(d, step):
-    kind, index = step
-    v = d.n + 1
-    if kind == FIXED_POINT:
-        _unused(kind, index)
-        return OpenPartitionDiagram(v, d.closed_arcs, d.open_arcs)
-    if kind == SEMI_OPENER:
-        _unused(kind, index)
-        return OpenPartitionDiagram(v, d.closed_arcs, d.open_arcs + (v,))
-    if kind == SEMI_TRANSITORY:
-        origin, rest = _take(d.open_arcs, index)
-        return OpenPartitionDiagram(v, d.closed_arcs + ((origin, v),), rest + (v,))
-    if kind == CLOSER:
-        origin, rest = _take(d.open_arcs, index)
-        return OpenPartitionDiagram(v, d.closed_arcs + ((origin, v),), rest)
-    raise ValueError(f"bad step kind {kind!r} for a partition diagram")
-
-
-def _apply_permutation_step(d, step):
-    kind, upper, lower = step
-    v = d.n + 1
-    if kind == FIXED_POINT:
-        _unused(kind, upper, lower)
-        return OpenPermutationDiagram(
-            v, d.upper_arcs + ((v, v),), d.lower_arcs, d.upper_open, d.lower_open
+    """Add one vertex to a diagram by a step tuple of its type; returns the
+    extended diagram.  It is the walk state's step applied to a copy: a
+    step fits when it is one of `legal_steps(diagram, None)`, which holds
+    every step of a constrained or enhanced walk, and its indices are None
+    or ints (a bool or a float is not); any other step raises ValueError."""
+    state = walk_state(diagram, None)
+    if step not in state.steps() or any(
+        index is not None and type(index) is not int for index in step[1:]
+    ):
+        raise ValueError(
+            f"step {step!r} does not fit an {type(diagram).__name__}"
+            f" with semi-arc count {state.semi_arcs()}"
         )
-    if kind == SEMI_OPENER:
-        _unused(kind, upper, lower)
-        return OpenPermutationDiagram(
-            v, d.upper_arcs, d.lower_arcs, d.upper_open + (v,), d.lower_open + (v,)
-        )
-    if kind == UPPER_SEMI_TRANSITORY:
-        origin, rest = _take(d.upper_open, upper)
-        _unused(kind, lower)
-        return OpenPermutationDiagram(
-            v, d.upper_arcs + ((origin, v),), d.lower_arcs, rest + (v,), d.lower_open
-        )
-    if kind == LOWER_SEMI_TRANSITORY:
-        origin, rest = _take(d.lower_open, lower)
-        _unused(kind, upper)
-        return OpenPermutationDiagram(
-            v, d.upper_arcs, d.lower_arcs + ((origin, v),), d.upper_open, rest + (v,)
-        )
-    if kind == CLOSER:
-        uo, urest = _take(d.upper_open, upper)
-        lo, lrest = _take(d.lower_open, lower)
-        return OpenPermutationDiagram(
-            v, d.upper_arcs + ((uo, v),), d.lower_arcs + ((lo, v),), urest, lrest
-        )
-    raise ValueError(f"bad step kind {kind!r} for a permutation diagram")
+    state.apply(step)
+    return state.freeze()
 
 
 def permutation_arcs(sigma):

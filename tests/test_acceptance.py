@@ -103,27 +103,31 @@ def test_08_catalan(capsys):
 
 
 def _labels_agree(spec, label_of, n_max):
-    """Walk every diagram in the tree and compare the child-label multiset
-    produced geometrically with the succession-rule prediction."""
+    """Walk every diagram in the tree up to n_max - 1 vertices and compare
+    the child-label multiset produced geometrically with the
+    succession-rule prediction.  One walk state grows in place: each child
+    is a step applied, labelled through `freeze()` and undone."""
     root, enhanced = spec.walk_start()
-    stack = [(root, 0)]
-    while stack:
-        d, depth = stack.pop()
-        label = label_of(d)
-        children = [
-            dg.apply_step(d, step) for step in dg.legal_steps(d, spec.k, enhanced)
-        ]
-        got = Counter(label_of(c) for c in children)
-        if got != spec.successors(label):
-            return False
-        if depth + 1 < n_max:
-            stack.extend((c, depth + 1) for c in children)
-    return True
+    state = dg.walk_state(root, spec.k, enhanced)
+
+    def agrees(label, depth):
+        got = Counter()
+        for step in state.steps():
+            state.apply(step)
+            child = label_of(state.freeze())
+            got[child] += 1
+            ok = depth + 1 == n_max or agrees(child, depth + 1)
+            state.undo(step)
+            if not ok:
+                return False
+        return got == spec.successors(label)
+
+    return agrees(label_of(root), 0)
 
 
 def test_09_rule_geometry_agreement(capsys):
     ok = True
-    for k in (2, 3):
+    for k in (2, 3, 4, 5):
         spec = FamilySpec("partitions", k)
         ok = ok and _labels_agree(
             spec, lambda d: dg.partition_label(d, k - 1), 8

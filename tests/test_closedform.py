@@ -1,6 +1,8 @@
 """Reference sequences and the explicit formula."""
 
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -67,6 +69,18 @@ class TestSequences:
         for n in (True, 3.0):
             with pytest.raises(ValueError, match=r"^n must be an int, got "):
                 function(n)
+
+    @pytest.mark.parametrize("function,name", [
+        (a108304, "n_max"),
+        (a108307, "n_max"),
+        (partial(formula_3nn_partitions, coeff=lambda k, i, j: 0), "n"),
+    ], ids=["a108304", "a108307", "formula_3nn_partitions"])
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0], ids=["True", "2.5", "3.0"])
+    def test_non_int_recurrence_or_formula_n_is_refused(self, function, name, n):
+        # a108304(True) was [1, 1], and a float raised a bare TypeError
+        # from range
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(n))}$"):
+            function(n)
 
 
 class TestMultinomial:

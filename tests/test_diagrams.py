@@ -332,7 +332,17 @@ def test_label_refuses_a_k_below_one_or_not_an_int(label, diagram, k, message):
         label(diagram, k)
 
 
-@pytest.mark.parametrize("diagram,step,error,message", [
+def _unfit(step, diagram):
+    """The one message `apply_step` refuses a step with."""
+    return (
+        f"step {step!r} does not fit an {type(diagram).__name__}"
+        f" with semi-arc count {diagram.semi_arcs()}"
+    )
+
+
+# Each case is named by why its step does not fit; the name heads its test
+# id.  A step fits when it is one of legal_steps(diagram, None).
+@pytest.mark.parametrize("diagram,step,error,case", [
     # partition steps are (kind, index)
     (EXAMPLE_11, (dg.CLOSER, 4), ValueError, "close index 4 out of range for 4"),
     (EXAMPLE_11, (dg.SEMI_TRANSITORY, -1), ValueError, "close index -1 out of range"),
@@ -354,34 +364,50 @@ def test_label_refuses_a_k_below_one_or_not_an_int(label, diagram, k, message):
     (EXAMPLE_13, (dg.CLOSER, 0, 0, 0), ValueError, "too many values to unpack"),
     # anything else is not a diagram
     ((), (dg.FIXED_POINT, None), TypeError, "not a diagram"),
+    # an index that is a bool or a float, and a step that is not a tuple:
+    # True closed the semi-arc of index 1, a float raised a bare TypeError
+    # and a list was taken as its tuple
+    (EXAMPLE_11, (dg.SEMI_TRANSITORY, True), ValueError, "bool index"),
+    (EXAMPLE_11, (dg.CLOSER, 1.0), ValueError, "float index"),
+    (EXAMPLE_11, [dg.CLOSER, 0], ValueError, "list step"),
+    (EXAMPLE_13, (dg.CLOSER, True, 0), ValueError, "bool upper index"),
+    (EXAMPLE_13, (dg.LOWER_SEMI_TRANSITORY, None, 2.0), ValueError, "float lower index"),
+    (EXAMPLE_13, [dg.FIXED_POINT, None, None], ValueError, "list step"),
 ])
-def test_apply_step_rejects_a_step_that_does_not_fit(diagram, step, error, message):
-    with pytest.raises(error, match=message):
+def test_apply_step_rejects_a_step_that_does_not_fit(diagram, step, error, case):
+    message = "not a diagram: ()" if error is TypeError else _unfit(step, diagram)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         dg.apply_step(diagram, step)
 
 
-@pytest.mark.parametrize("diagram,step,message", [
+def test_apply_step_names_the_step_class_and_semi_arc_count():
+    with pytest.raises(ValueError, match=re.escape(
+        "step ('closer', 4) does not fit an OpenPartitionDiagram with semi-arc count 4"
+    ) + "$"):
+        dg.apply_step(EXAMPLE_11, (dg.CLOSER, 4))
+    with pytest.raises(ValueError, match=re.escape(
+        "step ('semi_opener', None) does not fit an OpenPermutationDiagram"
+        " with semi-arc count 0"
+    ) + "$"):
+        dg.apply_step(dg.OpenPermutationDiagram(0), (dg.SEMI_OPENER, None))
+
+
+@pytest.mark.parametrize("diagram,step", [
     # an index where a step closes nothing is rejected, not ignored
-    (dg.OpenPartitionDiagram(1, (), (1,)), (dg.FIXED_POINT, 7),
-     "fixed_point step takes the index None, not 7"),
-    (EXAMPLE_11, (dg.FIXED_POINT, 0), "fixed_point step takes the index None, not 0"),
-    (EXAMPLE_11, (dg.SEMI_OPENER, 1), "semi_opener step takes the index None, not 1"),
-    (EXAMPLE_13, (dg.FIXED_POINT, 0, None),
-     "fixed_point step takes the index None, not 0"),
-    (EXAMPLE_13, (dg.FIXED_POINT, None, 2),
-     "fixed_point step takes the index None, not 2"),
-    (EXAMPLE_13, (dg.SEMI_OPENER, None, 1),
-     "semi_opener step takes the index None, not 1"),
-    (EXAMPLE_13, (dg.UPPER_SEMI_TRANSITORY, 0, 0),
-     "upper_semi_transitory step takes the index None, not 0"),
-    (EXAMPLE_13, (dg.LOWER_SEMI_TRANSITORY, 0, 1),
-     "lower_semi_transitory step takes the index None, not 0"),
+    (dg.OpenPartitionDiagram(1, (), (1,)), (dg.FIXED_POINT, 7)),
+    (EXAMPLE_11, (dg.FIXED_POINT, 0)),
+    (EXAMPLE_11, (dg.SEMI_OPENER, 1)),
+    (EXAMPLE_13, (dg.FIXED_POINT, 0, None)),
+    (EXAMPLE_13, (dg.FIXED_POINT, None, 2)),
+    (EXAMPLE_13, (dg.SEMI_OPENER, None, 1)),
+    (EXAMPLE_13, (dg.UPPER_SEMI_TRANSITORY, 0, 0)),
+    (EXAMPLE_13, (dg.LOWER_SEMI_TRANSITORY, 0, 1)),
 ], ids=["partition-fixed-point-7", "partition-fixed-point", "partition-semi-opener",
         "permutation-fixed-point-upper", "permutation-fixed-point-lower",
         "permutation-semi-opener", "permutation-upper-transitory",
         "permutation-lower-transitory"])
-def test_apply_step_rejects_an_unused_index(diagram, step, message):
-    with pytest.raises(ValueError, match=message):
+def test_apply_step_rejects_an_unused_index(diagram, step):
+    with pytest.raises(ValueError, match=f"^{re.escape(_unfit(step, diagram))}$"):
         dg.apply_step(diagram, step)
     # the same step with None there fits
     kind, *indices = step

@@ -1088,8 +1088,21 @@ def test_walk_equals_object_walk(family, k, n_max, closed_only):
     order.  `freeze()` sets the walk state's fields as they are: each
     diagram equals its copy rebuilt through the public constructor, by
     value, hash, repr, attribute dict and JSON line, and its direct JSON is
-    json.dumps of its dict."""
+    json.dumps of its dict.
+
+    `apply_step` is the walk state's step, so the object walk does not
+    check the step by itself; the DP does.  Each walked list has no
+    duplicate, every diagram's label (k - 1 forbids a k-nesting) computes
+    without ConstraintViolation, and the list is as long as the DP's count
+    of the level: every label for an open walk, the closed count for a
+    closed-only one."""
     spec = FamilySpec(family, k)
+    label = {
+        "partitions": lambda d: dg.partition_label(d, k - 1),
+        "partitions-enhanced": lambda d: dg.partition_label(d, k - 1, enhanced=True),
+        "permutations": lambda d: dg.permutation_label(d, k - 1),
+    }.get(family)
+    closed_counts = [1] + count_sequence(spec, n_max)
     for n in range(n_max + 1):
         walked = list(generate_diagrams(spec, n, closed_only=closed_only))
         assert walked == list(_object_walk(spec, n, closed_only))
@@ -1100,6 +1113,12 @@ def test_walk_equals_object_walk(family, k, n_max, closed_only):
             assert repr(rebuilt) == repr(d)
             assert list(vars(rebuilt).items()) == list(vars(d).items())
             assert rebuilt.to_json() == d.to_json() == json.dumps(d.to_json_dict())
+        assert len(set(walked)) == len(walked)
+        if label is not None:
+            for d in walked:
+                label(d)
+        expected = closed_counts[n] if closed_only else level_distribution(spec, n).total()
+        assert len(walked) == expected
     assert len(walked) > 20
 
 

@@ -1,7 +1,8 @@
 """gentree, series and oracle are the three independent counters: none of
 them may import another, directly or through another module of the
 package, or their agreement stops being evidence.  Nor may the test-only
-reference that the oracle's walks are checked against import any of them.
+reference that the oracle's walks are checked against import any of them,
+nor `diagrams`, whose walk is checked against the DP.
 And the package keeps zero runtime dependencies: each of its modules
 imports only the package and the standard library."""
 
@@ -74,10 +75,9 @@ def test_other_imports_are_ignored():
     assert _imported_counters(source) == set()
 
 
-@pytest.mark.parametrize("module", COUNTERS)
-def test_counters_do_not_load_each_other(module):
-    # imports through other modules count too: a counter that loads another
-    # one via a helper module could reuse its code without importing it
+def _loaded_modules(module):
+    """The package's modules that a fresh interpreter has loaded once it
+    has imported `module`."""
     code = (
         f"import sys, nonnesting.{module}; "
         f"print(sorted(m for m in sys.modules if m.startswith('nonnesting.')))"
@@ -87,8 +87,24 @@ def test_counters_do_not_load_each_other(module):
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    loaded = {name.split(".", 1)[1] for name in ast.literal_eval(out)}
+    return {name.split(".", 1)[1] for name in ast.literal_eval(out)}
+
+
+@pytest.mark.parametrize("module", COUNTERS)
+def test_counters_do_not_load_each_other(module):
+    # imports through other modules count too: a counter that loads another
+    # one via a helper module could reuse its code without importing it
+    loaded = _loaded_modules(module)
     assert loaded.isdisjoint(set(COUNTERS) - {module}), f"{module} loads {loaded}"
+
+
+def test_diagrams_neither_imports_nor_loads_a_counter():
+    # the diagram walk is checked against the DP's counts and labels, so it
+    # must not be able to reuse the succession rule's code
+    imported = _imported_counters((PACKAGE / "diagrams.py").read_text())
+    assert not imported, f"diagrams imports {sorted(imported)}"
+    loaded = _loaded_modules("diagrams")
+    assert loaded.isdisjoint(COUNTERS), f"diagrams loads {sorted(loaded)}"
 
 
 def _outside_imports(source):
