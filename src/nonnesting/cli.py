@@ -40,8 +40,11 @@ from .gentree import (
     generate_diagrams,
     level_distribution,
 )
+# constant_term_sequence and ones_sequence are no longer called here, yet
+# they stay bound: bench/tracer.py wraps them, with solve_equation, by
+# their names in this module
 from .series import (SERIES_FAMILIES, constant_term_sequence, ones_sequence,
-                     solve_equation)
+                     solve_equation, solve_sequence)
 
 __all__ = ["main", "run", "run_suite", "run_checks", "CHECKS", "Check"]
 
@@ -119,33 +122,31 @@ def _print_csv(header, rows):
 
 
 def _solve_from_args(args):
+    """The counting terms of the series the argv names, holding one z-order
+    at a time, or with --full the whole series."""
     family, k = args.family, args.k
     if family == "permutations3":
         # the k=3 spelling of permutations, pinned by the series-solve workload
         if k not in (None, 3):
             raise SystemExit2("series family permutations3 is k=3 only")
         family, k = "permutations", 3
+    stats = _print_stats if args.stats else None
     try:
-        return solve_equation(
-            family, args.n, k=k, full=args.full,
-            stats=_print_stats if args.stats else None,
-        )
+        if args.full:
+            return solve_equation(family, args.n, k=k, stats=stats)
+        return solve_sequence(family, args.n, k=k, stats=stats)
     except ValueError as exc:
         raise SystemExit2(exc) from None
 
 
 def _cmd_series(args):
-    f = _solve_from_args(args)
-    if args.full:
-        print("# variables: " + " ".join(f.variables))
-        for line in f.dump_lines():
-            print(line)
+    solved = _solve_from_args(args)
+    if not args.full:
+        print(",".join(str(c) for c in solved))
         return 0
-    if args.family == "baxter":
-        seq = ones_sequence(f)
-    else:
-        seq = constant_term_sequence(f)
-    print(",".join(str(c) for c in seq))
+    print("# variables: " + " ".join(solved.variables))
+    for line in solved.dump_lines():
+        print(line)
     return 0
 
 
@@ -225,9 +226,7 @@ def _count(counter, family, k, n):
     DP, "series" the counting terms of the functional equation."""
     if counter == "dp":
         return [1] + count_sequence(FamilySpec(family, k), n)
-    if family == "baxter":
-        return ones_sequence(solve_equation("baxter", n))
-    return constant_term_sequence(solve_equation(family, n, k=k, full=False))
+    return solve_sequence(family, n, k=k)
 
 
 def _table(family, k, n, count=_count):

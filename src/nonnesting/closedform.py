@@ -137,6 +137,9 @@ def a108307(n_max):
 
 def multinomial(n, parts):
     """(n choose parts), zero when entries are negative or do not sum to n."""
+    _require_int(n)
+    for p in parts:
+        _require_int(p, "part")
     if n < 0 or any(p < 0 for p in parts) or sum(parts) != n:
         return 0
     out = 1

@@ -305,16 +305,19 @@ def _successors_open_permutation(m):
     return children
 
 
-def _pusher(spec, n_max, max_labels=None):
+def _pusher(spec, n_max, max_labels=None, stats=None):
     """A fresh one-level pusher for spec whose codes hold every label of
     levels 0..n_max.  The label budget `max_labels` of the push, None for
-    none, is checked here too, before any push."""
+    none, and its `stats` callback, None or callable, are checked here too,
+    before any push."""
     if type(n_max) is not int:  # a bool or a float as well
         raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if max_labels is not None and (type(max_labels) is not int or max_labels < 1):
         raise ValueError(f"max_labels must be an int >= 1, got {max_labels!r}")
+    if stats is not None and not callable(stats):
+        raise ValueError(f"stats must be None or callable, got {stats!r}")
     entry = spec._entry
     return entry.pusher(entry, spec.k, n_max)
 
@@ -384,7 +387,7 @@ def level_distribution(spec, n, max_labels=None, stats=None):
     """The full label distribution at level n, without keeping the levels
     before it; `max_labels` as in count_levels, `stats` as in
     count_sequence (nothing is pruned, so each level keeps every label)."""
-    pusher = _pusher(spec, n, max_labels)
+    pusher = _pusher(spec, n, max_labels, stats)
     root = pusher.encode(spec.root_label())
     for level in _level_stream(pusher, root, n, max_labels, False, stats):
         pass
@@ -1014,7 +1017,7 @@ def count_sequence(spec, n_max, max_labels=None, stats=None):
     every label it produces is kept.  Without `stats` no timing call is
     made.
     """
-    pusher = _pusher(spec, n_max, max_labels)
+    pusher = _pusher(spec, n_max, max_labels, stats)
     root = pusher.encode(spec.root_label())
     levels = _level_stream(pusher, root, n_max, max_labels, True, stats)
     next(levels)

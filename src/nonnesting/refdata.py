@@ -30,6 +30,8 @@ class ReferenceSequence:
     terms: tuple
 
     def term(self, n):
+        if type(n) is not int:  # a bool or a float as well
+            raise ValueError(f"n must be an int, got {n!r}")
         i = n - self.offset
         if not 0 <= i < len(self.terms):
             raise IndexError(f"n={n} outside embedded range")

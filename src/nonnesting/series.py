@@ -6,11 +6,12 @@ label entries.  Only z is truncated: catalytic exponents stay bounded on
 their own (each z-order is one application of Phi, which raises them by a
 bounded amount), and truncating them would corrupt the zero-remainder checks in the exact divisions below.
 
-One drop of catalytic terms is safe, and `solve_equation(..., full=False)`
-makes it when only the counting sequence is wanted: after z-order n it drops
-every term with more semi-arcs (the exponent of v0, or of u for
-permutations) than the n_max - n z-orders left, because each vertex closes
-at most one semi-arc, so such a term never reaches the constant term.  The
+One drop of catalytic terms is safe, and `solve_sequence` and
+`solve_equation(..., full=False)` make it when only the counting sequence
+is wanted: after z-order n they drop every term with more semi-arcs (the
+exponent of v0, or of u for permutations) than the n_max - n z-orders
+left, because each vertex closes at most one semi-arc, so such a term
+never reaches the constant term.  The
 drop keeps the division checks valid because Phi is linear and keeps the
 z-order: each division in Phi(g) is exact on every monomial of g by itself,
 so it stays exact on any subset of g's monomials.  Every term that is kept
@@ -62,8 +63,16 @@ parts the same way, checking that u divides each term of its closer.  A shift th
 sets the top bit of a field re-codes the sum one bit wider, as
 `TruncatedSeries.shift` does (`_shifted`).  `_close` and `_fix` still
 return series, and Phi calls them by their module names, so a test can
-swap in their plain forms.  `_iterate` checks the z-order, shifts by z and
-drops past the horizon in one pass over Phi's image.
+swap in their plain forms.
+
+`_layers` makes the z-order slices of G one at a time and holds only the
+one it last yielded: one pass over Phi's image checks the z-order, shifts
+by z and drops past the horizon.  It has two readers.  `_iterate` sums the
+slices into the series that `solve_equation` returns, so `--full` and the
+tests see every term.  `solve_sequence` reads each slice's counting term as
+the slice is made (its catalytic-constant coefficient, or for baxter the
+sum of its coefficients) and keeps nothing else, so a plain `series` or a
+`verify` check holds one z-order where the sum holds them all.
 """
 
 from __future__ import annotations
@@ -79,6 +88,7 @@ __all__ = [
     "substitute",
     "SERIES_FAMILIES",
     "solve_equation",
+    "solve_sequence",
     "constant_term_sequence",
     "ones_sequence",
 ]
@@ -437,8 +447,10 @@ def _sweep(f, var, lines):
     return TruncatedSeries._of(f.variables, f.cap, f.width, codes)
 
 
-def _iterate(variables, n_max, phi, *, semi_arc=None, stats=None):
-    """Solve G = 1 + z * phi(G) to z-order n_max, one z-order at a time.
+def _layers(variables, n_max, phi, *, semi_arc=None, stats=None):
+    """The z-order slices of the solution of G = 1 + z * phi(G), from
+    [z^0]G = 1 to [z^n_max]G, each made from the one before and yielded
+    as it is made; only the slice last yielded is held.
 
     phi must be linear and keep the z-order: applied to the z^(n-1) slice
     of G it returns terms of z-order n-1 only, and shifting them by z gives
@@ -450,8 +462,7 @@ def _iterate(variables, n_max, phi, *, semi_arc=None, stats=None):
     (phi's image), terms_kept and phi_s (seconds in phi).
     """
     layer = TruncatedSeries.one(variables, n_max)
-    width = layer.width
-    codes = dict(layer.codes)
+    yield layer
     for n in range(1, n_max + 1):
         if stats is not None:
             started = perf_counter()
@@ -474,14 +485,25 @@ def _iterate(variables, n_max, phi, *, semi_arc=None, stats=None):
             if code & field <= bound:
                 kept[code + 1] = coeff
         layer = TruncatedSeries._of(variables, n_max, image.width, kept)
+        if stats is not None:
+            stats({"order": n, "terms_built": len(image.codes),
+                   "terms_kept": len(kept), "phi_s": phi_s})
+        del image  # not held while the reader has the slice
+        yield layer
+
+
+def _iterate(variables, n_max, phi, **options):
+    """Solve G = 1 + z * phi(G) to z-order n_max: the sum of the `_layers`
+    slices, with `_layers`'s options."""
+    layers = _layers(variables, n_max, phi, **options)
+    g = next(layers)
+    width, codes = g.width, dict(g.codes)
+    for layer in layers:
         if layer.width != width:  # a catalytic shift in phi widened it
             codes = TruncatedSeries._of(
                 variables, n_max, width, codes)._recoded(layer.width)
             width = layer.width
-        codes.update(kept)
-        if stats is not None:
-            stats({"order": n, "terms_built": len(image.codes),
-                   "terms_kept": len(kept), "phi_s": phi_s})
+        codes.update(layer.codes)
     return TruncatedSeries._of(variables, n_max, width, codes)
 
 
@@ -523,21 +545,27 @@ def _fix(g, xs):
     return _fold(g, xs[0], xs[1])
 
 
-def solve_partition_equation(k, n_max, enhanced=False, **options):
-    """Generating function Q for k-nonnesting open partition diagrams, or
-    with `enhanced` P, for those that also avoid future enhanced k-nestings
-    (for k=3, P is the Baxter series).
+def _partition_equation(k, enhanced=False):
+    """The variables and Phi of Q, the generating function of k-nonnesting
+    open partition diagrams, or with `enhanced` of P, for those that also
+    avoid future enhanced k-nestings (for k=3, P is the Baxter series).
 
     Variables v0..v(k-2) mark the label entries s_0..s_{k-2}; the constant
-    term in the catalytic variables counts the diagrams that close.
+    term in the catalytic variables counts the diagrams that close.  Like
+    every equation below, it reads its Phi from the module when it is
+    called, so a test can swap in a plain form.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     variables = ("z",) + tuple(f"v{i}" for i in range(k - 1))
-    vs = variables[1:]
+    return variables, partial(_partition_phi, variables[1:], enhanced)
 
-    return _iterate(variables, n_max, partial(_partition_phi, vs, enhanced),
-                    **options)
+
+def solve_partition_equation(k, n_max, enhanced=False, **options):
+    """Q, or with `enhanced` P, to z-order n_max; the options are
+    `_iterate`'s."""
+    variables, phi = _partition_equation(k, enhanced)
+    return _iterate(variables, n_max, phi, **options)
 
 
 def _partition_phi(vs, enhanced, g):
@@ -559,15 +587,16 @@ def _partition_phi(vs, enhanced, g):
     return _shifted(g.variables, g.cap, width, codes, unit)
 
 
-def solve_baxter_equation(n_max, **options):
-    """The two-variable series B(u, v; z) of enhanced-3-nonnesting open
-    partition diagrams, written with the u = v0, v = v1 naming."""
-    f = solve_partition_equation(3, n_max, enhanced=True, **options)
-    return TruncatedSeries._of(("z", "u", "v"), n_max, f.width, f.codes)
+def _baxter_equation():
+    """The variables and Phi of the two-variable series B(u, v; z) of
+    enhanced-3-nonnesting open partition diagrams: P at k = 3, written
+    with the u = v0, v = v1 naming."""
+    return ("z", "u", "v"), partial(_partition_phi, ("u", "v"), True)
 
 
-def solve_permutation_equation(k, n_max, **options):
-    """Generating function F for k-nonnesting open permutation diagrams.
+def _permutation_equation(k):
+    """The variables and Phi of F, the generating function of k-nonnesting
+    open permutation diagrams.
 
     u marks h, the number of semi-arcs; v1..v(k-2) mark the upper label
     entries r and w1..w(k-2) the lower ones s (for k = 3 they are named v
@@ -585,11 +614,7 @@ def solve_permutation_equation(k, n_max, **options):
         ups = tuple(f"v{i}" for i in range(1, m + 1))
         lows = tuple(f"w{i}" for i in range(1, m + 1))
     variables = ("z", "u") + ups + lows
-    upper = ("u",) + ups
-    lower = ("u",) + lows
-
-    return _iterate(variables, n_max, partial(_permutation_phi, upper, lower),
-                    **options)
+    return variables, partial(_permutation_phi, ("u",) + ups, ("u",) + lows)
 
 
 def _permutation_phi(upper, lower, g):
@@ -614,17 +639,41 @@ def _common_width(parts):
     return width, [f._recoded(width) for f in parts]
 
 
-# family -> (solver, whether it takes k, the variable whose exponent counts
-# semi-arcs); the names are the CLI's.  Baxter's counts read every term, so
-# it names no variable and is never pruned.
-_SOLVERS = {
-    "partitions": (solve_partition_equation, True, "v0"),
+# family -> (its equation, which gives the variables and Phi from k when
+# the family takes one; whether it takes k; the variable whose exponent
+# counts semi-arcs); the names are the CLI's.  Baxter's counts read every
+# term, so it names no variable and is never pruned.
+_EQUATIONS = {
+    "partitions": (_partition_equation, True, "v0"),
     "partitions-enhanced": (
-        partial(solve_partition_equation, enhanced=True), True, "v0"),
-    "permutations": (solve_permutation_equation, True, "u"),
-    "baxter": (solve_baxter_equation, False, None),
+        partial(_partition_equation, enhanced=True), True, "v0"),
+    "permutations": (_permutation_equation, True, "u"),
+    "baxter": (_baxter_equation, False, None),
 }
-SERIES_FAMILIES = tuple(_SOLVERS)
+SERIES_FAMILIES = tuple(_EQUATIONS)
+
+
+def _equation(family, n_max, k, stats):
+    """The variables, Phi and semi-arc variable of `family`'s equation,
+    after the checks that both entries make of their arguments."""
+    if family not in _EQUATIONS:
+        raise ValueError(f"unknown series family {family!r}")
+    if type(n_max) is not int:  # a bool or a float as well
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if stats is not None and not callable(stats):
+        raise ValueError(f"stats must be None or callable, got {stats!r}")
+    equation, takes_k, semi_arc = _EQUATIONS[family]
+    if not takes_k:
+        if k is not None:
+            raise ValueError(f"k is not accepted for series family {family}")
+        return (*equation(), semi_arc)
+    if k is None:
+        raise ValueError(f"k is required for series family {family}")
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
+    return (*equation(k), semi_arc)
 
 
 def solve_equation(family, n_max, k=None, *, full=True, stats=None):
@@ -635,28 +684,29 @@ def solve_equation(family, n_max, k=None, *, full=True, stats=None):
     full=False keeps only the terms that can still reach the constant term
     by z-order n_max (the module docstring says why that is exact), which is
     all `constant_term_sequence` reads; baxter keeps every term either way.
-    stats is `_iterate`'s per-z-order callback.  The solvers pass their
-    keyword options on to `_iterate` and get only those that are set, so
-    the default solve calls `_iterate(variables, n_max, phi)`."""
-    if family not in _SOLVERS:
-        raise ValueError(f"unknown series family {family!r}")
-    if type(n_max) is not int:  # a bool or a float as well
-        raise ValueError(f"n_max must be an int, got {n_max!r}")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    solver, takes_k, semi_arc = _SOLVERS[family]
+    stats is `_layers`'s per-z-order callback.  `_iterate` gets only the
+    options that are set, so the default solve calls
+    `_iterate(variables, n_max, phi)`."""
+    variables, phi, semi_arc = _equation(family, n_max, k, stats)
     options = {} if stats is None else {"stats": stats}
     if not full and semi_arc is not None:
         options["semi_arc"] = semi_arc
-    if not takes_k:
-        if k is not None:
-            raise ValueError(f"k is not accepted for series family {family}")
-        return solver(n_max, **options)
-    if k is None:
-        raise ValueError(f"k is required for series family {family}")
-    if type(k) is not int:
-        raise ValueError(f"k must be an int, got {k!r}")
-    return solver(k, n_max, **options)
+    return _iterate(variables, n_max, phi, **options)
+
+
+def solve_sequence(family, n_max, k=None, *, stats=None):
+    """The counting terms 0..n_max of `family`'s equation, holding one
+    z-order at a time: `constant_term_sequence(solve_equation(family,
+    n_max, k, full=False))`, and for baxter, whose counts read every term,
+    `ones_sequence(solve_equation("baxter", n_max))`.  The arguments are
+    checked as `solve_equation` checks them, and stats gets the same
+    records."""
+    variables, phi, semi_arc = _equation(family, n_max, k, stats)
+    layers = _layers(variables, n_max, phi, semi_arc=semi_arc, stats=stats)
+    if semi_arc is None:
+        return [sum(layer.codes.values()) for layer in layers]
+    # z is the lowest field, so the catalytic-constant term of z^n has code n
+    return [layer.codes.get(n, 0) for n, layer in enumerate(layers)]
 
 
 def constant_term_sequence(f):

@@ -25,7 +25,8 @@ from nonnesting import cli, closedform, gentree, oracle, refdata
 from nonnesting.cli import run
 from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import FamilySpec, count_levels
-from nonnesting.series import SERIES_FAMILIES, TruncatedSeries
+from nonnesting.series import (SERIES_FAMILIES, TruncatedSeries, constant_term_sequence,
+                               ones_sequence)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -683,11 +684,13 @@ class TestBigCounts:
         assert sum(counts.values()) == closedform.open_permutation_count(320)
 
     def test_series_coefficients(self, monkeypatch, capsys):
-        # no equation reaches 640 digits quickly, so the solver is replaced
-        # by a series holding such coefficients
+        # no equation reaches 640 digits quickly, so the solvers are replaced
+        # by a series holding such coefficients and by its counting terms
         big, bigger = factorial(320), factorial(330)
         f = TruncatedSeries(("z", "v0"), 2, {(0, 0): 1, (2, 0): big, (2, 1): bigger})
         monkeypatch.setattr(cli, "solve_equation", lambda *args, **kwargs: f)
+        monkeypatch.setattr(cli, "solve_sequence", lambda family, *args, **kwargs: (
+            ones_sequence(f) if family == "baxter" else constant_term_sequence(f)))
         out = self.run_ok(capsys, ["series", "--family", "partitions", "--k", "3",
                                    "--n", "2"])
         assert out == "1,0,%d\n" % big
@@ -802,7 +805,7 @@ class TestVerify:
     def test_suite_counts_each_sequence_once(self, monkeypatch, max_n):
         # looked up in cli when called, as bench/tracer.py's wrappers are
         dp, solved = Counter(), Counter()
-        count_sequence, solve_equation = cli.count_sequence, cli.solve_equation
+        count_sequence, solve_sequence = cli.count_sequence, cli.solve_sequence
 
         def counting_dp(spec, n, **kwargs):
             dp[spec.family, spec.k] += 1
@@ -810,10 +813,10 @@ class TestVerify:
 
         def counting_solve(family, n, **kwargs):
             solved[family, kwargs.get("k")] += 1
-            return solve_equation(family, n, **kwargs)
+            return solve_sequence(family, n, **kwargs)
 
         monkeypatch.setattr(cli, "count_sequence", counting_dp)
-        monkeypatch.setattr(cli, "solve_equation", counting_solve)
+        monkeypatch.setattr(cli, "solve_sequence", counting_solve)
         rows = cli.run_suite("all", max_n)
         assert all(r["status"] == "pass" for r in rows)
         tables = [key for key in refdata.all_sequences() if key[0] != "baxter"]

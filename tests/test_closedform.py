@@ -92,6 +92,17 @@ class TestMultinomial:
         assert multinomial(4, (2, 1, 2)) == 0
         assert multinomial(4, (-1, 4, 1)) == 0
 
+    @pytest.mark.parametrize("n,parts,message", [
+        (True, (1,), "n must be an int, got True"),
+        (2.0, (1, 1), "n must be an int, got 2.0"),
+        (2, (1, 1.0), "part must be an int, got 1.0"),
+        (2, (True, 1), "part must be an int, got True"),
+    ])
+    def test_refuses_what_is_not_an_int(self, n, parts, message):
+        # multinomial(True, (1,)) was 1, and a float n raised TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            multinomial(n, parts)
+
 
 class TestFormulaReport:
     def test_bound_p_reading_agrees_with_counts(self):

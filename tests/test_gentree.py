@@ -307,6 +307,19 @@ class TestCountSequence:
             count(FamilySpec("permutations", 3), 6, max_labels=budget, **kwargs)
         assert records == []
 
+    @pytest.mark.parametrize("count", [count_sequence, level_distribution])
+    @pytest.mark.parametrize("stats", [1, "x", [], True])
+    def test_stats_must_be_none_or_callable(self, count, stats, monkeypatch):
+        # refused before any level is pushed; the first level record raised
+        # TypeError
+        def no_levels(*args):
+            raise AssertionError("a level was pushed")
+
+        monkeypatch.setattr(gentree, "_level_stream", no_levels)
+        message = f"stats must be None or callable, got {stats!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            count(FamilySpec("partitions", 3), 3, stats=stats)
+
 
 def _differential_cases():
     for family in ("partitions", "partitions-enhanced", "permutations"):

@@ -48,6 +48,13 @@ class TestLookup:
         with pytest.raises(IndexError):
             seq.term(0)
 
+    @pytest.mark.parametrize("n", [True, 2.0, "2"])
+    def test_term_refuses_an_n_that_is_not_an_int(self, n):
+        # True read term 1, and 2.0 raised TypeError from tuple indexing
+        seq = refdata.lookup("partitions", 3)
+        with pytest.raises(ValueError, match=f"^n must be an int, got {n!r}$"):
+            seq.term(n)
+
     def test_coverage(self):
         table = refdata.all_sequences()
         for k in range(3, 8):

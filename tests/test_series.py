@@ -1,6 +1,7 @@
 """Truncated series arithmetic and the functional-equation solvers."""
 
 import re
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -18,6 +19,7 @@ from nonnesting.series import (
     divide_by_one_minus,
     ones_sequence,
     solve_equation,
+    solve_sequence,
     substitute,
 )
 
@@ -485,6 +487,34 @@ class TestSolvers:
         with pytest.raises(ValueError, match=f"n_max must be an int, got {bad!r}"):
             solve_equation("baxter", bad)
 
+    @pytest.mark.parametrize("family,n_max,k", [
+        ("widgets", 5, None), ("permutations3", 5, 3), ("partitions", 3, None),
+        ("partitions-enhanced", 3, 1), ("permutations", 3, 1), ("baxter", 3, 3),
+        ("baxter", -1, None), ("partitions", True, 3), ("permutations", 3.0, 3),
+        ("baxter", "3", None), ("partitions", 3, True), ("permutations", 3, "3"),
+    ])
+    def test_sequence_checks_its_arguments_as_the_solve_does(self, family, n_max, k):
+        with pytest.raises(ValueError) as solved:
+            solve_equation(family, n_max, k=k)
+        message = "^" + re.escape(str(solved.value)) + "$"
+        with pytest.raises(ValueError, match=message):
+            solve_sequence(family, n_max, k=k)
+
+    @pytest.mark.parametrize("bad", [1, "x", [], True])
+    @pytest.mark.parametrize("solve", [solve_equation, solve_sequence])
+    def test_stats_must_be_none_or_callable(self, solve, bad, monkeypatch):
+        # refused before any z-order is solved: Phi is never applied
+        def no_phi(*args):
+            raise AssertionError("Phi was applied")
+
+        monkeypatch.setattr(series, "_partition_phi", no_phi)
+        monkeypatch.setattr(series, "_permutation_phi", no_phi)
+        message = re.escape(f"stats must be None or callable, got {bad!r}")
+        for family, k in (("partitions", 3), ("partitions-enhanced", 3),
+                          ("permutations", 3), ("baxter", None)):
+            with pytest.raises(ValueError, match=message):
+                solve(family, 3, k=k, stats=bad)
+
 
 def _reference_permutation3(n_max):
     """The hand-written k=3 permutation equation F(u, v, w; z) that the
@@ -711,6 +741,65 @@ def test_stats_records_each_order(full):
     else:
         assert all(built >= kept for built, kept in sizes)
         assert records[-1]["terms_kept"] == 1  # only the constant term is left
+
+
+# solve_sequence reads each z-order as `_layers` makes it; its plain path
+# is the counting terms of the series that `_iterate` sums
+@pytest.mark.parametrize("family,k", list(_pruned_cases()))
+def test_sequence_equals_counting_terms_of_the_solve(family, k):
+    for n_max in range(11):
+        f = solve_equation(family, n_max, k=k, full=False)
+        counts = ones_sequence(f) if family == "baxter" else constant_term_sequence(f)
+        assert solve_sequence(family, n_max, k=k) == counts
+
+
+def test_baxter_sequence_equals_ones_of_the_solve():
+    for n_max in range(26):
+        assert solve_sequence("baxter", n_max) == ones_sequence(
+            solve_equation("baxter", n_max))
+
+
+@pytest.mark.parametrize("family,k,n_max", [
+    ("permutations", 3, 30),
+    ("partitions", 3, 60),
+])
+def test_sequence_equals_dp_beyond_tables(family, k, n_max):
+    assert solve_sequence(family, n_max, k=k) == [1] + count_sequence(
+        FamilySpec(family, k), n_max)
+
+
+@pytest.mark.parametrize("family,k", [
+    ("partitions", 3), ("partitions-enhanced", 4), ("permutations", 4),
+    ("baxter", None),
+])
+def test_sequence_stats_equal_the_solve_stats(family, k):
+    solved, sequenced = [], []
+    solve_equation(family, 8, k=k, full=False, stats=solved.append)
+    solve_sequence(family, 8, k=k, stats=sequenced.append)
+
+    def timeless(records):
+        return [{key: v for key, v in r.items() if key != "phi_s"} for r in records]
+
+    assert all(set(r) == {"order", "terms_built", "terms_kept", "phi_s"}
+               for r in sequenced)
+    assert timeless(sequenced) == timeless(solved)
+    assert len(sequenced) == 8
+
+
+def test_sequence_holds_one_z_order():
+    # the pruned solve holds every z-order it keeps; the sequence one
+    def peak(solve):
+        tracemalloc.start()
+        try:
+            solve()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    held = peak(lambda: solve_sequence("permutations", 40, k=3))
+    summed = peak(lambda: constant_term_sequence(
+        solve_equation("permutations", 40, k=3, full=False)))
+    assert held <= 0.7 * summed
 
 
 def _plain_close(g, xs):
