@@ -2,19 +2,20 @@
 
 Subcommands: count (generating-tree DP), series (functional-equation
 solver), generate (exhaustive diagram stream), oracle (brute force),
-verify (cross-check harness) and refdata (embedded sequences).  Each is one
-row of `_COMMANDS`: its help text, its option table and the function that
-runs it.  `run` reads a plain argv straight from the invoked subcommand's
-table (`_read`).  Any other argv goes to argparse, built from the same
-tables: help, usage errors and every other spelling print exactly what
-they always have.  Its parser holds the invoked subcommand alone, and
-every subcommand only when none is named.
+verify (the release harness of `harness`) and refdata (embedded
+sequences).  Each is one row of `_COMMANDS`: its help text, its option
+table and the function that runs it.  This module holds only the parser,
+the commands and their output.  `run` reads a plain argv straight from the
+invoked subcommand's table (`_read`).  Any other argv goes to argparse,
+whose one parser is built from the same tables: help, usage errors and
+every other spelling print exactly what they always have.
 
 Importing this module loads only `gentree` and `series` of the package.
 Whatever else a command needs (`json`, `csv`, `oracle`, `closedform`,
-`refdata`, `diagrams`, the `verify` checks) is imported or built by the
-code that first uses it.  Each module's functions are still called through
-the module, so a wrapper set on one of them sees every call.
+`refdata`, `diagrams`, and for `verify` the `harness` with its table of
+checks) is imported by the code that first uses it.  Each module's
+functions are still called through the module, so a wrapper set on one of
+them sees every call.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard tripped.  Counts are always printed as exact decimal strings, however
@@ -27,10 +28,12 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from functools import partial
 from types import SimpleNamespace
 
 from .errors import ResourceLimitError
+# count_levels, constant_term_sequence and ones_sequence are no longer
+# called here, yet they stay bound: bench/tracer.py wraps them, with
+# count_sequence and solve_equation, by their names in this module
 from .gentree import (
     CONSTRAINED_FAMILIES,
     FAMILIES,
@@ -40,13 +43,10 @@ from .gentree import (
     generate_diagrams,
     level_distribution,
 )
-# constant_term_sequence and ones_sequence are no longer called here, yet
-# they stay bound: bench/tracer.py wraps them, with solve_equation, by
-# their names in this module
 from .series import (SERIES_FAMILIES, constant_term_sequence, ones_sequence,
                      solve_equation, solve_sequence)
 
-__all__ = ["main", "run", "run_suite", "run_checks", "CHECKS", "Check"]
+__all__ = ["main", "run"]
 
 
 def _spec_from_args(args):
@@ -204,178 +204,16 @@ def _cmd_refdata(args):
     return 0
 
 
-class Check:
-    """One release claim: `run(n)` returns (expected, actual) at size n,
-    and "{n}" in check_id stands for that size.  `verify` runs it at no
-    more than max_n.  `counts` names the (counter, family, k) sequences
-    that `run` reads through its `count` argument (`_count` when run
-    alone); `run_checks` counts each of them once per run."""
-
-    def __init__(self, suite, check_id, max_n, run, counts=()):
-        self.suite = suite
-        self.check_id = check_id
-        self.max_n = max_n
-        self.run = run
-        self.counts = counts
-
-
-# The thunks look up the counters and closed forms when they run, so a
-# name rebound after import (bench/tracer.py's wrappers) is the one called.
-def _count(counter, family, k, n):
-    """Terms 0..n of a counted sequence: counter "dp" is the generating-tree
-    DP, "series" the counting terms of the functional equation."""
-    if counter == "dp":
-        return [1] + count_sequence(FamilySpec(family, k), n)
-    return solve_sequence(family, n, k=k)
-
-
-def _table(family, k, n, count=_count):
-    from . import refdata
-
-    expected = refdata.lookup(family, k).as_ints()[:n]
-    return expected, count("dp", family, k, n)[1:]
-
-
-def _series(family, k, n, count=_count):
-    return count("series", family, k, n), count("dp", family, k, n)
-
-
-def _oracle(family, k, n, count=_count):
-    from . import oracle
-
-    expected = [oracle.oracle_count(family, k, m) for m in range(n + 1)]
-    return expected, count("dp", family, k, n)
-
-
-def _baxter_formula(n, count=_count):
-    from . import closedform
-
-    expected = [closedform.baxter(m + 1) for m in range(n + 1)]
-    return expected, count("series", "baxter", None, n)
-
-
-def _baxter_embedded(n, count=_count):
-    from . import refdata
-
-    expected = refdata.lookup("baxter", 3).as_ints()[: n + 1]
-    return expected, count("series", "baxter", None, n)
-
-
-def _open_totals(family, total, n):
-    from . import closedform
-
-    expected = [getattr(closedform, total)(m) for m in range(n + 1)]
-    return expected, [lv.total() for lv in count_levels(FamilySpec(family), n)]
-
-
-def _build_checks():
-    from . import refdata
-
-    checks = [
-        Check("paper-tables", f"tables/{family}/k={k}/n<={{n}}", len(seq.terms),
-              partial(_table, family, k), (("dp", family, k),))
-        for (family, k), seq in sorted(refdata.all_sequences().items())
-        if family != "baxter"
-    ]
-    for family in ("partitions", "partitions-enhanced"):
-        for k in (2, 3, 4):
-            checks += [
-                Check("cross-methods", f"cross/{family}/k={k}/series", 12,
-                      partial(_series, family, k),
-                      (("series", family, k), ("dp", family, k))),
-                Check("cross-methods", f"cross/{family}/k={k}/oracle", 9,
-                      partial(_oracle, family, k), (("dp", family, k),)),
-            ]
-    checks.append(Check("cross-methods", "cross/permutations/k=3/series", 12,
-                        partial(_series, "permutations", 3),
-                        (("series", "permutations", 3), ("dp", "permutations", 3))))
-    checks += [
-        Check("cross-methods", f"cross/permutations/k={k}/oracle", 7,
-              partial(_oracle, "permutations", k), (("dp", "permutations", k),))
-        for k in (2, 3, 4)
-    ]
-    baxter = (("series", "baxter", None),)
-    embedded = len(refdata.lookup("baxter", 3).terms)
-    checks += [
-        Check("baxter", "baxter/series-vs-formula/n<={n}", 25, _baxter_formula,
-              baxter),
-        Check("baxter", "baxter/series-vs-embedded", embedded - 1, _baxter_embedded,
-              baxter),
-        Check("egf", "egf/open-partitions/n<={n}", 12,
-              partial(_open_totals, "open-partitions", "open_partition_count")),
-        Check("egf", "egf/open-permutations/n<={n}", 10,
-              partial(_open_totals, "open-permutations", "open_permutation_count")),
-    ]
-    return tuple(checks)
-
-
-def _checks():
-    """`CHECKS`: every release claim, in the order `verify` prints them,
-    built on first use; the acceptance tests run the same entries at their
-    release sizes."""
-    global CHECKS
-    if "CHECKS" not in globals():
-        CHECKS = _build_checks()
-    return CHECKS
-
-
-def __getattr__(name):
-    # `cli.CHECKS` read before anything has built it
-    if name == "CHECKS":
-        return _checks()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# the suites of `CHECKS` in its order, and the families of the embedded
-# tables, so that no table is built to list them
+# the suites of `harness.CHECKS` in its order, and the families of the
+# embedded tables, so that no table is built to list them
 _SUITES = ("paper-tables", "cross-methods", "baxter", "egf")
 _REFDATA_FAMILIES = ("partitions", "partitions-enhanced", "permutations", "baxter")
 
 
-def run_checks(sized):
-    """Run each (check, n) pair at its size n; one row each, a dict with the
-    keys of a `verify --format json` check in order, runtime unrounded.
-
-    Each sequence named in a check's `counts` is counted once, at the
-    largest size any pair asks of it, and every check reads a prefix of it
-    (a count to n is the first terms of any count to more), so a check's
-    runtime covers only what no earlier check of the run has counted."""
-    top = {}
-    for check, n in sized:
-        for key in check.counts:
-            top[key] = max(n, top.get(key, n))
-    counted = {}  # freed with the run
-
-    def count(counter, family, k, n):
-        key = (counter, family, k)
-        seq = counted.get(key)
-        if seq is None or len(seq) <= n:
-            seq = counted[key] = _count(*key, max(n, top.get(key, n)))
-        return seq[: n + 1]
-
-    rows = []
-    for check, n in sized:
-        started = time.perf_counter()
-        expected, actual = check.run(n, count) if check.counts else check.run(n)
-        rows.append({
-            "check_id": check.check_id.format(n=n),
-            "expected": str(expected),
-            "actual": str(actual),
-            "status": "pass" if expected == actual else "fail",
-            "runtime": time.perf_counter() - started,
-        })
-    return rows
-
-
-def run_suite(suite, max_n):
-    """The `run_checks` rows of every check in `suite` ("all" for every
-    check), each run at min(max_n, its max_n)."""
-    sized = [(c, min(max_n, c.max_n)) for c in _checks() if suite in (c.suite, "all")]
-    return run_checks(sized)
-
-
 def _cmd_verify(args):
-    rows = run_suite(args.suite, args.max_n)
+    from . import harness
+
+    rows = harness.run_suite(args.suite, args.max_n)
     overall = "pass" if all(r["status"] == "pass" for r in rows) else "fail"
     if args.format == "json":
         import json
@@ -494,15 +332,8 @@ def _read(command, argv):
     return args
 
 
-def _build_parser(command=None):
-    """The parser of every subcommand, or of `command` alone.
-
-    A parser with one subcommand reads that subcommand's argv exactly as
-    the full one does: the subcommand's own parser is the same, and its
-    metavar keeps every name in the top-level usage line that an error
-    prints.  Any other argv (--help, no command, an unknown one) needs the
-    full parser, whose messages name the subcommands as argparse lists
-    them."""
+def _build_parser():
+    """The parser of every subcommand, built from `_COMMANDS`."""
     import argparse  # only help, usage errors and unusual spellings need it
 
     parser = argparse.ArgumentParser(
@@ -510,13 +341,8 @@ def _build_parser(command=None):
         description="Enumerate set partitions and permutations with no k "
         "mutually nested arcs.",
     )
-    if command is None:
-        names, metavar = _COMMANDS, None
-    else:
-        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, options, func = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options, func) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, spec in options:
             p.add_argument(flag, **spec)
@@ -544,12 +370,11 @@ def _exact_int_strings():
 def run(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     # a plain argv is read from the command's option table; argparse reads
-    # any other, building only the invoked subcommand's parser, since the
-    # others' arguments are a fixed cost that no single command needs
+    # any other
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _read(command, argv[1:]) if command else None
     if args is None:
-        args = _build_parser(command).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     try:
         with _exact_int_strings():
             return args.func(args)

@@ -2,11 +2,14 @@
 
 The Bell, Catalan and Baxter numbers, the two open-diagram totals and the
 P-recurrences of the 3-nonnesting partition counts serve as independent
-cross-checks for the generating-tree and series counts.  The explicit
-double-sum formula for 3-nonnesting set partitions is evaluated in the one
-reading of its published form that gives the counts.  It consumes the label
-coefficients of the functional-equation series, which its caller passes in,
-so it is not independent of `series`.
+cross-checks for the generating-tree and series counts: `harness` compares
+the series with the Baxter numbers and the DP's unconstrained level totals
+with the open-diagram totals, and the acceptance gate the partition counts
+with the P-recurrences.  The explicit double-sum formula for 3-nonnesting
+set partitions is evaluated in the one reading of its published form that
+gives the counts.  It consumes the label coefficients of the
+functional-equation series, which its caller passes in, so it is not
+independent of `series`.
 """
 
 from __future__ import annotations
@@ -196,9 +199,9 @@ def formula_3nn_partitions(n, coeff):
 
     coeff(k, i, j) gives the label coefficient A_{i,j}(k) for k < n: the
     coefficient of z^k v0^i v1^j in the solution of the k=3 partition
-    functional equation, `series.solve_partition_equation(3, n - 1)`.  The
-    formula therefore depends on the `series` coefficients and is no
-    independent check of them.  Its published form leaves a summation index
+    functional equation, `series.solve_equation("partitions", n - 1,
+    k=3)`.  The formula therefore depends on the `series` coefficients and
+    is no independent check of them.  Its published form leaves a summation index
     unbound; this is the reading in which the inner indices satisfy
     p + q + r = n - k, the one that gives the counts (the acceptance gate
     checks it against them for n <= 21).  Returns an exact int; raises

@@ -369,6 +369,8 @@ def partition_label(diagram, k, enhanced=False):
     diagram must avoid regular and future (k+1)-nestings, else
     ConstraintViolation is raised.
     """
+    if not isinstance(diagram, OpenPartitionDiagram):
+        raise TypeError(f"not a partition diagram: {type(diagram).__name__}")
     _require_label_k(k)
     indices = _layer_indices(
         _partition_arcs(diagram, enhanced), diagram.open_arcs, k, "a regular"
@@ -387,6 +389,8 @@ def permutation_label(diagram, k):
     and future enhanced upper (k+1)-nestings and regular and future lower
     (k+1)-nestings.
     """
+    if not isinstance(diagram, OpenPermutationDiagram):
+        raise TypeError(f"not a permutation diagram: {type(diagram).__name__}")
     _require_label_k(k)
     up = _layer_indices(diagram.upper_arcs, diagram.upper_open, k, "an upper")
     lo = _layer_indices(diagram.lower_arcs, diagram.lower_open, k, "a lower")

@@ -305,11 +305,17 @@ def _successors_open_permutation(m):
     return children
 
 
-def _pusher(spec, n_max, max_labels=None, stats=None):
+def _pusher(spec, n_max, max_labels=None, stats=None, bounded=False):
     """A fresh one-level pusher for spec whose codes hold every label of
-    levels 0..n_max.  The label budget `max_labels` of the push, None for
-    none, and its `stats` callback, None or callable, are checked here too,
-    before any push."""
+    levels 0..n_max, with the code of its root label as `root`.  The label
+    budget `max_labels` of the push, None for none, and its `stats`
+    callback, None or callable, are checked here too, before any push.
+
+    With `bounded`, a k past n_max + 2 is built as n_max + 2.  No diagram
+    of size <= n_max has a nesting of more than (n_max + 1) / 2 arcs, a
+    fixed point counting as a degenerate arc, so no label entry past index
+    n_max is ever nonzero, and the rule gives the same children, counts
+    and labels as at k = n_max + 2; only the labels' length differs."""
     if type(n_max) is not int:  # a bool or a float as well
         raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max < 0:
@@ -318,8 +324,12 @@ def _pusher(spec, n_max, max_labels=None, stats=None):
         raise ValueError(f"max_labels must be an int >= 1, got {max_labels!r}")
     if stats is not None and not callable(stats):
         raise ValueError(f"stats must be None or callable, got {stats!r}")
-    entry = spec._entry
-    return entry.pusher(entry, spec.k, n_max)
+    entry, k = spec._entry, spec.k
+    if bounded and k is not None:
+        k = min(k, n_max + 2)
+    pusher = entry.pusher(entry, k, n_max)
+    pusher.root = pusher.encode(entry.root_label(k))
+    return pusher
 
 
 def _level_stream(pusher, root, n_max, max_labels, prune, stats=None):
@@ -378,8 +388,7 @@ def count_levels(spec, n_max, max_labels=None):
     last level completed.
     """
     pusher = _pusher(spec, n_max, max_labels)
-    root = pusher.encode(spec.root_label())
-    stream = _level_stream(pusher, root, n_max, max_labels, prune=False)
+    stream = _level_stream(pusher, pusher.root, n_max, max_labels, prune=False)
     return [LevelDistribution(n, level, pusher) for n, level in enumerate(stream)]
 
 
@@ -388,8 +397,7 @@ def level_distribution(spec, n, max_labels=None, stats=None):
     before it; `max_labels` as in count_levels, `stats` as in
     count_sequence (nothing is pruned, so each level keeps every label)."""
     pusher = _pusher(spec, n, max_labels, stats)
-    root = pusher.encode(spec.root_label())
-    for level in _level_stream(pusher, root, n, max_labels, False, stats):
+    for level in _level_stream(pusher, pusher.root, n, max_labels, False, stats):
         pass
     return LevelDistribution(n, level, pusher)
 
@@ -1015,10 +1023,11 @@ def count_sequence(spec, n_max, max_labels=None, stats=None):
     seconds (`push_s`) and the bit length of the largest kept count
     (`max_count_bits`).  The push builds only labels under the horizon, so
     every label it produces is kept.  Without `stats` no timing call is
-    made.
+    made.  The push is built for k at most n_max + 2, which gives the same
+    counts and records (see `_pusher`), so a huge k costs no more.
     """
-    pusher = _pusher(spec, n_max, max_labels, stats)
-    root = pusher.encode(spec.root_label())
+    pusher = _pusher(spec, n_max, max_labels, stats, bounded=True)
+    root = pusher.root
     levels = _level_stream(pusher, root, n_max, max_labels, True, stats)
     next(levels)
     count_of = pusher.count_of

@@ -561,13 +561,6 @@ def _partition_equation(k, enhanced=False):
     return variables, partial(_partition_phi, variables[1:], enhanced)
 
 
-def solve_partition_equation(k, n_max, enhanced=False, **options):
-    """Q, or with `enhanced` P, to z-order n_max; the options are
-    `_iterate`'s."""
-    variables, phi = _partition_equation(k, enhanced)
-    return _iterate(variables, n_max, phi, **options)
-
-
 def _partition_phi(vs, enhanced, g):
     """Phi of the partition equations over vs = v0..v(k-2).
 
@@ -653,9 +646,15 @@ _EQUATIONS = {
 SERIES_FAMILIES = tuple(_EQUATIONS)
 
 
-def _equation(family, n_max, k, stats):
+def _equation(family, n_max, k, stats, bounded=False):
     """The variables, Phi and semi-arc variable of `family`'s equation,
-    after the checks that both entries make of their arguments."""
+    after the checks that both entries make of their arguments.
+
+    With `bounded`, a k past n_max + 2 is built as n_max + 2.  No diagram
+    of size <= n_max has a nesting of more than (n_max + 1) / 2 arcs, a
+    fixed point counting as a degenerate arc, so the exponent of every
+    label variable past index n_max stays 0 to z-order n_max, and the
+    counting terms and the terms built are those at k = n_max + 2."""
     if family not in _EQUATIONS:
         raise ValueError(f"unknown series family {family!r}")
     if type(n_max) is not int:  # a bool or a float as well
@@ -673,6 +672,8 @@ def _equation(family, n_max, k, stats):
         raise ValueError(f"k is required for series family {family}")
     if type(k) is not int:
         raise ValueError(f"k must be an int, got {k!r}")
+    if bounded:
+        k = min(k, n_max + 2)
     return (*equation(k), semi_arc)
 
 
@@ -700,8 +701,9 @@ def solve_sequence(family, n_max, k=None, *, stats=None):
     n_max, k, full=False))`, and for baxter, whose counts read every term,
     `ones_sequence(solve_equation("baxter", n_max))`.  The arguments are
     checked as `solve_equation` checks them, and stats gets the same
-    records."""
-    variables, phi, semi_arc = _equation(family, n_max, k, stats)
+    records.  The equation is built for k at most n_max + 2, which gives
+    the same terms (see `_equation`), so a huge k costs no more."""
+    variables, phi, semi_arc = _equation(family, n_max, k, stats, bounded=True)
     layers = _layers(variables, n_max, phi, semi_arc=semi_arc, stats=stats)
     if semi_arc is None:
         return [sum(layer.codes.values()) for layer in layers]

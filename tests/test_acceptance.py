@@ -10,15 +10,11 @@ from fnmatch import fnmatch
 
 from nonnesting import diagrams as dg
 from nonnesting import refdata
-from nonnesting.cli import CHECKS, run_checks
 from nonnesting.closedform import a108304, a108307, catalan, formula_3nn_partitions
 from nonnesting.gentree import FamilySpec, count_sequence, generate_diagrams
+from nonnesting.harness import CHECKS, run_checks
 from nonnesting.oracle import oracle_count
-from nonnesting.series import (
-    constant_term_sequence,
-    solve_equation,
-    solve_partition_equation,
-)
+from nonnesting.series import constant_term_sequence, solve_equation
 
 
 def verdict(capsys, criterion, ok):
@@ -29,7 +25,7 @@ def verdict(capsys, criterion, ok):
 
 # The table checks each of criteria 1-7 runs, as (id pattern, size); size
 # None is the check's largest size, all of its reference terms.  Every
-# check in cli.CHECKS is run here at no less than the largest size `verify`
+# check in harness.CHECKS is run here at no less than the largest size `verify`
 # runs it at, so the release gate and `verify` share one definition.
 RELEASE = {
     1: [("tables/partitions/*", 21)],
@@ -155,7 +151,7 @@ def test_09_rule_geometry_agreement(capsys):
 
 def test_10_explicit_formula_report(capsys):
     n_max = 21
-    q = solve_partition_equation(3, n_max - 1)
+    q = solve_equation("partitions", n_max - 1, k=3)
 
     def coeff(k, i, j):
         return q.coefficient((k, i, j))

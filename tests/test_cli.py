@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonnesting import cli, closedform, gentree, oracle, refdata
+from nonnesting import cli, closedform, gentree, harness, oracle, refdata, series
 from nonnesting.cli import run
 from nonnesting.errors import ResourceLimitError
 from nonnesting.gentree import FamilySpec, count_levels
@@ -702,8 +702,8 @@ class TestBigCounts:
 
     def test_verify_values(self, monkeypatch, capsys):
         big = factorial(320)
-        check = cli.Check("egf", "egf/big/n<={n}", 3, lambda n: ([big], [big + 1]))
-        monkeypatch.setattr(cli, "CHECKS", (check,))
+        check = harness.Check("egf", "egf/big/n<={n}", 3, lambda n: ([big], [big + 1]))
+        monkeypatch.setattr(harness, "CHECKS", (check,))
         assert self.run_capped(["verify", "--suite", "egf", "--max-n", "3"]) == 1
         out, _ = output(capsys)
         assert out.splitlines()[1:3] == ["      expected: [%d]" % big,
@@ -747,8 +747,8 @@ class TestVerify:
         assert exc.value.code == 2
 
     def test_failed_check(self, monkeypatch, capsys):
-        bad = cli.Check("egf", "egf/bad/n<={n}", 3, lambda n: ([n], [n + 1]))
-        monkeypatch.setattr(cli, "CHECKS", (bad,))
+        bad = harness.Check("egf", "egf/bad/n<={n}", 3, lambda n: ([n], [n + 1]))
+        monkeypatch.setattr(harness, "CHECKS", (bad,))
         assert run(["verify", "--suite", "egf", "--max-n", "5"]) == 1
         out, _ = output(capsys)
         lines = out.splitlines()
@@ -766,7 +766,7 @@ class TestVerify:
 
     def test_check_ids_and_order(self):
         # verify's ids and their order are part of its stdout
-        rows = cli.run_suite("all", 6)
+        rows = harness.run_suite("all", 6)
         assert [c["check_id"] for c in rows] == [
             *(f"tables/partitions/k={k}/n<=6" for k in range(3, 8)),
             *(f"tables/partitions-enhanced/k={k}/n<=6" for k in range(3, 8)),
@@ -786,13 +786,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("max_n", [0, 6, 12])
     @pytest.mark.parametrize(
-        "suite", [*dict.fromkeys(c.suite for c in cli.CHECKS), "all"])
+        "suite", [*dict.fromkeys(c.suite for c in harness.CHECKS), "all"])
     def test_suite_reads_what_each_check_counts_alone(self, suite, max_n):
         # a run counts each sequence once, at its largest size, and every
         # check reads a prefix; run alone, a check counts for itself
-        rows = cli.run_suite(suite, max_n)
+        rows = harness.run_suite(suite, max_n)
         alone = []
-        for check in cli.CHECKS:
+        for check in harness.CHECKS:
             if suite in (check.suite, "all"):
                 n = min(max_n, check.max_n)
                 expected, actual = check.run(n)
@@ -803,9 +803,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("max_n", [6, 12])
     def test_suite_counts_each_sequence_once(self, monkeypatch, max_n):
-        # looked up in cli when called, as bench/tracer.py's wrappers are
+        # looked up in their modules when called
         dp, solved = Counter(), Counter()
-        count_sequence, solve_sequence = cli.count_sequence, cli.solve_sequence
+        count_sequence, solve_sequence = gentree.count_sequence, series.solve_sequence
 
         def counting_dp(spec, n, **kwargs):
             dp[spec.family, spec.k] += 1
@@ -815,9 +815,9 @@ class TestVerify:
             solved[family, kwargs.get("k")] += 1
             return solve_sequence(family, n, **kwargs)
 
-        monkeypatch.setattr(cli, "count_sequence", counting_dp)
-        monkeypatch.setattr(cli, "solve_sequence", counting_solve)
-        rows = cli.run_suite("all", max_n)
+        monkeypatch.setattr(gentree, "count_sequence", counting_dp)
+        monkeypatch.setattr(series, "solve_sequence", counting_solve)
+        rows = harness.run_suite("all", max_n)
         assert all(r["status"] == "pass" for r in rows)
         tables = [key for key in refdata.all_sequences() if key[0] != "baxter"]
         crossed = [(f, k) for f in ("partitions", "partitions-enhanced")
@@ -830,23 +830,23 @@ class TestVerify:
     def test_run_counts_once_at_the_largest_size_asked(self, monkeypatch):
         # a smaller size is asked first, yet the one count serves all three
         sizes = []
-        count_sequence = cli.count_sequence
-        monkeypatch.setattr(cli, "count_sequence", lambda spec, n: sizes.append(
+        count_sequence = gentree.count_sequence
+        monkeypatch.setattr(gentree, "count_sequence", lambda spec, n: sizes.append(
             n) or count_sequence(spec, n))
-        by_id = {c.check_id: c for c in cli.CHECKS}
+        by_id = {c.check_id: c for c in harness.CHECKS}
         sized = [(by_id["cross/partitions/k=3/oracle"], 4),
                  (by_id["tables/partitions/k=3/n<={n}"], 8),
                  (by_id["cross/partitions/k=3/series"], 6)]
-        rows = cli.run_checks(sized)
+        rows = harness.run_checks(sized)
         assert [r["status"] for r in rows] == ["pass"] * 3
         assert sizes == [8]
 
     def test_check_run_alone_counts_for_itself(self, monkeypatch):
         calls = []
-        count_sequence = cli.count_sequence
-        monkeypatch.setattr(cli, "count_sequence", lambda spec, n: calls.append(
+        count_sequence = gentree.count_sequence
+        monkeypatch.setattr(gentree, "count_sequence", lambda spec, n: calls.append(
             (spec.family, spec.k, n)) or count_sequence(spec, n))
-        check = next(c for c in cli.CHECKS if c.check_id == "cross/partitions/k=3/oracle")
+        check = next(c for c in harness.CHECKS if c.check_id == "cross/partitions/k=3/oracle")
         for n in (5, 3):
             expected, actual = check.run(n)
             assert expected == actual and len(actual) == n + 1
@@ -916,9 +916,9 @@ def test_fuzzed_argv_keeps_exit_codes(data):
     assert rc in (0, 1, 2, 3)
 
 
-def _all_subcommand_parser(command=None):
-    """The plain path `run` replaced: a copy of the parser it built for
-    every argv, with all six subcommands, whatever the command."""
+def _all_subcommand_parser():
+    """A copy of the parser `run` builds for an argv that is not in the
+    plain spelling, with all six subcommands written out by hand."""
     parser = argparse.ArgumentParser(
         prog="nonnesting",
         description="Enumerate set partitions and permutations with no k "
@@ -977,7 +977,7 @@ def _all_subcommand_parser(command=None):
     p.add_argument(
         "--suite",
         default="all",
-        choices=(*dict.fromkeys(c.suite for c in cli.CHECKS), "all"),
+        choices=(*dict.fromkeys(c.suite for c in harness.CHECKS), "all"),
     )
     p.add_argument("--max-n", type=cli._SIZE, default=12)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -1050,8 +1050,8 @@ def _outcome_of_all_subcommand_parser(argv):
     ["count", "--family", "partitions", "--k", "3", "--n", " 3"],
 ], ids=" ".join)
 def test_parser_equals_all_subcommand_parser(argv):
-    """`run` builds only the invoked subcommand's parser; its exit code,
-    stdout and stderr are those of the full parser it replaced."""
+    """Help, usage errors and unusual spellings give the exit code, stdout
+    and stderr of the hand-written full parser."""
     assert _outcome(argv) == _outcome_of_all_subcommand_parser(argv)
 
 
@@ -1184,7 +1184,8 @@ def test_plain_run_imports_no_argparse():
 # modules that no plain count or series loads; a plain generate loads
 # diagrams (and the dataclasses it is built on) for its walk
 _LOADED_ON_USE = ("dataclasses", "fractions", "json", "csv", "nonnesting.diagrams",
-                  "nonnesting.oracle", "nonnesting.refdata", "nonnesting.closedform")
+                  "nonnesting.oracle", "nonnesting.refdata", "nonnesting.closedform",
+                  "nonnesting.harness")
 
 
 def _fresh_run(*argvs):
@@ -1218,15 +1219,13 @@ def test_plain_generate_loads_only_the_diagrams():
 
 
 def test_static_choices_match_the_tables():
-    """The verify suites and refdata families are listed without building
-    CHECKS or reading the tables; they must name what those hold."""
+    """The verify suites and refdata families are listed without importing
+    the harness or reading the tables; they must name what those hold."""
     suites = dict(cli._COMMANDS["verify"][1])["--suite"]["choices"]
-    assert suites == (*dict.fromkeys(c.suite for c in cli.CHECKS), "all")
+    assert suites == (*dict.fromkeys(c.suite for c in harness.CHECKS), "all")
     families = dict(cli._COMMANDS["refdata"][1])["--family"]["choices"]
     assert families == tuple(dict.fromkeys(f for f, _ in refdata.all_sequences()))
-    # built once, on first use, and then kept
-    assert isinstance(cli.CHECKS, tuple)
-    assert cli.CHECKS is cli.CHECKS is cli._checks()
+    assert isinstance(harness.CHECKS, tuple)
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,7 @@ from nonnesting.closedform import (
     open_partition_count,
     open_permutation_count,
 )
-from nonnesting.series import solve_partition_equation
+from nonnesting.series import solve_equation
 
 
 class TestSequences:
@@ -108,7 +108,7 @@ class TestFormulaReport:
     def test_bound_p_reading_agrees_with_counts(self):
         # the reading with p + q + r = n - k gives the 3-nonnesting counts
         n_max = 8
-        q = solve_partition_equation(3, n_max - 1)
+        q = solve_equation("partitions", n_max - 1, k=3)
 
         def coeff(k, i, j):
             return q.coefficient((k, i, j))

@@ -130,6 +130,13 @@ class TestNestingIndex:
         with pytest.raises(ConstraintViolation):
             dg.partition_label(d, 2)
 
+    def test_label_rejects_a_permutation_diagram(self):
+        # raised AttributeError: no attribute 'closed_arcs'
+        d = dg.OpenPermutationDiagram(2, (), (), (1,), (2,))
+        with pytest.raises(TypeError,
+                           match="^not a partition diagram: OpenPermutationDiagram$"):
+            dg.partition_label(d, 2)
+
 
 class TestLegalSteps:
     # 11 vertices, label (4, 2): the semi-arc at 7 sits over a 2-nesting
@@ -199,6 +206,13 @@ class TestPermutationDiagrams:
             (1, 5, 7, 11),
         )
         assert dg.permutation_label(d, 2) == (4, (2,), (1,))
+
+    def test_label_rejects_a_partition_diagram(self):
+        # raised AttributeError: no attribute 'upper_arcs'
+        d = dg.OpenPartitionDiagram(2, (), (1, 2))
+        with pytest.raises(TypeError,
+                           match="^not a permutation diagram: OpenPartitionDiagram$"):
+            dg.permutation_label(d, 2)
 
     def test_semi_arc_count_balance_enforced(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,33 @@ class TestCountSequence:
         # a 9-nesting needs 17 vertices, so every size-5 permutation counts
         assert count_sequence(FamilySpec("permutations", 9), 5) == [1, 2, 6, 24, 120]
 
+    @pytest.mark.parametrize("family", CONSTRAINED_FAMILIES)
+    def test_pusher_is_built_for_k_at_most_n_plus_2(self, family, monkeypatch):
+        # a k of thousands built thousand-digit labels and took seconds
+        entry = gentree._FAMILY_TABLE[family]
+        built, pusher = [], entry.pusher
+        monkeypatch.setattr(entry, "pusher", lambda entry, k, n_max: built.append(
+            k) or pusher(entry, k, n_max))
+        for k, n, cap in ((20, 4, 6), (3, 4, 3), (2, 0, 2), (4, 0, 2)):
+            built.clear()
+            assert count_sequence(FamilySpec(family, k), n) == count_sequence(
+                FamilySpec(family, cap), n)
+            assert built == [cap, cap], (k, n)
+
+    @pytest.mark.parametrize("family", CONSTRAINED_FAMILIES)
+    def test_k_past_n_plus_2_gives_the_records_at_n_plus_2(self, family):
+        # the bound is exact: no label entry past index n is ever nonzero
+        def records(k, n):
+            out = []
+            seq = count_sequence(FamilySpec(family, k), n, stats=out.append)
+            return seq, [{key: v for key, v in r.items() if key != "push_s"}
+                         for r in out]
+
+        for n in range(7 if family == "permutations" else 8):
+            at_bound = records(n + 2, n)
+            for k in range(n + 3, n + 6):
+                assert records(k, n) == at_bound, (k, n)
+
     def test_partitions_k2_gives_catalan(self):
         assert count_sequence(FamilySpec("partitions", 2), 7) == [
             1, 2, 5, 14, 42, 132, 429,

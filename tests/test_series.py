@@ -786,6 +786,38 @@ def test_sequence_stats_equal_the_solve_stats(family, k):
     assert len(sequenced) == 8
 
 
+@pytest.mark.parametrize("family", ["partitions", "partitions-enhanced", "permutations"])
+def test_sequence_builds_the_equation_for_k_at_most_n_plus_2(family, monkeypatch):
+    # a k of a thousand built a thousand catalytic variables and took
+    # seconds; the full solve keeps k, since --full prints every variable
+    built = []
+    equation, takes_k, semi_arc = series._EQUATIONS[family]
+    monkeypatch.setitem(series._EQUATIONS, family, (
+        lambda k: built.append(k) or equation(k), takes_k, semi_arc))
+    for k, n, cap in ((20, 4, 6), (3, 4, 3), (2, 0, 2), (4, 0, 2)):
+        built.clear()
+        assert solve_sequence(family, n, k=k) == constant_term_sequence(
+            solve_equation(family, n, k=cap, full=False))
+        assert built == [cap, cap], (k, n)
+    built.clear()
+    solve_equation(family, 2, k=9)
+    assert built == [9]
+
+
+@pytest.mark.parametrize("family", ["partitions", "partitions-enhanced", "permutations"])
+def test_sequence_past_n_plus_2_gives_the_records_at_n_plus_2(family):
+    # the bound is exact: no label variable past index n gets an exponent
+    def records(k, n):
+        out = []
+        seq = solve_sequence(family, n, k=k, stats=out.append)
+        return seq, [{key: v for key, v in r.items() if key != "phi_s"} for r in out]
+
+    for n in range(7 if family == "permutations" else 8):
+        at_bound = records(n + 2, n)
+        for k in range(n + 3, n + 6):
+            assert records(k, n) == at_bound, (k, n)
+
+
 def test_sequence_holds_one_z_order():
     # the pruned solve holds every z-order it keeps; the sequence one
     def peak(solve):
